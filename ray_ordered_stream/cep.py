@@ -322,16 +322,14 @@ class PatternMatcher:
         self._carry: pa.Table | None = None  # (key, seq, role, ts) per-key tail
         self.watermark: int | None = None    # max event time seen (for gc)
 
+    def _carry_schema(self) -> pa.Schema:
+        return pa.schema([(self.key, pa.string()), (self.seq, pa.int64()),
+                          (self.role, pa.string()),
+                          (self.ts, pa.timestamp("us"))])
+
     def _project(self, t: pa.Table) -> pa.Table:
         # normalized dtypes so carry/batch concat and restore round-trip
-        return pa.table(
-            {
-                self.key: t[self.key].cast(pa.string()),
-                self.seq: t[self.seq].cast(pa.int64()),
-                self.role: t[self.role].cast(pa.string()),
-                self.ts: t[self.ts].cast(pa.timestamp("us")),
-            }
-        )
+        return t.select(self._carry_schema().names).cast(self._carry_schema())
 
     def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table:
         if emitted.num_rows == 0 or not {self.role, self.ts} <= set(
@@ -443,34 +441,17 @@ class PatternMatcher:
         }
 
     def snapshot(self) -> dict:
-        """JSON-safe (ts as int64 us) so it can ride the checkpoint's
-        extras.json."""
-        if self._carry is None or self._carry.num_rows == 0:
-            return {"carry": None, "watermark": self.watermark}
-        c = self._carry
-        return {
-            "carry": {
-                self.key: c[self.key].to_pylist(),
-                self.seq: c[self.seq].to_pylist(),
-                self.role: c[self.role].to_pylist(),
-                self.ts: c[self.ts].cast(pa.int64()).to_pylist(),
-            },
-            "watermark": self.watermark,
-        }
+        """The carried tails as one table (the stream_ops checkpoint form)."""
+        carry = self._carry
+        if carry is None:
+            carry = self._carry_schema().empty_table()
+        return {"watermark": self.watermark, "carry": carry}
 
     def restore(self, snap: dict) -> None:
-        c = snap.get("carry")
-        self.watermark = snap.get("watermark")
-        if c is None:
-            self._carry = None
-            return
-        self._carry = pa.table(
-            {
-                self.key: pa.array(c[self.key], pa.string()),
-                self.seq: pa.array(c[self.seq], pa.int64()),
-                self.role: pa.array(c[self.role], pa.string()),
-                self.ts: pa.array(c[self.ts], pa.int64()).cast(pa.timestamp("us")),
-            }
+        self.watermark = snap["watermark"]
+        c = snap["carry"]
+        self._carry = (
+            c.cast(self._carry_schema()).combine_chunks() if c.num_rows else None
         )
 
 
@@ -515,8 +496,8 @@ class AbsenceMatcher:
         self.seq = seq
         self.role = role
         self.ts = ts
-        # columnar pending state: parallel numpy arrays + a python key list
-        self._pend_keys: list[str] = []
+        # columnar pending state: parallel numpy arrays + an Arrow key array
+        self._pend_keys = pa.array([], pa.string())
         self._pend: dict[str, np.ndarray] = {
             c: np.zeros(0, dtype=np.int64) for c in _PENDING_COLS
         }
@@ -529,7 +510,7 @@ class AbsenceMatcher:
         p = self._pend
         return pa.table(
             {
-                self.key: pa.array([self._pend_keys[i] for i in idx], pa.string()),
+                self.key: self._pend_keys.take(pa.array(idx)),
                 "start_seq": pa.array(p["start_seq"][idx], pa.int64()),
                 "end_seq": pa.array(p["end_seq"][idx], pa.int64()),
                 "start_ts": pa.array(p["start_ts_us"][idx], pa.int64()).cast(
@@ -543,7 +524,7 @@ class AbsenceMatcher:
 
     def _drop(self, drop_mask: np.ndarray) -> None:
         keep = np.flatnonzero(~drop_mask)
-        self._pend_keys = [self._pend_keys[i] for i in keep]
+        self._pend_keys = self._pend_keys.take(pa.array(keep))
         for c in _PENDING_COLS:
             self._pend[c] = self._pend[c][keep]
 
@@ -556,7 +537,9 @@ class AbsenceMatcher:
                 dl = np.full(len(ets), iinfo.max)
             else:
                 dl = ets + self.absent_within_us
-            self._pend_keys.extend(cands[self.key].to_pylist())
+            self._pend_keys = pa.concat_arrays(
+                [self._pend_keys, *cands[self.key].cast(pa.string()).chunks]
+            )
             add = {
                 "start_seq": cands["start_seq"].to_numpy(zero_copy_only=False),
                 "end_seq": cands["end_seq"].to_numpy(zero_copy_only=False),
@@ -600,7 +583,7 @@ class AbsenceMatcher:
                     .to_numpy(zero_copy_only=False)
                     .astype(np.int64)
                 )
-                p_keys = np.asarray(self._pend_keys, dtype=object)
+                p_keys = self._pend_keys.to_numpy(zero_copy_only=False)
                 codes, _ = pd.factorize(np.concatenate([a_keys, p_keys]))
                 a_code, p_code = codes[: len(a_keys)], codes[len(a_keys):]
                 order = np.lexsort((a_seq, a_code))
@@ -656,7 +639,7 @@ class AbsenceMatcher:
         if not len(self._pend_keys):
             return _empty_matches(self.key)
         out = self._emit_table(np.arange(len(self._pend_keys)))
-        self._pend_keys = []
+        self._pend_keys = pa.array([], pa.string())
         for c in _PENDING_COLS:
             self._pend[c] = np.zeros(0, dtype=np.int64)
         return out
@@ -690,18 +673,20 @@ class AbsenceMatcher:
         return s
 
     def snapshot(self) -> dict:
+        """The inner matcher's carry plus the pending candidates, one row
+        each in firing order (the stream_ops checkpoint form)."""
         return {
-            "pm": self._pm.snapshot(),
-            "pending": {
-                "keys": list(self._pend_keys),
-                **{c: self._pend[c].tolist() for c in _PENDING_COLS},
-            },
+            **self._pm.snapshot(),
+            "pending": pa.table({
+                self.key: self._pend_keys,
+                **{c: pa.array(self._pend[c], pa.int64()) for c in _PENDING_COLS},
+            }),
         }
 
     def restore(self, snap: dict) -> None:
-        self._pm.restore(snap["pm"])
+        self._pm.restore(snap)
         p = snap["pending"]
-        self._pend_keys = list(p["keys"])
+        self._pend_keys = p[self.key].cast(pa.string()).combine_chunks()
         self._pend = {
-            c: np.asarray(p[c], dtype=np.int64) for c in _PENDING_COLS
+            c: np.array(p[c].to_numpy(), dtype=np.int64) for c in _PENDING_COLS
         }

@@ -3,10 +3,20 @@
 Layout::
 
     <root>/ckpt/p=<partition>/epoch-<n>/
-        buffer.parquet     # buffered out-of-order rows (may be absent)
-        counters.parquet   # per-key counters incl. next_seq
-        extras.json        # window/join accumulator state (small dicts)
-        _COMMIT            # marker written last (atomic rename)
+        buffer.parquet       # buffered out-of-order rows (may be absent)
+        counters.parquet     # per-key counters incl. next_seq (delta or full)
+        <op>.<table>.parquet # operator state tables (windows.keys, join.pending,
+                             # cep.carry, ...), one per table of each
+                             # configured operator; none on the ordered-only path
+        extras.json          # format version, ordered scalars, operator
+                             # scalars + table list, order-book and user state
+        _FULL                # counters are complete, not a delta (may be absent)
+        _COMMIT              # marker written last (atomic rename)
+
+Operator snapshots (stream_ops.py / cep.py) are flat dicts of JSON scalars
+and Arrow tables; the tables go to Parquet, the scalars to extras.json.
+Restore reads a full epoch's payload only at the target epoch: delta epochs
+contribute just their counters.
 
 Commit order per epoch is: sink manifests FIRST, then the checkpoint
 (SURVEY.md §7.4.3). After a crash the engine resumes from the newest epoch
@@ -21,12 +31,33 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+# version of the epoch-directory layout above, recorded in extras.json
+FORMAT = 2
+# snapshot entries that are operator state (the OrderedWorker slot names)
+OPERATORS = ("windows", "sessions", "join", "cep")
+_COUNTER_COLS = (
+    ("received", pa.int64()),
+    ("duplicates", pa.int64()),
+    ("results", pa.int64()),
+    ("next_seq", pa.int64()),
+    ("last_event", pa.bool_()),
+    ("digest", pa.string()),
+)
 
 
 def _dir(root: str, partition: int, epoch: int) -> Path:
     return Path(root) / "ckpt" / f"p={partition:05d}" / f"epoch-{epoch:05d}"
+
+
+def _write_atomic(table: pa.Table, path: Path) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, path)
 
 
 def write_partition_checkpoint(
@@ -39,9 +70,7 @@ def write_partition_checkpoint(
     d.mkdir(parents=True, exist_ok=True)
 
     if snap["buffer"] is not None and snap["buffer"].num_rows:
-        tmp = d / "buffer.parquet.tmp"
-        pq.write_table(snap["buffer"], tmp)
-        os.replace(tmp, d / "buffer.parquet")
+        _write_atomic(snap["buffer"], d / "buffer.parquet")
     else:
         # A re-run may overwrite an epoch dir that previously committed with
         # a non-empty buffer (crash recovery / changed config reusing the
@@ -51,36 +80,28 @@ def write_partition_checkpoint(
 
     c = snap["counters"]
     keys = sorted(c)
+    cols = list(zip(*(c[k] for k in keys))) or [()] * len(_COUNTER_COLS)
     counters = pa.table(
-        {
-            "key": pa.array(keys, pa.string()),
-            "received": pa.array([c[k][0] for k in keys], pa.int64()),
-            "duplicates": pa.array([c[k][1] for k in keys], pa.int64()),
-            "results": pa.array([c[k][2] for k in keys], pa.int64()),
-            "next_seq": pa.array([c[k][3] for k in keys], pa.int64()),
-            "last_event": pa.array([c[k][4] for k in keys], pa.bool_()),
-            "digest": pa.array([c[k][5] for k in keys], pa.string()),
-        }
+        {"key": pa.array(keys, pa.string())}
+        | {n: pa.array(v, t) for (n, t), v in zip(_COUNTER_COLS, cols)}
     )
-    tmp = d / "counters.parquet.tmp"
-    pq.write_table(counters, tmp)
-    os.replace(tmp, d / "counters.parquet")
+    _write_atomic(counters, d / "counters.parquet")
 
-    extras = {"call_count": snap.get("call_count", 0),
-              "last_status_us": snap.get("last_status_us")}
-    if "windows" in snap:
-        w = snap["windows"]
-        extras["windows"] = {
-            "watermark": w["watermark"],
-            "acc": [[k, ws, v] for (k, ws), v in w["acc"].items()],
-            "names": w.get("names", []),
-        }
-    if "join" in snap:
-        extras["join"] = snap["join"]
-    if "sessions" in snap:
-        extras["sessions"] = snap["sessions"]
-    if "cep" in snap:
-        extras["cep"] = snap["cep"]
+    extras: dict = {"format": FORMAT,
+                    "call_count": snap.get("call_count", 0),
+                    "last_status_us": snap.get("last_status_us"),
+                    "operators": {}}
+    for name in OPERATORS:
+        if name not in snap:
+            continue
+        scalars, tables = {}, []
+        for part, v in snap[name].items():
+            if isinstance(v, pa.Table):
+                _write_atomic(v, d / f"{name}.{part}.parquet")
+                tables.append(part)
+            else:
+                scalars[part] = v
+        extras["operators"][name] = {"scalars": scalars, "tables": tables}
     if "book" in snap:
         extras["book"] = snap["book"]
     if "user" in snap:
@@ -103,84 +124,94 @@ def write_partition_checkpoint(
     return str(d)
 
 
+def _read_extras(d: Path) -> dict:
+    """extras.json of a committed epoch dir, checked against ``FORMAT``. An
+    older layout (operator state inline in extras.json) or an unknown
+    version fails here, naming the directory, instead of restoring empty or
+    half-read operator state."""
+    try:
+        extras = json.loads((d / "extras.json").read_text())
+    except (OSError, ValueError) as e:
+        found = f"an unreadable extras.json ({e})"
+    else:
+        version = extras.get("format") if isinstance(extras, dict) else None
+        if version == FORMAT:
+            return extras
+        found = (
+            "no format version (the older layout with operator state "
+            "inline in extras.json)" if version is None
+            else f"format {version!r}"
+        )
+    raise ValueError(
+        f"checkpoint at {d} has {found}; expected checkpoint format {FORMAT} "
+        "(columnar operator state). It was written by another engine "
+        "version and cannot be restored: restart with resume=False."
+    )
+
+
+def _counters_dict(t: pa.Table) -> dict:
+    cols = t.to_pydict()  # one Python conversion per column, not per cell
+    return dict(zip(cols["key"], zip(*(cols[n] for n, _t in _COUNTER_COLS))))
+
+
+def _read_epoch(d: Path, counters: dict) -> dict:
+    """Full payload of one committed epoch dir around ``counters``."""
+    extras = _read_extras(d)
+    buffer = None
+    if (d / "buffer.parquet").exists():
+        buffer = pq.read_table(d / "buffer.parquet")
+    snap: dict = {"counters": counters, "buffer": buffer,
+                  "call_count": extras["call_count"],
+                  "last_status_us": extras["last_status_us"]}
+    for name, op in extras["operators"].items():
+        snap[name] = dict(op["scalars"])
+        for part in op["tables"]:
+            snap[name][part] = pq.read_table(d / f"{name}.{part}.parquet")
+    for name in ("book", "user"):
+        if name in extras:
+            snap[name] = extras[name]
+    return snap
+
+
 def read_partition_checkpoint(root: str, partition: int, epoch: int) -> dict | None:
     d = _dir(root, partition, epoch)
     if not (d / "_COMMIT").exists():
         return None
-    buffer = None
-    if (d / "buffer.parquet").exists():
-        buffer = pq.read_table(d / "buffer.parquet")
-    ct = pq.read_table(d / "counters.parquet")
-    cols = ct.to_pydict()  # one Python conversion per column, not per cell
-    counters = dict(
-        zip(
-            cols["key"],
-            zip(
-                cols["received"],
-                cols["duplicates"],
-                cols["results"],
-                cols["next_seq"],
-                cols["last_event"],
-                cols["digest"],
-            ),
-        )
-    )
-    snap: dict = {"counters": counters, "buffer": buffer}
-    extras = json.loads((d / "extras.json").read_text())
-    snap["call_count"] = extras.get("call_count", 0)
-    snap["last_status_us"] = extras.get("last_status_us")
-    if "windows" in extras:
-        snap["windows"] = {
-            "watermark": extras["windows"]["watermark"],
-            "names": extras["windows"].get("names", []),
-            "acc": {(k, ws): v for k, ws, v in extras["windows"]["acc"]},
-        }
-    if "join" in extras:
-        j = extras["join"]
-        snap["join"] = {
-            "pending": {k: [tuple(p) for p in v] for k, v in j["pending"].items()}
-        }
-    if "sessions" in extras:
-        s = extras["sessions"]
-        snap["sessions"] = {
-            "watermark": s["watermark"],
-            "names": s["names"],
-            "open": [list(o) for o in s["open"]],
-            "next_sid": list(s["next_sid"]),
-        }
-    if "cep" in extras:
-        snap["cep"] = extras["cep"]
-    if "book" in extras:
-        snap["book"] = extras["book"]
-    if "user" in extras:
-        snap["user"] = extras["user"]
-    return snap
+    return _read_epoch(d, _counters_dict(pq.read_table(d / "counters.parquet")))
 
 
 def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None:
     """Reconstruct partition state at ``epoch`` from incremental counter
     deltas: merge counters of committed epochs in ascending order (last write
-    per key wins) starting from the newest FULL snapshot <= epoch (compaction
-    bound — restore cost is O(epochs since last full), not O(all epochs));
-    buffer and window/join extras are written in full each epoch, so only the
-    target epoch's are used."""
-    latest = read_partition_checkpoint(root, partition, epoch)
-    if latest is None:
+    per key wins, keys in first-seen order) starting from the newest FULL
+    snapshot <= epoch (compaction bound — restore cost is O(epochs since last
+    full), not O(all epochs)). Delta epochs are read for their counters
+    only; buffer, operator state and extras are written in full each epoch,
+    so only the target epoch's are read."""
+    d = _dir(root, partition, epoch)
+    if not (d / "_COMMIT").exists():
         return None
     base = 0
     for e in range(epoch, -1, -1):
-        d = _dir(root, partition, e)
-        if (d / "_FULL").exists() and (d / "_COMMIT").exists():
+        de = _dir(root, partition, e)
+        if (de / "_FULL").exists() and (de / "_COMMIT").exists():
             base = e
             break
-    merged: dict = {}
-    for e in range(base, epoch + 1):
-        snap = read_partition_checkpoint(root, partition, e)
-        if snap is None:
-            continue  # partitions may skip epochs only if never committed
-        merged.update(snap["counters"])
-    latest["counters"] = merged
-    return latest
+    tables = [
+        pq.read_table(_dir(root, partition, e) / "counters.parquet")
+        for e in range(base, epoch + 1)
+        # partitions may skip epochs only if never committed
+        if (_dir(root, partition, e) / "_COMMIT").exists()
+    ]
+    merged = pa.concat_tables(tables)
+    if len(tables) > 1 and merged.num_rows:
+        enc = pc.dictionary_encode(merged["key"].combine_chunks())
+        codes = np.asarray(enc.indices)
+        # codes number keys in first-seen order; the first hit of each code
+        # in the reversed codes is that key's last write
+        _u, first_rev = np.unique(codes[::-1], return_index=True)
+        merged = merged.take(pa.array(len(codes) - 1 - first_rev))
+    return _read_epoch(d, _counters_dict(merged))
 
 
 def committed_epoch(root: str, partition: int) -> int | None:

@@ -578,7 +578,7 @@ class OrderedWorker:
     def checkpoint_to(self, root: str, epoch: int, full: bool = False) -> str:
         """Write this partition's state checkpoint: INCREMENTAL counters
         (keys dirtied since the last checkpoint; restore merges epoch deltas
-        last-wins), full buffer + window/join extras — see checkpoint.py.
+        last-wins), full buffer + operator state tables — see checkpoint.py.
         ``full=True`` writes all counters and marks the epoch as a compaction
         base, bounding restore cost on long streams."""
         from .checkpoint import write_partition_checkpoint

@@ -14,15 +14,15 @@ exchange uses (partitioning.key_partition_codes — mandatory, or routed keys
 would not meet their state), and writes one FULL checkpoint per new
 partition at the same epoch:
 
-- ordered counters (per-key tuples) and the out-of-order buffer (split by
-  the key column);
-- window accumulator (acc entries by key; names rebuilt sorted; watermark =
-  MIN over contributing partitions — a key inheriting a FARTHER frontier
-  than its old partition's would release its windows/sessions early and
-  split them vs an uninterrupted run; min only delays release, which is
-  content-invariant under bounded lateness);
-- session accumulator (open intervals + per-key session_id counters);
-- stream-join pending lefts, CEP carry tails, order-book levels/last.
+- the per-key maps: ordered counters, order-book levels/last, user state;
+- the out-of-order buffer (split by the key column);
+- every operator table (windows, sessions, stream join, CEP), split by its
+  key column through the same path; an intern table (``keys``) is then
+  sorted by key, so codes are rebuilt in key order. Operator watermarks
+  merge with MIN over the contributing partitions — a key inheriting a
+  FARTHER frontier than its old partition's would release its windows/
+  sessions early and split them vs an uninterrupted run; min only delays
+  release, which is content-invariant under bounded lateness.
 
 Epochs AFTER the cut and partitions >= P_new are deleted so the new
 lineage is unambiguous; a subsequent ``run_stream(..., num_partitions=
@@ -45,6 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from .checkpoint import (
+    OPERATORS,
     read_lineage_meta,
     read_merged_checkpoint,
     write_lineage_meta_raw,
@@ -167,11 +168,8 @@ def _migrate_snapshots(
     """Pure re-route of ``old_P`` merged snapshots into ``new_P`` migrated
     snapshots (no disk I/O — re-runnable after any crash). ``overrides`` are
     the NEW lineage's hot-key pins; every routed piece must use them."""
-    def route(keys: list[str]) -> np.ndarray:
-        return _route(keys, new_P, overrides)
     new: list[dict] = [
         {
-            "counters": {},
             "buffer": None,
             "call_count": max(s.get("call_count", 0) for s in snaps),
             # NB: 0 is a legitimate value (status_ts epoch ladder starts at
@@ -186,194 +184,51 @@ def _migrate_snapshots(
         for _ in range(new_P)
     ]
 
-    # counters
-    all_keys, all_vals = [], []
-    for s in snaps:
-        for k, v in s["counters"].items():
-            all_keys.append(k)
-            all_vals.append(v)
-    for k, v, q in zip(all_keys, all_vals, route(all_keys)):
-        new[q]["counters"][k] = v
+    def split_maps(maps: list[dict]) -> list[dict]:
+        keys = [k for m in maps for k in m]
+        vals = [v for m in maps for v in m.values()]
+        out: list[dict] = [dict() for _ in range(new_P)]
+        for k, v, q in zip(keys, vals, _route(keys, new_P, overrides)):
+            out[q][k] = v
+        return out
 
-    # buffer rows
+    def split_tables(tables: list[pa.Table]) -> list[pa.Table]:
+        tbl = pa.concat_tables(tables, promote_options="none")
+        return split_table(tbl, key, new_P, overrides)
+
+    for q, m in enumerate(split_maps([s["counters"] for s in snaps])):
+        new[q]["counters"] = m
     bufs = [s["buffer"] for s in snaps if s["buffer"] is not None and s["buffer"].num_rows]
     if bufs:
-        tbl = pa.concat_tables(bufs, promote_options="none") if len(bufs) > 1 else bufs[0]
-        for q, part in enumerate(split_table(tbl, key, new_P, overrides)):
+        for q, part in enumerate(split_tables(bufs)):
             new[q]["buffer"] = part if part.num_rows else None
-
-    # windows accumulator. Watermark merges with MIN: the frontier is
-    # per-partition event time, so a key moved next to faster keys must not
-    # inherit their farther frontier (early release splits its windows /
-    # sessions vs an uninterrupted run); min only delays release, which is
-    # content-invariant under bounded lateness.
-    if any("windows" in s for s in snaps):
-        wm = min(
-            (s["windows"]["watermark"] for s in snaps
-             if "windows" in s and s["windows"]["watermark"] is not None),
-            default=None,
-        )
-        accs: list[dict] = [dict() for _ in range(new_P)]
-        names: list[set] = [set() for _ in range(new_P)]
-        items = [
-            (k, ws, v)
-            for s in snaps
-            if "windows" in s
-            for (k, ws), v in s["windows"]["acc"].items()
-        ]
-        for (k, ws, v), q in zip(items, route([i[0] for i in items])):
-            accs[q][(k, ws)] = v
-        nm = [n for s in snaps if "windows" in s for n in s["windows"].get("names", [])]
-        for n, q in zip(nm, route(nm)):
-            names[q].add(n)
+    books = [s["book"] for s in snaps if "book" in s]
+    if books:
+        levels = split_maps([b["books"] for b in books])
+        lasts = split_maps([b["last"] for b in books])
         for q in range(new_P):
-            names[q].update(k for (k, _ws) in accs[q])
-            new[q]["windows"] = {
-                "watermark": wm,
-                "acc": accs[q],
-                "names": sorted(names[q]),
-            }
-
-    # session accumulator (watermark min-merge: same reasoning as windows)
-    if any("sessions" in s for s in snaps):
-        wm = min(
-            (s["sessions"]["watermark"] for s in snaps
-             if "sessions" in s and s["sessions"]["watermark"] is not None),
-            default=None,
-        )
-        opens: list[list] = [[] for _ in range(new_P)]   # (name, s, e, c, u, a)
-        sids: list[dict] = [dict() for _ in range(new_P)]
-        for s in snaps:
-            if "sessions" not in s:
-                continue
-            ss = s["sessions"]
-            snames = ss["names"]
-            rows = [(snames[int(o[0])], *o[1:]) for o in ss["open"]]
-            for r, q in zip(rows, route([r[0] for r in rows])):
-                opens[q].append(r)
-            nz = [(n, sid) for n, sid in zip(snames, ss["next_sid"]) if sid]
-            for (n, sid), q in zip(nz, route([n for n, _ in nz])):
-                sids[q][n] = sid
-        for q in range(new_P):
-            nms = sorted({r[0] for r in opens[q]} | set(sids[q]))
-            idx = {n: i for i, n in enumerate(nms)}
-            next_sid = [0] * len(nms)
-            for n, sid in sids[q].items():
-                next_sid[idx[n]] = sid
-            new[q]["sessions"] = {
-                "watermark": wm,
-                "names": nms,
-                "open": [[idx[r[0]], *r[1:]] for r in opens[q]],
-                "next_sid": next_sid,
-            }
-
-    # stream-join pending lefts
-    if any("join" in s for s in snaps):
-        pend: list[dict] = [dict() for _ in range(new_P)]
-        items = [
-            (k, v) for s in snaps if "join" in s
-            for k, v in s["join"]["pending"].items()
-        ]
-        for (k, v), q in zip(items, route([i[0] for i in items])):
-            pend[q][k] = v
-        for q in range(new_P):
-            new[q]["join"] = {"pending": pend[q]}
-
-    # CEP state: PatternMatcher snapshots are {carry, watermark};
-    # AbsenceMatcher snapshots are {pm: {carry, watermark}, pending} —
-    # both the inner carry AND the pending-candidate rows re-route by key
-    if any("cep" in s for s in snaps):
-        absence = any("pm" in s.get("cep", {}) for s in snaps)
-
-        def inner(s):
-            c = s.get("cep", {})
-            return c.get("pm", c)
-
-        cols = None
-        rows: list[tuple] = []
-        for s in snaps:
-            c = inner(s).get("carry")
-            if not c:
-                continue
-            cols = list(c.keys())  # (key, seq, role, ts) — key first
-            rows.extend(zip(*[c[col] for col in cols]))
-        carries: list[list] = [[] for _ in range(new_P)]
-        for r, q in zip(rows, route([r[0] for r in rows])):
-            carries[q].append(r)
-        pm_parts = [
-            {
-                "carry": {
-                    col: [r[i] for r in carries[q]]
-                    for i, col in enumerate(cols)
-                }
-            }
-            if carries[q] and cols
-            else {"carry": None}
-            for q in range(new_P)
-        ]
-        if not absence:
-            for q in range(new_P):
-                new[q]["cep"] = pm_parts[q]
-        else:
-            from .cep import _PENDING_COLS
-
-            pend_rows: list[tuple] = []
-            for s in snaps:
-                p = s.get("cep", {}).get("pending")
-                if not p or not p.get("keys"):
-                    continue
-                pend_rows.extend(
-                    zip(p["keys"], *[p[c] for c in _PENDING_COLS])
-                )
-            pends: list[list] = [[] for _ in range(new_P)]
-            for r, q in zip(pend_rows, route([r[0] for r in pend_rows])):
-                pends[q].append(r)
-            for q in range(new_P):
-                new[q]["cep"] = {
-                    "pm": pm_parts[q],
-                    "pending": {
-                        "keys": [r[0] for r in pends[q]],
-                        **{
-                            c: [r[i + 1] for r in pends[q]]
-                            for i, c in enumerate(_PENDING_COLS)
-                        },
-                    },
-                }
-
-    # order book
-    if any("book" in s for s in snaps):
-        books: list[dict] = [dict() for _ in range(new_P)]
-        lasts: list[dict] = [dict() for _ in range(new_P)]
-        bitems = [
-            (k, v) for s in snaps if "book" in s
-            for k, v in s["book"]["books"].items()
-        ]
-        for (k, v), q in zip(bitems, route([i[0] for i in bitems])):
-            books[q][k] = v
-        litems = [
-            (k, v) for s in snaps if "book" in s
-            for k, v in s["book"]["last"].items()
-        ]
-        for (k, v), q in zip(litems, route([i[0] for i in litems])):
-            lasts[q][k] = v
-        for q in range(new_P):
-            new[q]["book"] = {"books": books[q], "last": lasts[q]}
-
+            new[q]["book"] = {"books": levels[q], "last": lasts[q]}
     # user state (userstate.py contract: snapshot() is a JSON-safe map
     # keyed by the ordering-key value, so each key's entry re-routes with
-    # the same hash as the counters — the generic MutableState analogue of
-    # the per-operator migrations above)
-    if any("user" in s for s in snaps):
-        uitems = [
-            (k, v) for s in snaps if "user" in s
-            for k, v in s["user"].items()
-        ]
-        uparts: list[dict] = [dict() for _ in range(new_P)]
-        for (k, v), q in zip(uitems, route([i[0] for i in uitems])):
-            uparts[q][k] = v
-        for q in range(new_P):
-            new[q]["user"] = uparts[q]
+    # the same hash as the counters)
+    users = [s["user"] for s in snaps if "user" in s]
+    if users:
+        for q, m in enumerate(split_maps(users)):
+            new[q]["user"] = m
 
+    for name in OPERATORS:
+        ops = [s[name] for s in snaps if name in s]
+        if not ops:
+            continue
+        wm = min((o["watermark"] for o in ops if o["watermark"] is not None),
+                 default=None)
+        for q in range(new_P):
+            new[q][name] = {"watermark": wm}
+        for part in ops[0]:
+            if part == "watermark":
+                continue
+            for q, t in enumerate(split_tables([o[part] for o in ops])):
+                new[q][name][part] = t.sort_by(key) if part == "keys" else t
     return new
 
 

@@ -22,9 +22,13 @@ shuffle, SURVEY.md §7.3):
 
 Both sit in the state actor's hot path, so ``update`` is vectorized like the
 ordered drain (group-boundary detection over lexsorted key codes + reduceat
-/ searchsorted); per-row Python touches only the small carry-over sets
-(pending lefts, per-group dict slots). No Ray imports; checkpoint as plain
-dicts alongside the ordered state.
+/ searchsorted). No Ray imports.
+
+Checkpoint form (shared with cep.py): ``snapshot()`` returns a flat dict of
+JSON scalars (``watermark``) and Arrow tables that carry the operator's
+string key column; checkpoint.py writes each table as Parquet and rescale.py
+routes each table's rows by that column. A table named ``keys`` is an
+intern table: one row per key in code order, open state as list columns.
 """
 
 from __future__ import annotations
@@ -68,6 +72,45 @@ def _dict_codes(col) -> tuple[np.ndarray, list]:
     return (
         np.asarray(enc.indices).astype(np.int64),
         enc.dictionary.to_pylist(),
+    )
+
+
+def _i64(col) -> np.ndarray:
+    """A writable int64 copy of an Arrow column (restored state is mutated
+    in place, and Arrow-backed numpy views are read-only)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return np.array(col.to_numpy(zero_copy_only=False), dtype=np.int64)
+
+
+def _keys_table(key: str, names: list[str], per_key: dict, kc: np.ndarray,
+                per_item: dict) -> pa.Table:
+    """Intern table of a code-sorted operator state: one row per key in code
+    order (the intern order decides the sinks' byte order, so it must
+    survive a resume), its per-key arrays, and its open items as list
+    columns sliced by the sorted codes."""
+    offsets = pa.array(np.searchsorted(kc, np.arange(len(names) + 1)), pa.int32())
+    cols = {key: pa.array(names, pa.string())}
+    cols.update({c: pa.array(v, pa.int64()) for c, v in per_key.items()})
+    cols.update({
+        c: pa.ListArray.from_arrays(offsets, pa.array(v, pa.int64()))
+        for c, v in per_item.items()
+    })
+    return pa.table(cols)
+
+
+def _from_keys_table(t: pa.Table, key: str, per_key: tuple, per_item: tuple):
+    """Inverse of ``_keys_table``: (names, per-key arrays, item codes,
+    per-item arrays); codes follow row order."""
+    names = t[key].to_pylist()
+    lists = {c: t[c].combine_chunks() for c in per_item}
+    lengths = _i64(pc.list_value_length(lists[per_item[0]]))
+    kc = np.repeat(np.arange(len(names), dtype=np.int64), lengths)
+    return (
+        names,
+        {c: _i64(t[c]) for c in per_key},
+        kc,
+        {c: _i64(v.flatten()) for c, v in lists.items()},
     )
 
 
@@ -291,54 +334,30 @@ class WindowAccumulator:
             }
         )
 
-    # dict view (checkpoint format + tests): (key, ws) -> [cnt, nu, na]
-    @property
-    def acc(self) -> dict[tuple[str, int], list[int]]:
-        return {
-            (self._names[k], int(w)): [int(c), int(u), int(a)]
-            for k, w, c, u, a in zip(
-                self._kc, self._ws, self._cnt, self._nu, self._na
-            )
-        }
-
     def snapshot(self) -> dict:
         # the FULL intern table rides along: emission order in take_closed
         # follows key codes, so codes must survive resume even for keys
         # whose windows all closed before the checkpoint — else a re-run
         # epoch's part file is not byte-identical to the committed one
-        return {"watermark": self.watermark, "acc": self.acc,
-                "names": list(self._names),
-                "last": [int(x) for x in self._key_last]}
+        return {
+            "watermark": self.watermark,
+            "keys": _keys_table(
+                self.key, self._names, {"last": self._key_last}, self._kc,
+                {"ws": self._ws, "cnt": self._cnt, "nu": self._nu,
+                 "na": self._na},
+            ),
+        }
 
     def restore(self, snap: dict) -> None:
         self.watermark = snap["watermark"]
-        items = list(snap["acc"].items())
-        self._intern, self._names = {}, []
-        for k in snap.get("names", ()):  # authoritative code assignment
-            self._intern[k] = len(self._names)
-            self._names.append(k)
-        kcs = []
-        for (k, _w), _v in items:
-            g = self._intern.get(k)
-            if g is None:
-                # legacy snapshot without names: intern in iteration order
-                # (= original first-seen order)
-                g = len(self._names)
-                self._intern[k] = g
-                self._names.append(k)
-            kcs.append(g)
-        kc = np.asarray(kcs, dtype=np.int64)
-        wv = np.asarray([w for (_k, w), _v in items], dtype=np.int64)
-        vals = np.asarray([v for _kw, v in items], dtype=np.int64).reshape(-1, 3)
-        m = np.lexsort((wv, kc))
-        self._kc, self._ws = kc[m], wv[m]
-        self._cnt, self._nu, self._na = vals[m, 0], vals[m, 1], vals[m, 2]
-        last = snap.get("last")
-        self._key_last = (
-            np.asarray(last, dtype=np.int64)
-            if last is not None and len(last) == len(self._names)
-            else np.zeros(len(self._names), dtype=np.int64)
+        names, per_key, kc, items = _from_keys_table(
+            snap["keys"], self.key, ("last",), ("ws", "cnt", "nu", "na")
         )
+        self._names = names
+        self._intern = dict(zip(names, range(len(names))))
+        self._key_last = per_key["last"]
+        self._kc, self._ws = kc, items["ws"]
+        self._cnt, self._nu, self._na = items["cnt"], items["nu"], items["na"]
 
 
 class SessionAccumulator:
@@ -587,35 +606,26 @@ class SessionAccumulator:
     def snapshot(self) -> dict:
         return {
             "watermark": self.watermark,
-            "names": list(self._names),
-            "open": [
-                [int(k), int(s), int(e), int(c), int(u), int(a)]
-                for k, s, e, c, u, a in zip(
-                    self._kc, self._start, self._end, self._cnt, self._nu, self._na
-                )
-            ],
-            "next_sid": [int(x) for x in self._next_sid],
-            "last": [int(x) for x in self._key_last],
+            "keys": _keys_table(
+                self.key, self._names,
+                {"next_sid": self._next_sid, "last": self._key_last},
+                self._kc,
+                {"start": self._start, "end": self._end, "cnt": self._cnt,
+                 "nu": self._nu, "na": self._na},
+            ),
         }
 
     def restore(self, snap: dict) -> None:
         self.watermark = snap["watermark"]
-        self._intern, self._names = {}, []
-        for k in snap["names"]:
-            self._intern[k] = len(self._names)
-            self._names.append(k)
-        rows = np.asarray(snap["open"], dtype=np.int64).reshape(-1, 6)
-        m = np.lexsort((rows[:, 1], rows[:, 0]))
-        rows = rows[m]
-        self._kc, self._start, self._end = rows[:, 0], rows[:, 1], rows[:, 2]
-        self._cnt, self._nu, self._na = rows[:, 3], rows[:, 4], rows[:, 5]
-        self._next_sid = np.asarray(snap["next_sid"], dtype=np.int64)
-        last = snap.get("last")
-        self._key_last = (
-            np.asarray(last, dtype=np.int64)
-            if last is not None and len(last) == len(self._names)
-            else np.zeros(len(self._names), dtype=np.int64)
+        names, per_key, kc, items = _from_keys_table(
+            snap["keys"], self.key, ("next_sid", "last"),
+            ("start", "end", "cnt", "nu", "na"),
         )
+        self._names = names
+        self._intern = dict(zip(names, range(len(names))))
+        self._next_sid, self._key_last = per_key["next_sid"], per_key["last"]
+        self._kc, self._start, self._end = kc, items["start"], items["end"]
+        self._cnt, self._nu, self._na = items["cnt"], items["nu"], items["na"]
 
 
 class StreamJoiner:
@@ -638,9 +648,14 @@ class StreamJoiner:
         # a pair whose lag exceeds it is DROPPED, not kept pending — the
         # match is defined as the next right turn, bounded afterwards
         self.within_us = within_us
-        # key -> list of (turn_idx, text, ts_us) pending left turns
-        self.pending: dict[str, list[tuple[int, str, int]]] = {}
+        # pending (unmatched) left turns, one row each; a key's rows stay in
+        # arrival order
+        self._pending = self._pending_schema().empty_table()
         self.watermark: int | None = None  # max event time seen (for gc)
+
+    def _pending_schema(self) -> pa.Schema:
+        return pa.schema([(self.key, pa.string()), ("turn_idx", pa.int64()),
+                          ("text", pa.string()), ("ts", pa.int64())])
 
     def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table:
         """Feed in-sequence emitted rows; returns newly-joined pairs."""
@@ -688,6 +703,12 @@ class StreamJoiner:
             else emitted[self.key]
         )
         text_col = emitted["text"] if has_text else None
+
+        def texts(rows: np.ndarray) -> pa.Array:
+            if not has_text:
+                return pa.array([""] * len(rows), pa.string())
+            return text_col.take(pa.array(rows)).cast(pa.string())
+
         parts = []
         if len(m_l):
             parts.append(
@@ -696,12 +717,8 @@ class StreamJoiner:
                         self.key: key_col.take(pa.array(o_l)),
                         "user_turn_idx": pa.array(s[m_l], pa.int32()),
                         "assistant_turn_idx": pa.array(s[m_r], pa.int32()),
-                        "user_text": text_col.take(pa.array(o_l))
-                        if has_text
-                        else pa.array([""] * len(m_l), pa.string()),
-                        "assistant_text": text_col.take(pa.array(o_r))
-                        if has_text
-                        else pa.array([""] * len(m_l), pa.string()),
+                        "user_text": texts(o_l),
+                        "assistant_text": texts(o_r),
                         "lag_us": pa.array(tsi[o_r] - tsi[o_l], pa.int64()),
                     },
                     schema=self._schema(),
@@ -709,52 +726,65 @@ class StreamJoiner:
             )
 
         # carried-over pending lefts: every one precedes this batch's
-        # sequences, so each pairs with its key's FIRST right in the batch
-        if self.pending and len(ridx):
+        # sequences, so each pairs with its key's FIRST right in the batch;
+        # pairs come out in batch key-code order, a key's lefts in arrival
+        # order
+        pend = self._pending
+        if pend.num_rows and len(ridx):
             r_first_mask = np.empty(len(ridx), dtype=bool)
             r_first_mask[0] = True
             r_first_mask[1:] = c[ridx[1:]] != c[ridx[:-1]]
             first_r = ridx[r_first_mask]
-            rows = {k: [] for k in (
-                self.key, "user_turn_idx", "assistant_turn_idx",
-                "user_text", "assistant_text", "lag_us",
-            )}
-            fr_orig = order[first_r]
-            fr_text = (
-                text_col.take(pa.array(fr_orig)).to_pylist() if has_text else None
+            first_of = np.full(len(key_values), -1, dtype=np.int64)
+            first_of[c[first_r]] = first_r
+            pcode = _i64(
+                pc.index_in(
+                    pend[self.key], value_set=pa.array(key_values, pa.string())
+                ).fill_null(-1)
             )
-            for gi, rp in enumerate(first_r):
-                kv = key_values[c[rp]]
-                plist = self.pending.pop(kv, None)
-                if not plist:
-                    continue
-                rseq = int(s[rp])
-                rtxt = fr_text[gi] if fr_text is not None else ""
-                rts = int(tsi[order[rp]])
-                for us, utxt, uts in plist:
-                    rows[self.key].append(kv)
-                    rows["user_turn_idx"].append(us)
-                    rows["assistant_turn_idx"].append(rseq)
-                    rows["user_text"].append(utxt)
-                    rows["assistant_text"].append(rtxt)
-                    rows["lag_us"].append(rts - uts)
-            if rows[self.key]:
-                parts.append(pa.table(rows, schema=self._schema()))
+            rp = np.where(pcode >= 0, first_of[pcode], -1)
+            hit = rp >= 0
+            if hit.any():
+                hi = np.flatnonzero(hit)
+                o = hi[np.argsort(pcode[hi], kind="stable")]
+                r_orig = order[rp[o]]
+                take = pa.array(o)
+                parts.append(
+                    pa.table(
+                        {
+                            self.key: pend[self.key].take(take),
+                            "user_turn_idx": pa.array(
+                                _i64(pend["turn_idx"])[o], pa.int32()
+                            ),
+                            "assistant_turn_idx": pa.array(
+                                s[rp[o]], pa.int32()
+                            ),
+                            "user_text": pend["text"].take(take),
+                            "assistant_text": texts(r_orig),
+                            "lag_us": pa.array(
+                                tsi[r_orig] - _i64(pend["ts"])[o], pa.int64()
+                            ),
+                        },
+                        schema=self._schema(),
+                    )
+                )
+                pend = pend.filter(pa.array(~hit))
 
         # unmatched lefts (no right after them in this batch) wait
         un = lidx[~matched]
         if len(un):
             o_un = order[un]
-            un_text = (
-                text_col.take(pa.array(o_un)).to_pylist()
-                if has_text
-                else [""] * len(un)
+            new = pa.table(
+                {
+                    self.key: key_col.take(pa.array(o_un)).cast(pa.string()),
+                    "turn_idx": pa.array(s[un], pa.int64()),
+                    "text": texts(o_un),
+                    "ts": pa.array(tsi[o_un], pa.int64()),
+                },
+                schema=self._pending_schema(),
             )
-            pend = self.pending
-            for p, txt in zip(un, un_text):
-                pend.setdefault(key_values[c[p]], []).append(
-                    (int(s[p]), txt, int(tsi[order[p]]))
-                )
+            pend = pa.concat_tables([pend, new])
+        self._pending = pend.combine_chunks()
 
         if not parts:
             return self._empty()
@@ -776,47 +806,30 @@ class StreamJoiner:
         )
 
     def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                self.key: pa.array([], pa.string()),
-                "user_turn_idx": pa.array([], pa.int32()),
-                "assistant_turn_idx": pa.array([], pa.int32()),
-                "user_text": pa.array([], pa.string()),
-                "assistant_text": pa.array([], pa.string()),
-                "lag_us": pa.array([], pa.int64()),
-            }
-        )
+        return self._schema().empty_table()
 
     def gc(self, ttl_us: int) -> int:
         """Drop pending (unmatched) lefts older than the event-time TTL —
         they never join (the same outcome join_within_s would force once a
-        right arrived). Keys left with no pending rows are removed
-        entirely, so the dict is bounded by the TTL horizon's live
-        keyspace. Returns the number of evicted pending rows."""
-        if self.watermark is None or not self.pending:
+        right arrived), so the pending rows are bounded by the TTL horizon's
+        live keyspace. Returns the number of evicted pending rows."""
+        if self.watermark is None or not self._pending.num_rows:
             return 0
-        horizon = self.watermark - ttl_us
-        evicted = 0
-        for k in list(self.pending):
-            rows = self.pending[k]
-            kept = [p for p in rows if p[2] >= horizon]
-            evicted += len(rows) - len(kept)
-            if kept:
-                self.pending[k] = kept
-            else:
-                del self.pending[k]
+        keep = _i64(self._pending["ts"]) >= self.watermark - ttl_us
+        evicted = int((~keep).sum())
+        if evicted:
+            self._pending = self._pending.filter(pa.array(keep))
         return evicted
 
     def state_size(self) -> dict:
         return {
-            "keys": len(self.pending),
-            "pending": sum(len(v) for v in self.pending.values()),
+            "keys": pc.count_distinct(self._pending[self.key]).as_py(),
+            "pending": self._pending.num_rows,
         }
 
     def snapshot(self) -> dict:
-        return {"pending": {k: list(v) for k, v in self.pending.items()},
-                "watermark": self.watermark}
+        return {"watermark": self.watermark, "pending": self._pending}
 
     def restore(self, snap: dict) -> None:
-        self.pending = {k: [tuple(p) for p in v] for k, v in snap["pending"].items()}
-        self.watermark = snap.get("watermark")
+        self._pending = snap["pending"].cast(self._pending_schema()).combine_chunks()
+        self.watermark = snap["watermark"]

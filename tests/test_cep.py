@@ -458,9 +458,10 @@ def test_absence_matcher_unbounded_pending_ttl():
 
 
 def test_rescale_migrates_absence_matcher_state(ray_session, tmp_path):
-    """Autoscale rescale on a stream with CEP negation: the {pm, pending}
-    snapshot shape must migrate by key (the old code only understood
-    {carry} and crashed restore / dropped pending candidates)."""
+    """Autoscale rescale on a stream with CEP negation: both the pattern
+    carry and the pending candidates must migrate by key (an earlier
+    migration only understood the carry and crashed restore / dropped
+    pending candidates)."""
     from ray_ordered_stream.cep import AbsenceMatcher, _PENDING_COLS
     from ray_ordered_stream.rescale import _migrate_snapshots
 
@@ -472,7 +473,7 @@ def test_rescale_migrates_absence_matcher_state(ray_session, tmp_path):
     # plus an unfinished pattern tail (inner pm carry)
     m.update(_aturns("conv8", [(0, "a", 100)]))
     snap = m.snapshot()
-    assert snap["pending"]["keys"] and snap["pm"]["carry"]
+    assert snap["pending"].num_rows and snap["carry"].num_rows
 
     def full(cep):
         return {"counters": {}, "buffer": None, "call_count": 0,
@@ -484,19 +485,14 @@ def test_rescale_migrates_absence_matcher_state(ray_session, tmp_path):
     all_keys = []
     for q in range(3):
         p = new[q]["cep"]["pending"]
-        assert set(p.keys()) == {"keys", *(_PENDING_COLS)}
-        all_keys.extend(p["keys"])
-        for c in _PENDING_COLS:
-            assert len(p[c]) == len(p["keys"])
-    assert sorted(all_keys) == sorted(snap["pending"]["keys"])
+        assert p.column_names == [KEY, *_PENDING_COLS]
+        all_keys.extend(p[KEY].to_pylist())
+    assert sorted(all_keys) == sorted(snap["pending"][KEY].to_pylist())
     # the inner carry rows survived, partitioned without loss or dup
     carried = [
-        k
-        for q in range(3)
-        if new[q]["cep"]["pm"]["carry"]
-        for k in new[q]["cep"]["pm"]["carry"][KEY]
+        k for q in range(3) for k in new[q]["cep"]["carry"][KEY].to_pylist()
     ]
-    assert sorted(carried) == sorted(snap["pm"]["carry"][KEY])
+    assert sorted(carried) == sorted(snap["carry"][KEY].to_pylist())
     assert "conv8" in carried
     # and restore accepts the migrated shape
     for q in range(3):

@@ -1,16 +1,29 @@
-"""Property-based tests for the streaming session-window accumulator and the
-CEP matcher: for ANY key/timestamp layout and ANY chunking of the (per-key
-ordered) emission, the streamed output equals the batch oracle."""
+"""Property-based tests for the streaming session/sliding-window
+accumulators, the stream joiner and the CEP matcher: for ANY key/timestamp
+layout and ANY chunking of the (per-key
+ordered) emission, the streamed output equals the batch oracle — and a run
+cut at ANY chunk boundary, checkpointed and restored into a fresh operator,
+emits exactly the uncut run's tables."""
+
+import tempfile
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ray_ordered_stream.cep import PatternMatcher
+from ray_ordered_stream.checkpoint import (
+    read_merged_checkpoint,
+    write_partition_checkpoint,
+)
 from ray_ordered_stream.schema import KEY, SEQ
-from ray_ordered_stream.stream_ops import SessionAccumulator
+from ray_ordered_stream.stream_ops import (
+    SessionAccumulator,
+    StreamJoiner,
+    WindowAccumulator,
+)
 
 US = 1_000_000
 GAP_S = 5.0
@@ -30,6 +43,31 @@ def _table(keys, tss, roles=None):
             ).cast(pa.timestamp("us")),
         }
     )
+
+
+def _run_cut(make, slot: str, chunks: list[pa.Table], cut: int, feed) -> pa.Table:
+    """Feed ``chunks[:cut]`` to one operator, send its state through a real
+    checkpoint (snapshot -> write_partition_checkpoint ->
+    read_merged_checkpoint -> restore) into a fresh one, feed it the rest.
+    ``feed(op, chunk, final)`` returns the tables one step emits."""
+    op, outs = make(), []
+    for i, c in enumerate(chunks):
+        if i == cut:
+            with tempfile.TemporaryDirectory() as root:
+                write_partition_checkpoint(
+                    root, 0, 0,
+                    {"counters": {}, "buffer": None, slot: op.snapshot()},
+                )
+                op = make()
+                op.restore(read_merged_checkpoint(root, 0, 0)[slot])
+        outs.extend(feed(op, c, i == len(chunks) - 1))
+    return pa.concat_tables(outs)
+
+
+def _chunks(tbl: pa.Table, n_chunks: int) -> list[pa.Table]:
+    step = -(-tbl.num_rows // n_chunks)
+    return [c for i in range(n_chunks)
+            if (c := tbl.slice(i * step, step)).num_rows]
 
 
 def _session_oracle(df: pd.DataFrame, gap_s: float) -> pd.DataFrame:
@@ -60,9 +98,15 @@ def _session_oracle(df: pd.DataFrame, gap_s: float) -> pd.DataFrame:
     n_events=st.integers(1, 40),
     seed=st.integers(0, 10_000),
     n_chunks=st.integers(1, 9),
+    cut=st.integers(0, 9),
 )
+@example(n_keys=3, n_events=30, seed=7, n_chunks=6, cut=0)  # empty state
+@example(n_keys=1, n_events=25, seed=3, n_chunks=5, cut=2)  # one key
+# at the cut a key has no open session but its intern code and session_id
+# counter still decide later rows
+@example(n_keys=3, n_events=30, seed=1, n_chunks=6, cut=3)
 def test_session_accumulator_any_layout_any_chunking(
-    n_keys, n_events, seed, n_chunks
+    n_keys, n_events, seed, n_chunks, cut
 ):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, n_events)
@@ -75,17 +119,17 @@ def test_session_accumulator_any_layout_any_chunking(
         drop=True
     )
 
-    acc = SessionAccumulator(GAP_S)
-    outs = []
-    step = -(-n_events // n_chunks)
-    for i in range(n_chunks):
-        s = tbl.slice(i * step, step)
-        if s.num_rows:
-            acc.update(s)
-            outs.append(acc.take_closed())
-    outs.append(acc.take_closed(final=True))
+    def feed(acc, chunk, final):
+        acc.update(chunk)
+        return [acc.take_closed()] + ([acc.take_closed(final=True)] if final else [])
+
+    chunks = _chunks(tbl, n_chunks)
+    uncut = _run_cut(lambda: SessionAccumulator(GAP_S), "sessions", chunks,
+                     len(chunks), feed)
+    assert _run_cut(lambda: SessionAccumulator(GAP_S), "sessions", chunks,
+                    min(cut, len(chunks) - 1), feed).equals(uncut)
     got = (
-        pa.concat_tables(outs)
+        uncut
         .to_pandas()
         .sort_values([KEY, "session_id"])
         .reset_index(drop=True)
@@ -110,9 +154,12 @@ def test_session_accumulator_any_layout_any_chunking(
     seed=st.integers(0, 10_000),
     pat_len=st.integers(1, 3),
     n_chunks=st.integers(1, 9),
+    cut=st.integers(0, 9),
 )
+@example(n_keys=3, n_events=50, seed=5, pat_len=2, n_chunks=5, cut=0)  # empty state
+@example(n_keys=1, n_events=40, seed=9, pat_len=3, n_chunks=8, cut=3)  # one key
 def test_pattern_matcher_any_roles_any_chunking(
-    n_keys, n_events, seed, pat_len, n_chunks
+    n_keys, n_events, seed, pat_len, n_chunks, cut
 ):
     rng = np.random.default_rng(seed)
     alphabet = ["a", "b", "c"]
@@ -145,14 +192,13 @@ def test_pattern_matcher_any_roles_any_chunking(
                 exp.append((k, sq[i], sq[i + pat_len - 1]))
     exp = sorted(exp)
 
-    m = PatternMatcher(pattern)
-    outs = []
-    step = -(-n_events // n_chunks)
-    for i in range(n_chunks):
-        s = tbl.slice(i * step, step)
-        if s.num_rows:
-            outs.append(m.update(s))
-    got = pa.concat_tables(outs).to_pandas()
+    chunks = _chunks(tbl, n_chunks)
+    uncut = _run_cut(lambda: PatternMatcher(pattern), "cep", chunks,
+                     len(chunks), lambda m, c, _f: [m.update(c)])
+    assert _run_cut(lambda: PatternMatcher(pattern), "cep", chunks,
+                    min(cut, len(chunks) - 1),
+                    lambda m, c, _f: [m.update(c)]).equals(uncut)
+    got = uncut.to_pandas()
     got = sorted(zip(got[KEY], got["start_seq"], got["end_seq"]))
     assert got == exp
 
@@ -165,12 +211,19 @@ def test_pattern_matcher_any_roles_any_chunking(
     n_chunks=st.integers(1, 8),
     size_s=st.integers(2, 30),
     step_frac=st.integers(1, 4),
+    cut=st.integers(0, 8),
 )
+@example(n_keys=3, n_events=40, seed=1, n_chunks=4, size_s=10, step_frac=2,
+         cut=0)  # empty state
+@example(n_keys=1, n_events=30, seed=2, n_chunks=6, size_s=8, step_frac=4,
+         cut=3)  # one key
+# at the cut a key has all its windows closed; its intern code still
+# decides the order of later releases
+@example(n_keys=3, n_events=40, seed=1, n_chunks=4, size_s=10, step_frac=2,
+         cut=2)
 def test_sliding_accumulator_any_layout_any_chunking(
-    n_keys, n_events, seed, n_chunks, size_s, step_frac
+    n_keys, n_events, seed, n_chunks, size_s, step_frac, cut
 ):
-    from ray_ordered_stream.stream_ops import WindowAccumulator
-
     step_s = max(1, size_s // step_frac)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, n_events)
@@ -189,23 +242,80 @@ def test_sliding_accumulator_any_layout_any_chunking(
     for i, w in zip(rep, ws.ravel()[valid.ravel()]):
         exp[(f"k{keys[i]}", int(w))] = exp.get((f"k{keys[i]}", int(w)), 0) + 1
 
-    acc = WindowAccumulator(float(size_s), step_s=float(step_s))
-    outs = []
-    chunk = -(-n_events // n_chunks)
-    for i in range(n_chunks):
-        s = tbl.slice(i * chunk, chunk)
-        if s.num_rows:
-            acc.update(s)
-            outs.append(acc.take_closed())
-    outs.append(acc.take_closed(final=True))
+    def make():
+        return WindowAccumulator(float(size_s), step_s=float(step_s))
+
+    def feed(acc, chunk, final):
+        acc.update(chunk)
+        return [acc.take_closed()] + ([acc.take_closed(final=True)] if final else [])
+
+    chunks = _chunks(tbl, n_chunks)
+    uncut = _run_cut(make, "windows", chunks, len(chunks), feed)
+    assert _run_cut(make, "windows", chunks, min(cut, len(chunks) - 1),
+                    feed).equals(uncut)
     got = {}
-    for o in outs:
-        d = o.to_pydict()
-        for k, w, c in zip(
-            d[KEY],
-            [int(pd.Timestamp(x).value // 1000) for x in d["window_start"]],
-            d["turn_count"],
-        ):
-            assert (k, w) not in got, "window released twice"
-            got[(k, w)] = c
+    d = uncut.to_pydict()
+    for k, w, c in zip(
+        d[KEY],
+        [int(pd.Timestamp(x).value // 1000) for x in d["window_start"]],
+        d["turn_count"],
+    ):
+        assert (k, w) not in got, "window released twice"
+        got[(k, w)] = c
     assert got == exp
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_keys=st.integers(1, 3),
+    n_events=st.integers(1, 60),
+    seed=st.integers(0, 10_000),
+    n_chunks=st.integers(1, 9),
+    cut=st.integers(0, 9),
+)
+@example(n_keys=3, n_events=40, seed=4, n_chunks=5, cut=0)  # empty state
+@example(n_keys=1, n_events=30, seed=6, n_chunks=6, cut=2)  # one key
+def test_stream_joiner_any_chunking_through_checkpoint(
+    n_keys, n_events, seed, n_chunks, cut
+):
+    rng = np.random.default_rng(seed)
+    # keys interleave in arrival order; each key's seqs rise (the ordered
+    # emission contract), so lefts carry across chunk boundaries
+    keys = rng.integers(0, n_keys, n_events)
+    seqs = np.zeros(n_events, dtype=np.int64)
+    for k in np.unique(keys):
+        m = keys == k
+        seqs[m] = np.arange(m.sum())
+    roles = [("user", "assistant", "tool")[i] for i in rng.integers(0, 3, n_events)]
+    tbl = pa.table(
+        {
+            KEY: pa.array([f"k{k}" for k in keys], pa.string()),
+            SEQ: pa.array(seqs, pa.int32()),
+            "role": pa.array(roles, pa.string()),
+            "text": pa.array([f"t{i}" for i in range(n_events)], pa.string()),
+            "ts": pa.array(np.arange(n_events) * US, pa.int64()).cast(
+                pa.timestamp("us")
+            ),
+        }
+    )
+    # oracle: each user turn pairs with its key's next assistant turn
+    exp = []
+    for i in range(n_events):
+        if roles[i] != "user":
+            continue
+        nxt = [j for j in range(i + 1, n_events)
+               if keys[j] == keys[i] and roles[j] == "assistant"]
+        if nxt:
+            j = nxt[0]
+            exp.append((f"k{keys[i]}", int(seqs[i]), int(seqs[j]),
+                        f"t{i}", f"t{j}", (j - i) * US))
+
+    chunks = _chunks(tbl, n_chunks)
+    uncut = _run_cut(StreamJoiner, "join", chunks, len(chunks),
+                     lambda j, c, _f: [j.update(c)])
+    assert _run_cut(StreamJoiner, "join", chunks, min(cut, len(chunks) - 1),
+                    lambda j, c, _f: [j.update(c)]).equals(uncut)
+    d = uncut.to_pydict()
+    got = sorted(zip(d[KEY], d["user_turn_idx"], d["assistant_turn_idx"],
+                     d["user_text"], d["assistant_text"], d["lag_us"]))
+    assert got == sorted(exp)

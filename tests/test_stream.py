@@ -131,6 +131,21 @@ def test_kill_and_resume_equality(stream_files, tmp_path):
         a = a[cols].sort_values(cols, kind="stable").reset_index(drop=True)
         b = b[cols].sort_values(cols, kind="stable").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
+    # and byte-identical: every committed part file of every sink (the
+    # restored operator state must reproduce the emission order, not just
+    # the rows)
+    assert res_full.sinks.keys() == res_resumed.sinks.keys()
+    for sink, s_full in res_full.sinks.items():
+        s_res = res_resumed.sinks[sink]
+        fa = [Path(f) for f in s_full.committed_files()]
+        fb = [Path(f) for f in s_res.committed_files()]
+        assert [f.relative_to(s_full.root) for f in fa] == [
+            f.relative_to(s_res.root) for f in fb
+        ], sink
+        for a, b in zip(fa, fb):
+            assert a.read_bytes() == b.read_bytes(), (
+                f"{sink}: {a.relative_to(s_full.root)} differs after resume"
+            )
 
 
 def test_resume_noop_when_complete(stream_files, tmp_path):
@@ -200,26 +215,93 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
         read_merged_checkpoint,
         write_partition_checkpoint,
     )
+    from ray_ordered_stream.stream_ops import WindowAccumulator
 
     root = str(tmp_path / "out")
+    acc = WindowAccumulator(5.0)
+    expect: dict = {}  # dict.update merge from the newest full epoch
     for e in range(60):
         full = e % 16 == 0
-        counters = {f"k{e}": (1, 0, 1, e + 1, False, "")}
+        counters = {f"k{e}": (1, 0, 1, e + 1, False, ""),
+                    "hot": (e, 0, e, e + 1, False, f"d{e}")}
         if full:  # full snapshot carries everything seen so far
             counters = {f"k{i}": (1, 0, 1, i + 1, False, "") for i in range(e + 1)}
+            counters["hot"] = (e, 0, e, e + 1, False, f"d{e}")
+            expect = {}
+        expect.update(sorted(counters.items()))
+        acc.update(pa.table({
+            KEY: [f"k{e}", "hot"],
+            "ts": pa.array([e * 1_000_000] * 2, pa.int64()).cast(pa.timestamp("us")),
+        }))
+        acc.take_closed()
+        buf = pa.table({KEY: [f"k{e}"], SEQ: pa.array([e], pa.int32())})
         write_partition_checkpoint(
-            root, 0, e, {"counters": counters, "buffer": None}, full=full
+            root, 0, e,
+            {"counters": counters, "buffer": buf, "windows": acc.snapshot()},
+            full=full,
         )
     snap = read_merged_checkpoint(root, 0, 59)
-    assert len(snap["counters"]) == 60
+    assert len(snap["counters"]) == 61
     assert snap["counters"]["k59"][3] == 60
+    assert snap["counters"]["hot"] == (59, 0, 59, 60, False, "d59")
+    assert list(snap["counters"].items()) == list(expect.items())  # key order too
     # deleting pre-base epochs must not affect restore (bounded lineage)
     import shutil
 
+    ck = tmp_path / "out" / "ckpt" / "p=00000"
     for e in range(48):
-        shutil.rmtree(tmp_path / "out" / "ckpt" / "p=00000" / f"epoch-{e:05d}")
+        shutil.rmtree(ck / f"epoch-{e:05d}")
     snap2 = read_merged_checkpoint(root, 0, 59)
     assert {k for k in snap2["counters"]} >= {f"k{i}" for i in range(48, 60)}
+
+    # restore reads only the counters of the base and delta epochs: garbage
+    # in every other file of theirs must not change the merged snapshot
+    for e in range(48, 59):
+        d = ck / f"epoch-{e:05d}"
+        ops = sorted(d.glob("windows.*.parquet"))
+        assert ops
+        for f in ops + [d / "extras.json"]:
+            f.write_bytes(b"\x00garbage")
+        (d / "buffer.parquet").unlink()
+    snap3 = read_merged_checkpoint(root, 0, 59)
+    assert list(snap3["counters"].items()) == list(snap["counters"].items())
+    assert snap3["buffer"].equals(snap["buffer"])
+    assert snap3["windows"]["watermark"] == snap["windows"]["watermark"]
+    assert snap3["windows"]["keys"].equals(snap["windows"]["keys"])
+    # a delta epoch that never committed is skipped
+    (ck / "epoch-00055" / "_COMMIT").unlink()
+    snap4 = read_merged_checkpoint(root, 0, 59)
+    assert "k55" not in snap4["counters"]
+    assert snap4["counters"]["hot"] == snap["counters"]["hot"]
+    assert len(snap4["counters"]) == len(snap["counters"]) - 1
+
+
+@pytest.mark.parametrize("extras", [
+    # the previous layout: operator state inline in extras.json
+    {"call_count": 0, "last_status_us": None,
+     "windows": {"watermark": 5, "acc": [["k", 0, [1, 1, 0]]], "names": ["k"]}},
+    {"format": 99, "call_count": 0, "last_status_us": None, "operators": {}},
+])
+def test_checkpoint_of_another_format_fails_loudly(tmp_path, extras):
+    import json
+
+    from ray_ordered_stream.checkpoint import (
+        FORMAT,
+        read_merged_checkpoint,
+        read_partition_checkpoint,
+        write_partition_checkpoint,
+    )
+
+    root = str(tmp_path / "out")
+    d = Path(write_partition_checkpoint(
+        root, 0, 0, {"counters": {"k": (1, 0, 1, 1, False, "")}, "buffer": None}
+    ))
+    (d / "extras.json").write_text(json.dumps(extras))
+    for read in (read_partition_checkpoint, read_merged_checkpoint):
+        with pytest.raises(ValueError) as ei:
+            read(root, 0, 0)
+        assert str(d) in str(ei.value)
+        assert f"checkpoint format {FORMAT}" in str(ei.value)
 
 
 def _write_files_atomic(tbl, d, n_files, start=0, total=None):
