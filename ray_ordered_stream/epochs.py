@@ -167,16 +167,16 @@ def run_stream(
     overrides = _lineage_overrides(
         out_root, num_partitions, salt_hot_keys, files, cfg.key, resume
     )
+    e_star = _resume_point(out_root, num_partitions, sinks) if resume else None
+    start = 0 if e_star is None else e_star + 1
     proc = OrderedProcessor(cfg, num_partitions, overrides)
     P = proc.P
-    ray.get([w.set_partition_id.remote(p) for p, w in enumerate(proc.workers)])
-
-    start = 0
-    if resume:
-        e_star = _resume_point(out_root, P, sinks)
-        if e_star is not None:
-            ray.get([w.restore_from.remote(out_root, e_star) for w in proc.workers])
-            start = e_star + 1
+    # the first epoch's read+split tasks have no side effects: submit them
+    # while the actors start and restore
+    first = proc.exchange(groups[start]) if start < len(groups) else None
+    # readiness marker: actors constructed and restored, before any
+    # checkpoint write and before the first epoch call
+    proc.wait_ready(out_root, e_star)
     write_lineage_meta(out_root, P, clear_mismatched=True, overrides=overrides)
 
     # Pipelined execution, NO per-epoch barrier: each partition's actor call
@@ -233,8 +233,9 @@ def run_stream(
         full_ckpt = checkpoint_full_every > 0 and epoch % checkpoint_full_every == 0
         # file paths go straight in: the fused read+split task decodes and
         # shards each file in one step (whole blocks never enter plasma)
+        exchange = first if epoch == start else proc.exchange(group)
         out_refs = proc.feed_epoch_to_sinks(
-            group, status_ts, paths, final=final, ckpt=(out_root, epoch, full_ckpt)
+            exchange, status_ts, paths, final=final, ckpt=(out_root, epoch, full_ckpt)
         )
         pending.append((epoch, out_refs, _t.monotonic()))
     while pending:
@@ -451,16 +452,13 @@ def run_stream_continuous(
     overrides = _lineage_overrides(
         out_root, num_partitions, salt_hot_keys, sample_files, cfg.key, resume
     )
+    e_star = (
+        _resume_point(out_root, num_partitions, sinks) if resume and groups else None
+    )
+    start = 0 if e_star is None else e_star + 1
     proc = OrderedProcessor(cfg, num_partitions, overrides)
     P = proc.P
-    ray.get([w.set_partition_id.remote(p) for p, w in enumerate(proc.workers)])
-
-    start = 0
-    if resume and groups:
-        e_star = _resume_point(out_root, P, sinks)
-        if e_star is not None:
-            ray.get([w.restore_from.remote(out_root, e_star) for w in proc.workers])
-            start = e_star + 1
+    proc.wait_ready(out_root, e_star)
     write_lineage_meta(out_root, P, clear_mismatched=True, overrides=overrides)
 
     from .metrics import StatsTracker
@@ -503,11 +501,7 @@ def run_stream_continuous(
         overrides_r = (meta_r or {}).get("overrides") or None
         proc = OrderedProcessor(cfg, new_P, overrides_r)
         old_P, P = P, proc.P
-        ray.get([
-            w.set_partition_id.remote(p)
-            for p, w in enumerate(proc.workers)
-        ])
-        ray.get([w.restore_from.remote(out_root, cut) for w in proc.workers])
+        proc.wait_ready(out_root, cut)
         rescales.append({"epoch": cut, "from": old_P, "to": P, "kind": kind})
         last_rescale_epoch = next_epoch
 
@@ -563,7 +557,8 @@ def run_stream_continuous(
         ]
         full_ckpt = checkpoint_full_every > 0 and epoch % checkpoint_full_every == 0
         pending.append((epoch, proc.feed_epoch_to_sinks(
-            group, status_ts, paths, final=final, ckpt=(out_root, epoch, full_ckpt)
+            proc.exchange(group), status_ts, paths, final=final,
+            ckpt=(out_root, epoch, full_ckpt),
         ), _time.monotonic()))
         if probe_state_every_epochs and epoch % probe_state_every_epochs == 0:
             probe_state(epoch)

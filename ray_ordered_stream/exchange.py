@@ -9,9 +9,11 @@ buffers; empty-shard passthrough; stable order within a partition) is
 easy to get subtly wrong, so it lives here once instead of per operator.
 
 Used by: functions/dedup (LSH pair buckets, text join-back),
-pipelines/transcripts (per-user rank), windows (session merge). The
-ordered engine keeps its own fused read+split task (ordered.py) because it
-decodes Parquet in the same step.
+pipelines/transcripts (per-user rank), windows (session merge). Their
+shards are ``pa.Table``s. The ordered engine keeps its own fused read+split
+task (ordered.py) because it decodes Parquet in the same step, and ships
+each shard as one compact ``pa.RecordBatch`` so its state actors never
+deserialize through Ray's ``pa.Table`` reducer (which imports ``ray.data``).
 """
 
 from __future__ import annotations

@@ -9,14 +9,19 @@ exactly like ``OrderedEventProcessorResult``
 Physical plan (SURVEY.md §7.0):
 
     input Dataset (arrival order)
-      -> map-side split tasks: each block -> P per-partition sub-tables
+      -> map-side split tasks: each block -> P per-partition shards
       -> P long-lived OrderedWorker actors (the sharded state store);
          one actor call per (block-group, partition) drains contiguous runs
       -> emitted / status Arrow refs -> ray.data.from_arrow_refs (lazy)
 
-The exchange is block-ref based: sub-tables travel through the object store
+The exchange is block-ref based: shards travel through the object store
 and are fetched by the owning actor (zero-copy on the same node), which is
 how a multi-node shuffle moves data; nothing is materialized on the driver.
+Each shard is one compact ``pa.RecordBatch``, the input schema reaches the
+actor as a ``pa.Schema`` and the status timestamp as a stdlib ``datetime``:
+all three pickle natively, so a streaming actor never runs Ray's
+``pa.Table`` reducer (which imports ``ray.data``) nor unpickles a pandas
+object. ``ray.data`` is imported only by the driver-side Dataset helpers.
 Ray Data's ``map_batches(cls, concurrency=N)`` is NOT used for the state
 store because it does not guarantee key->actor affinity across epochs, which
 checkpoint lineage requires (SURVEY.md §7.4.1).
@@ -25,22 +30,30 @@ checkpoint lineage requires (SURVEY.md §7.4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from .partitioning import split_table
 from .schema import ARRIVAL
-from .state import OrderedConfig, OrderedPartitionState
+from .state import _EPOCH, OrderedConfig, OrderedPartitionState, _ts_us
+
+
+def _as_batch(tbl: pa.Table) -> pa.RecordBatch:
+    """One exchange shard as a single RecordBatch. It must already be
+    compact (split_table's takes): a RecordBatch pickles natively, and a
+    sliced one ships its whole parent buffers (ARROW-10739)."""
+    batches = tbl.combine_chunks().to_batches()
+    return batches[0] if batches else pa.RecordBatch.from_pylist([], schema=tbl.schema)
 
 
 @ray.remote
-def _split_blocks(key: str, P: int, overrides, range_bounds, *tbls: pa.Table) -> list[pa.Table]:
+def _split_blocks(key: str, P: int, overrides, range_bounds, *tbls: pa.Table) -> list[pa.RecordBatch]:
     """Map side of the exchange: concat a group of input blocks, split into P
-    compact per-partition sub-tables. Input blocks are grouped so each output
+    compact per-partition shards. Input blocks are grouped so each output
     shard is large enough to live in plasma (tiny task returns live in the
     owner's in-process store and every fetch becomes a driver RPC — measured
     to serialize the whole exchange at high P)."""
@@ -48,27 +61,27 @@ def _split_blocks(key: str, P: int, overrides, range_bounds, *tbls: pa.Table) ->
     # empty group); route them nowhere.
     real = [t for t in tbls if t.num_rows and key in t.column_names]
     if not real:
-        empty = tbls[0].slice(0, 0) if tbls else pa.table({})
+        empty = _as_batch(tbls[0].slice(0, 0) if tbls else pa.table({}))
         return [empty] * P
     tbl = pa.concat_tables(real, promote_options="none") if len(real) > 1 else real[0]
-    return split_table(tbl, key, P, overrides, range_bounds)
+    return [_as_batch(t) for t in split_table(tbl, key, P, overrides, range_bounds)]
 
 
 @ray.remote
-def _concat_shards(*tbls: pa.Table) -> pa.Table:
-    """Merge shards into a single table (P == 1 fast path)."""
+def _concat_shards(*tbls: pa.Table) -> pa.RecordBatch:
+    """Merge input blocks into a single shard (P == 1 fast path)."""
     real = [t for t in tbls if t.num_rows]
     if not real:
-        return tbls[0].slice(0, 0) if tbls else pa.table({})
-    return pa.concat_tables(real, promote_options="none") if len(real) > 1 else real[0]
+        return _as_batch(tbls[0].slice(0, 0) if tbls else pa.table({}))
+    return _as_batch(pa.concat_tables(real, promote_options="none"))
 
 
 @ray.remote
 def _read_and_split(
     key: str, P: int, overrides, range_bounds, paths: list[str]
-) -> list[pa.Table]:
+) -> list[pa.RecordBatch]:
     """Fused source + map side of the exchange: decode Parquet file(s) and
-    split straight into P compact per-partition sub-tables. The whole block
+    split straight into P compact per-partition shards. The whole block
     never enters the object store — only the shards do — which cuts the
     full-data plasma crossings per epoch from 3 (read put, split put, concat
     put) to 1. At 32 cores on one node the exchange is store-bandwidth
@@ -81,7 +94,7 @@ def _read_and_split(
     pa.set_io_thread_count(1)
     tbls = [pq.read_table(p) for p in paths]
     tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
-    return split_table(tbl, key, P, overrides, range_bounds)
+    return [_as_batch(t) for t in split_table(tbl, key, P, overrides, range_bounds)]
 
 
 @ray.remote
@@ -95,7 +108,8 @@ def _read_and_split_parts(
     trade is N_nodes redundant decodes of each file group against zero
     cross-node object transfer; sound when the input is node-local anyway
     (shared FS / page cache / object storage read per node) and transfer
-    dominates decode."""
+    dominates decode. With P == 1 it is the single-partition read path: one
+    task returns the one shard itself."""
     import pyarrow.parquet as pq
 
     pa.set_cpu_count(1)
@@ -103,6 +117,7 @@ def _read_and_split_parts(
     tbls = [pq.read_table(p) for p in paths]
     tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
     sel = split_table(tbl, key, P, overrides, range_bounds, only=list(parts))
+    sel = [_as_batch(t) for t in sel]
     return sel[0] if len(sel) == 1 else tuple(sel)
 
 
@@ -112,13 +127,14 @@ class OrderedWorker:
     one worker, docs/pipeline-design.md:13-17). Serial execution per actor
     gives per-key serial state access for free within our routing."""
 
-    def __init__(self, cfg: OrderedConfig):
+    def __init__(self, cfg: OrderedConfig, partition_id: int):
         # P actors run side by side; pyarrow's default per-process thread
         # pool (= all cores) makes P * cores runnable threads and thrashes
         # the node. Each actor is one partition -> one core's worth of work.
         pa.set_cpu_count(1)
         pa.set_io_thread_count(1)
         self.cfg = cfg
+        self._partition_id = partition_id
         self.state = OrderedPartitionState(cfg)
         self.windows = None
         self.sessions = None
@@ -195,8 +211,6 @@ class OrderedWorker:
             rows = self.cfg.warmup_rows
         if rows <= 0:
             return
-        import pandas as pd
-
         cfg = self.cfg
         n_keys = max(1, rows // 64)
         codes = np.arange(rows, dtype=np.int64) % n_keys
@@ -212,28 +226,24 @@ class OrderedWorker:
         )
         scratch = OrderedPartitionState(cfg)
         for _ in range(2):
-            scratch.process(dummy, pd.Timestamp("1970-01-01"))
+            scratch.process(dummy, _EPOCH)
 
-    def process_epoch(self, status_ts, empty_like: pa.Table, *parts: pa.Table):
-        """Feed this partition's sub-tables for one epoch (in arrival order);
-        returns (emitted, status) Arrow tables. ``empty_like`` carries the
-        input schema so empty partitions still emit schema-correct tables.
+    def process_epoch(self, status_ts: datetime, schema: pa.Schema, *parts: pa.RecordBatch):
+        """Feed this partition's shards for one epoch (in arrival order);
+        returns (emitted, status) Arrow tables. ``schema`` is the input
+        schema, so empty partitions still emit schema-correct tables.
 
         Rows with a null key or sequence are quarantined to the partition's
         DLQ (≙ FailedBigQueryInsertProcessor, reference
         FailedBigQueryInsertProcessor.java:28-50) instead of poisoning the
         drain; fetch/flush them via take_dlq / the 'dlq' sink."""
-        tables = [t for t in parts if t.num_rows]
-        if not tables:
+        batches = [b for b in parts if b.num_rows]
+        if not batches:
             return (
-                self.state._empty_emitted(empty_like),
+                self.state._empty_emitted(schema.empty_table()),
                 self.state._status_for([], status_ts),
             )
-        batch = (
-            pa.concat_tables(tables, promote_options="none")
-            if len(tables) > 1
-            else tables[0]
-        )
+        batch = pa.Table.from_batches(batches)
         cfg = self.cfg
         if batch[cfg.key].null_count or batch[cfg.seq].null_count:
             import pyarrow.compute as pc
@@ -297,9 +307,9 @@ class OrderedWorker:
         return emitted, status
 
     def process_epoch_to_sink(
-        self, status_ts, empty_like: pa.Table, sink_paths: dict, final: bool,
-        ckpt: tuple | None,
-        *parts: pa.Table,
+        self, status_ts: datetime, schema: pa.Schema, sink_paths: dict,
+        final: bool, ckpt: tuple | None,
+        *parts: pa.RecordBatch,
     ) -> dict:
         """Drain one epoch AND write this partition's sink parts directly
         (staged + atomic rename, sink.py protocol) — the scale path: emitted
@@ -316,13 +326,12 @@ class OrderedWorker:
         """
         from .sink import write_part_atomic
 
-        emitted, status = self.process_epoch(status_ts, empty_like, *parts)
+        emitted, status = self.process_epoch(status_ts, schema, *parts)
         out = {}
         if "ordered" in sink_paths:
             towrite = emitted
             if self.cfg.stamp_ingest_ts:
-                # status_ts is a pd.Timestamp (.value = ns since epoch)
-                tick_us = int(status_ts.value) // 1_000
+                tick_us = _ts_us(status_ts)
                 towrite = emitted.append_column(
                     "ingest_ts",
                     pa.array(
@@ -599,9 +608,6 @@ class OrderedWorker:
         self.restore(snap)
         return True
 
-    def set_partition_id(self, p: int):
-        self._partition_id = p
-
     def get_node_id(self) -> str:
         return ray.get_runtime_context().get_node_id()
 
@@ -637,7 +643,7 @@ class OrderedProcessor:
         if self.cfg.spread_actors:
             opts["scheduling_strategy"] = "SPREAD"
         self.workers = [
-            OrderedWorker.options(**opts).remote(self.cfg) for _ in range(self.P)
+            OrderedWorker.options(**opts).remote(self.cfg, p) for p in range(self.P)
         ]
         self._emitted_refs: list[ray.ObjectRef] = []
         self._status_refs: list[ray.ObjectRef] = []
@@ -656,12 +662,23 @@ class OrderedProcessor:
 
     # -- streaming feed ----------------------------------------------------
 
-    def _shard_refs(self, ds_or_table) -> tuple[list, "ray.ObjectRef | None"]:
-        """Produce the exchange: a list of shard-ref groups (each group =
-        P refs, one per partition, in arrival order) plus an empty-schema
-        ref. Accepts a Parquet file list (fused read+split tasks — the scale
-        path: whole blocks never enter the object store), a pa.Table, a
-        Dataset, or a list of block refs."""
+    def wait_ready(self, root: str, epoch: int | None) -> None:
+        """Block until every state actor is constructed and, when ``epoch``
+        is given, restored from the checkpoint cut of that epoch under
+        ``root`` — one round trip per actor."""
+        ray.get([
+            w.ping.remote() if epoch is None else w.restore_from.remote(root, epoch)
+            for w in self.workers
+        ])
+
+    def exchange(self, ds_or_table) -> tuple[list, pa.Schema | None]:
+        """Submit the exchange: a list of shard-ref groups (each group = P
+        refs, one per partition, in arrival order; each shard one compact
+        RecordBatch) plus the input schema. Accepts a Parquet file list
+        (fused read+split tasks — the scale path: whole blocks never enter
+        the object store), a pa.Table, a Dataset, or a list of block refs.
+        The tasks have no side effects, so a driver may submit an epoch's
+        exchange before its actors are up."""
         key = self.cfg.key
         if (
             isinstance(ds_or_table, list)
@@ -672,7 +689,6 @@ class OrderedProcessor:
 
             schema = pq.read_schema(ds_or_table[0])
             _check_names(schema.names, self.cfg)
-            empty_ref = ray.put(schema.empty_table())
             files = ds_or_table
             n_map = max(1, min(len(files), max(self.P, _cpu_count())))
             groups = [
@@ -682,10 +698,9 @@ class OrderedProcessor:
             ]
             if self.P == 1:
                 per_group = [
-                    [_read_and_split.remote(key, 1, None, None, g)] for g in groups
+                    [_read_and_split_parts.remote(key, 1, (0,), None, None, g)]
+                    for g in groups
                 ]
-                # num_returns=1 returns the list itself; unwrap via a task
-                per_group = [[_unwrap_single.remote(g[0])] for g in per_group]
             elif self.cfg.locality_split and len(self._node_parts()) > 1:
                 from ray.util.scheduling_strategies import (
                     NodeAffinitySchedulingStrategy,
@@ -718,7 +733,7 @@ class OrderedProcessor:
                     )
                     for g in groups
                 ]
-            return per_group, empty_ref
+            return per_group, schema
 
         _check_columns(ds_or_table, self.cfg)
         block_refs = _to_block_refs(ds_or_table)
@@ -741,14 +756,15 @@ class OrderedProcessor:
                 )
                 for g in groups
             ]
-        return per_group, ray.put(_empty_like(ds_or_table))
+        return per_group, _schema_of(ds_or_table)
 
     def feed_epoch(self, ds_or_table, status_ts) -> tuple[list, list]:
         """Run one epoch through the state store. Returns (emitted_refs,
         status_refs) — one pair per partition; nothing touches the driver."""
-        per_group, empty_ref = self._shard_refs(ds_or_table)
+        per_group, schema = self.exchange(ds_or_table)
         if not per_group:
             return [], []
+        status_ts = _wire_ts(status_ts)
         emitted_refs, status_refs = [], []
         for p, w in enumerate(self.workers):
             # shard refs go straight to the owning actor (it concats
@@ -756,7 +772,7 @@ class OrderedProcessor:
             # extra copy + plasma put of every byte
             shards = [pg[p] for pg in per_group]
             e, s = w.process_epoch.options(num_returns=2).remote(
-                status_ts, empty_ref, *shards
+                status_ts, schema, *shards
             )
             emitted_refs.append(e)
             status_refs.append(s)
@@ -767,22 +783,24 @@ class OrderedProcessor:
         return emitted_refs, status_refs
 
     def feed_epoch_to_sinks(
-        self, ds_or_table, status_ts, sink_paths_per_partition: list[dict],
+        self, exchange: tuple[list, pa.Schema | None], status_ts,
+        sink_paths_per_partition: list[dict],
         final: bool = False, ckpt: tuple | None = None,
     ) -> list:
-        """Like feed_epoch, but every partition writes its sink parts
-        directly from the state actor (no emitted tables through the object
-        store). Returns one ObjectRef per partition resolving to
-        {sink_name: rows_written}."""
-        per_group, empty_ref = self._shard_refs(ds_or_table)
+        """Like feed_epoch, but takes an already submitted ``exchange()`` and
+        every partition writes its sink parts directly from the state actor
+        (no emitted tables through the object store). Returns one ObjectRef
+        per partition resolving to {sink_name: rows_written}."""
+        per_group, schema = exchange
         if not per_group:
             return []
+        status_ts = _wire_ts(status_ts)
         out = []
         for p, w in enumerate(self.workers):
             shards = [pg[p] for pg in per_group]
             out.append(
                 w.process_epoch_to_sink.remote(
-                    status_ts, empty_ref, sink_paths_per_partition[p], final,
+                    status_ts, schema, sink_paths_per_partition[p], final,
                     ckpt, *shards,
                 )
             )
@@ -810,6 +828,8 @@ class OrderedProcessor:
     # -- results -----------------------------------------------------------
 
     def datasets(self) -> OrderedResult:
+        import ray.data
+
         emitted = [r for r in self._emitted_refs if r is not None]
         status = [r for r in self._status_refs if r is not None]
         return OrderedResult(
@@ -829,6 +849,8 @@ class OrderedProcessor:
         never the tables — cross to the driver. (Streaming runs write the
         'user' sink directly from the actors instead; this is the batch
         facade.)"""
+        import ray.data
+
         has = ray.get([w.has_user_output.remote() for w in self.workers])
         refs = [
             w.take_user_output.remote()
@@ -842,6 +864,9 @@ class OrderedProcessor:
         """Current consolidated per-key status (one row per key ever seen) —
         the completion surface used by the perf protocol (run-perf-test.sh
         check_processing_progress ≙ BASELINE.md 'Completion/progress')."""
+        import ray.data
+
+        status_ts = _wire_ts(status_ts)
         refs = [w.final_status.remote(status_ts) for w in self.workers]
         return ray.data.from_arrow_refs(refs)
 
@@ -849,6 +874,7 @@ class OrderedProcessor:
         """Same as final_status but fetched directly (small result: one row
         per key) without spinning a Dataset execution — the low-latency
         completion poll."""
+        status_ts = _wire_ts(status_ts)
         tables = ray.get([w.final_status.remote(status_ts) for w in self.workers])
         return pa.concat_tables([t for t in tables if t is not None])
 
@@ -899,10 +925,8 @@ def ordered_process(
     """One-shot batch facade: feed the whole Dataset as a single epoch and
     return (ordered, status) Datasets. For multi-epoch streaming with
     checkpoint/resume use ``epochs.run_stream``."""
-    import pandas as pd
-
     proc = OrderedProcessor(cfg, num_partitions, overrides)
-    proc.feed_epoch(ds, status_ts or pd.Timestamp("1970-01-01"))
+    proc.feed_epoch(ds, _EPOCH if status_ts is None else status_ts)
     return proc.datasets()
 
 
@@ -912,11 +936,6 @@ def _cpu_count() -> int:
 
 def _default_partitions() -> int:
     return max(2, _cpu_count() // 2)
-
-
-@ray.remote
-def _unwrap_single(shards: list) -> pa.Table:
-    return shards[0]
 
 
 def _check_names(names, cfg: OrderedConfig) -> None:
@@ -940,15 +959,24 @@ def _check_columns(ds_or_table, cfg: OrderedConfig) -> None:
     _check_names(names, cfg)
 
 
-def _empty_like(ds_or_table) -> pa.Table:
+def _schema_of(ds_or_table) -> pa.Schema:
     if isinstance(ds_or_table, pa.Table):
-        return ds_or_table.slice(0, 0)
+        return ds_or_table.schema
     if hasattr(ds_or_table, "schema"):
         s = ds_or_table.schema()
-        return pa.table(
-            {n: pa.array([], type=t) for n, t in zip(s.names, s.types)}
-        )
-    return pa.table({})
+        return pa.schema(list(zip(s.names, s.types)))
+    return pa.schema([])
+
+
+def _wire_ts(status_ts) -> datetime:
+    """The status timestamp as a state actor receives it: a stdlib datetime
+    (unpickling a pd.Timestamp would import pandas in the actor).
+    Sub-microsecond digits are dropped, as the ``status_ts`` column drops
+    them."""
+    if isinstance(status_ts, datetime):
+        to_py = getattr(status_ts, "to_pydatetime", None)  # pd.Timestamp
+        return status_ts if to_py is None else to_py(warn=False)
+    return _EPOCH + timedelta(microseconds=_ts_us(status_ts))
 
 
 def _to_block_refs(ds_or_table) -> list:

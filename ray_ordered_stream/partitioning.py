@@ -102,11 +102,13 @@ def split_table(
     exchange). Row order within each sub-table preserves the block's arrival
     order.
 
-    Each sub-table MUST be a compact copy, not a zero-copy slice: pickling a
-    sliced Arrow table ships the slice's entire parent buffers (string data
-    buffers are not truncated), which turns the exchange into O(P * block)
-    bytes — measured 6 MB per 1000-row slice vs 81 KiB compact. One stable
-    argsort + P contiguous-range takes keeps the copy at O(n) total.
+    Each sub-table MUST be a compact copy, not a zero-copy slice. The
+    ordered engine's exchange tasks ship every sub-table as one
+    ``pa.RecordBatch``, which pickles natively, and a sliced batch ships its
+    entire parent buffers (ARROW-10739; string data buffers are not
+    truncated), which turns the exchange into O(P * block) bytes — measured
+    6 MB per 1000-row slice vs 81 KiB compact. One stable argsort + P
+    contiguous-range takes keeps the copy at O(n) total.
 
     ``only`` restricts the output (and the take copies) to the listed
     partition ids, in that order — the locality_split path, where each node

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pyarrow as pa
@@ -447,7 +448,7 @@ class OrderedPartitionState:
         if cfg.status_every_epochs > 1:
             emit_flags &= (cc0 + np.arange(1, n + 1)) % cfg.status_every_epochs == 0
         ts_us = _ts_us(status_ts)
-        if cfg.status_interval_s > 0 and ts_us is not None:
+        if cfg.status_interval_s > 0:
             if (
                 self._last_status_us is not None
                 and ts_us - self._last_status_us < cfg.status_interval_s * 1e6
@@ -661,7 +662,6 @@ class OrderedPartitionState:
             not suppress
             and cfg.status_interval_s > 0
             and self._last_status_us is not None
-            and ts_us is not None
             and ts_us - self._last_status_us < cfg.status_interval_s * 1e6
         ):
             suppress = True
@@ -669,8 +669,7 @@ class OrderedPartitionState:
             status = _empty_status()
         else:
             status = self._status_for(sorted(touched), status_ts)
-            if ts_us is not None:
-                self._last_status_us = ts_us
+            self._last_status_us = ts_us
         self._maybe_offload_buffer()
         return emitted, status
 
@@ -783,10 +782,28 @@ class OrderedPartitionState:
         return st
 
 
-def _ts_us(status_ts) -> int | None:
-    """Event-time micros of a status timestamp (None if not timestamp-like)."""
-    v = getattr(status_ts, "value", None)
-    return None if v is None else int(v) // 1000  # pd.Timestamp.value is ns
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+
+
+def _ts_us(status_ts) -> int:
+    """Microseconds since the Unix epoch of a status timestamp: a
+    ``pd.Timestamp``, a stdlib ``datetime`` (naive reads as UTC, as pandas
+    reads it) or an ``np.datetime64``. Anything else raises ``TypeError``
+    rather than silently switching ``status_interval_s`` thinning off."""
+    if isinstance(status_ts, np.datetime64):
+        return int(status_ts.astype("datetime64[us]").astype(np.int64))
+    if isinstance(status_ts, datetime):
+        ns = getattr(status_ts, "value", None)  # pd.Timestamp: ns since epoch
+        if ns is not None:
+            return int(ns) // 1000
+        epoch = _EPOCH if status_ts.tzinfo is None else _EPOCH_UTC
+        return (status_ts - epoch) // _US
+    raise TypeError(
+        "status_ts must be a pd.Timestamp, datetime or np.datetime64; got "
+        f"{type(status_ts).__name__}"
+    )
 
 
 def last_event_mask(emitted: pa.Table, cfg: OrderedConfig) -> np.ndarray | None:

@@ -227,13 +227,11 @@ def test_book_through_engine_checkpoint_resume(tmp_path, ray_session):
     p2 = OrderedProcessor(cfg, 3)
     import ray
 
-    ray.get([w.set_partition_id.remote(i) for i, w in enumerate(p2.workers)])
     p2.feed_epoch(t.slice(0, half), pd.Timestamp("1970-01-01"))
     ray.get([w.checkpoint_to.remote(root, 0) for w in p2.workers])
     p2.shutdown()
 
     p3 = OrderedProcessor(cfg, 3)
-    ray.get([w.set_partition_id.remote(i) for i, w in enumerate(p3.workers)])
     assert all(ray.get([w.restore_from.remote(root, 0) for w in p3.workers]))
     p3.feed_epoch(t.slice(half), pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=1))
     resumed = p3.book_depth_table().to_pandas().sort_values("key").reset_index(drop=True)

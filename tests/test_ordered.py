@@ -225,3 +225,49 @@ def test_locality_split_matches_oracle(tmp_path, monkeypatch):
         got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
     )
     proc.shutdown()
+
+
+def _wire_bytes(obj) -> int:
+    """Pickled size with protocol 5, out-of-band buffers included (what
+    Ray's serializer puts in plasma for a natively pickled object)."""
+    import pickle
+
+    bufs = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
+    return len(data) + sum(b.raw().nbytes for b in bufs)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exchange_shards_ship_o_rows_bytes(tmp_path):
+    # Exchange shards are RecordBatches, which pickle natively: a sliced
+    # batch would ship its whole parent buffers (ARROW-10739; Ray's
+    # pa.Table reducer used to truncate them). Every shard of a
+    # multi-file split must cost about its own nbytes on the wire.
+    import pyarrow.parquet as pq
+    import ray
+
+    from ray_ordered_stream.fixtures import gen_transcripts
+    from ray_ordered_stream.ordered import _read_and_split, _read_and_split_parts
+
+    t = gen_transcripts(n_convs=60, min_turns=20, max_turns=60, lateness=30, seed=5)
+    files = []
+    for i, lo in enumerate(range(0, t.num_rows, t.num_rows // 3 + 1)):
+        f = str(tmp_path / f"f{i}.parquet")
+        pq.write_table(t.slice(lo, t.num_rows // 3 + 1), f)
+        files.append(f)
+    assert len(files) == 3
+    shards = ray.get(
+        _read_and_split.options(num_returns=4).remote(KEY, 4, None, None, files)
+    )
+    shards.append(ray.get(_read_and_split_parts.remote(KEY, 1, (0,), None, None, files)))
+    assert sum(s.num_rows for s in shards[:4]) == shards[4].num_rows == t.num_rows
+
+    def bound(b):
+        return 1.2 * b.nbytes + 4096
+
+    for s in shards:
+        assert isinstance(s, pa.RecordBatch)
+        assert _wire_bytes(s) <= bound(s), (s.num_rows, s.nbytes, _wire_bytes(s))
+    # the bound has teeth: a zero-copy slice of the same data fails it
+    sliced = shards[4].slice(0, 50)
+    assert _wire_bytes(sliced) > bound(sliced)

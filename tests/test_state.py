@@ -297,6 +297,48 @@ def test_call_count_survives_snapshot_restore():
     assert s3.num_rows > 0
 
 
+_TICK_US = 1_735_689_601_000_007  # 2025-01-01 00:00:01.000007 UTC
+
+
+@pytest.mark.parametrize("ts", [
+    pd.Timestamp("2025-01-01 00:00:01.000007"),
+    pd.Timestamp("2025-01-01 00:00:01.000007").to_pydatetime(),
+    np.datetime64("2025-01-01T00:00:01.000007"),
+    np.datetime64("2025-01-01T00:00:01.000007123", "ns"),
+    pd.Timestamp("2025-01-01 01:00:01.000007", tz="Etc/GMT-1"),
+    pd.Timestamp("2025-01-01 01:00:01.000007", tz="Etc/GMT-1").to_pydatetime(),
+], ids=["pd_timestamp", "datetime", "datetime64_us", "datetime64_ns",
+        "pd_timestamp_tz", "datetime_tz"])
+def test_ts_us_agrees_across_timestamp_types(ts):
+    from ray_ordered_stream.state import _ts_us
+
+    assert _ts_us(ts) == _TICK_US
+
+
+@pytest.mark.parametrize("ts", [None, 1_735_689_601, "2025-01-01", 1.5])
+def test_ts_us_rejects_non_timestamps(ts):
+    from ray_ordered_stream.state import _ts_us
+
+    with pytest.raises(TypeError, match="status_ts"):
+        _ts_us(ts)
+
+
+@pytest.mark.parametrize("tick", [
+    lambda s: pd.Timestamp("2025-01-01") + pd.Timedelta(seconds=s),
+    lambda s: pd.Timestamp("2025-01-01").to_pydatetime() + pd.Timedelta(seconds=s).to_pytimedelta(),
+    lambda s: np.datetime64("2025-01-01T00:00:00", "us") + np.timedelta64(s, "s"),
+], ids=["pd_timestamp", "datetime", "datetime64"])
+def test_status_interval_thins_every_timestamp_type(tick):
+    # two ticks 1 s apart inside a 10 s interval: only the first emits
+    # status, whatever type the tick is (a datetime used to disable the
+    # thinning silently and emit twice)
+    t = tiny_fixture("t_multi")
+    st = OrderedPartitionState(OrderedConfig(status_interval_s=10.0))
+    _, s0 = st.process(t.slice(0, 4), tick(0))
+    _, s1 = st.process(t.slice(4, 4), tick(1))
+    assert s0.num_rows > 0 and s1.num_rows == 0
+
+
 def test_status_interval_time_based():
     # ≙ withStatusUpdateFrequency(Duration): status suppressed until event
     # time has advanced >= the interval; counters always complete.

@@ -695,3 +695,48 @@ def test_ingest_ts_stamp_deterministic_and_monotone(stream_files, tmp_path):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, got2)
+
+
+@pytest.mark.parametrize("cfg", [
+    OrderedConfig(),
+    OrderedConfig(window_size_s=60.0, session_gap_s=0.5, stream_join=True,
+                  pattern=("user", "tool", "user"), stamp_ingest_ts=True,
+                  status_interval_s=1.5),
+], ids=["ordered_only", "all_operators"])
+def test_streaming_actor_never_imports_ray_data(stream_files, tmp_path, monkeypatch, cfg):
+    """A streaming partition actor stays lean: shards arrive as RecordBatches,
+    the schema as a pa.Schema and the status tick as a datetime, so nothing
+    on the drain / sink / checkpoint / restore path unpickles through Ray's
+    pa.Table reducer, which loads ray.data (and ray.air) into the actor.
+    Each actor's sys.modules is read through __ray_call__ just before the
+    driver kills it, on a run that crashes after checkpointing epoch 0 and
+    on the resume that restores it."""
+    import sys
+
+    import ray
+
+    from ray_ordered_stream.ordered import OrderedProcessor, ordered_process
+
+    t, files = stream_files
+    seen = []
+    kill = OrderedProcessor.shutdown
+
+    def probe_then_kill(self):
+        probe = lambda _actor: sorted(  # noqa: E731 (pickled by value)
+            m for m in sys.modules if m.split(".")[:2] in (["ray", "data"], ["ray", "air"])
+        )
+        seen.extend(ray.get([w.__ray_call__.remote(probe) for w in self.workers]))
+        kill(self)
+
+    monkeypatch.setattr(OrderedProcessor, "shutdown", probe_then_kill)
+    out = str(tmp_path / "run")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_stream(files[:4], out, cfg, num_partitions=2, files_per_epoch=2,
+                   fail_after_epoch=0)
+    res = run_stream(files[:4], out, cfg, num_partitions=2, files_per_epoch=2)
+    assert res.epochs_skipped == 1 and res.epochs_run == 1
+    assert len(seen) == 4
+    assert seen == [[]] * 4, seen
+    # the batch facade still hands back Datasets the driver can materialize
+    got = ordered_process(t, cfg, num_partitions=2).ordered.to_pandas()
+    assert len(got) == len(oracle_ordered(t))
