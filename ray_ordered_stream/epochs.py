@@ -1,17 +1,17 @@
 """Streaming driver: epochs, watermark, exactly-once sinks, checkpoint +
 resume (SURVEY.md §7.0 — the micro-batch streaming shape).
 
-The stream source is a landing directory / list of Parquet files in arrival
-order; each epoch consumes a contiguous group of files (bounded
-``run_stream`` below, unbounded directory-polling ``run_stream_continuous``):
+One epoch driver (``_EpochDriver``), two feeds of Parquet file groups in
+arrival order: bounded ``run_stream`` cuts a fixed file list, unbounded
+``run_stream_continuous`` polls a landing directory, records each group
+before feeding it and ends with a flush epoch (an empty group). Per epoch:
 
-    for each epoch:
-        fused read+split tasks (whole blocks never enter the object store)
-          -> feed through the long-lived state actors (ordered drain,
-             in-actor windows/join gated by the event-time watermark)
-          -> stage every partition's outputs, then commit sink manifests
-          -> checkpoint every partition (commit order: sinks first,
-             checkpoint second — SURVEY.md §7.4.3)
+    fused read+split tasks (whole blocks never enter the object store)
+      -> feed through the long-lived state actors (ordered drain,
+         in-actor windows/join gated by the event-time watermark)
+      -> stage every partition's outputs, then commit sink manifests
+      -> checkpoint every partition (commit order: sinks first,
+         checkpoint second — SURVEY.md §7.4.3)
 
 Resume: the newest epoch whose checkpoint committed on ALL partitions is the
 consistent cut; earlier epochs' sink output is kept (their manifests are
@@ -21,6 +21,9 @@ files idempotently.
 
 from __future__ import annotations
 
+import json
+import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,11 +32,16 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .checkpoint import resume_epoch, write_lineage_meta
+from .checkpoint import read_lineage_meta, resume_epoch, write_lineage_meta
+from .metrics import StatsTracker
 from .ordered import OrderedProcessor
+from .rescale import rescale_checkpoint
 from .sink import ManifestSink
 from .state import OrderedConfig
 
+# sinks whose operators can hold output open until the stream ends: a
+# continuous run with any of them closes with a flush epoch
+_FLUSH_SINKS = ("windows", "sessions", "joined", "matches")
 
 
 def _resume_point(out_root: str, P: int, sinks: dict) -> int | None:
@@ -45,17 +53,19 @@ def _resume_point(out_root: str, P: int, sinks: dict) -> int | None:
     ck = resume_epoch(out_root, P)
     if ck is None:
         return None
-    frontier = ck
-    for s in sinks.values():
-        committed = s.committed_epochs()
-        prefix = -1
-        for e in committed:
-            if e == prefix + 1:
-                prefix = e
-            else:
-                break
-        frontier = min(frontier, prefix)
+    frontier = min([ck] + [_committed_prefix(s) for s in sinks.values()])
     return frontier if frontier >= 0 else None
+
+
+def _committed_prefix(sink: ManifestSink) -> int:
+    """Last epoch of the sink's contiguous committed prefix 0..e (-1 if
+    epoch 0 is not committed)."""
+    prefix = -1
+    for e in sink.committed_epochs():
+        if e != prefix + 1:
+            break
+        prefix = e
+    return prefix
 
 
 def _lineage_overrides(
@@ -71,8 +81,6 @@ def _lineage_overrides(
     arrival stream — key column only, <=4 files and ~500k rows, so the
     driver-side cost is bounded at any data scale — and pins the heaviest
     keys round-robin (partitioning.compute_hot_key_overrides)."""
-    from .checkpoint import read_lineage_meta
-
     if resume:
         meta = read_lineage_meta(out_root)
         if meta is not None and meta.get("partitions") == P:
@@ -119,6 +127,181 @@ class StreamResult:
     metrics: dict = field(default_factory=dict)
 
 
+def _epoch_ts(epoch: int) -> pd.Timestamp:
+    """The deterministic status tick of an epoch (one second per epoch)."""
+    return pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=epoch)
+
+
+def _open_sinks(out_root: str, cfg: OrderedConfig) -> dict[str, ManifestSink]:
+    """Every sink the config writes, in manifest commit order."""
+    sinks = {"ordered": ManifestSink(out_root, "ordered"),
+             "status": ManifestSink(out_root, "status"),
+             "dlq": ManifestSink(out_root, "dlq")}
+    if cfg.window_size_s > 0:
+        sinks["windows"] = ManifestSink(out_root, "windows")
+    if cfg.session_gap_s > 0:
+        sinks["sessions"] = ManifestSink(out_root, "sessions")
+    if cfg.stream_join:
+        sinks["joined"] = ManifestSink(out_root, "joined")
+    if cfg.pattern:
+        sinks["matches"] = ManifestSink(out_root, "matches")
+    if cfg.with_book:
+        sinks["depth"] = ManifestSink(out_root, "depth")
+    if cfg.state_factory is not None:
+        sinks["user"] = ManifestSink(out_root, "user")
+    if cfg.late_data == "drop" and (cfg.window_size_s > 0 or cfg.session_gap_s > 0):
+        sinks["late"] = ManifestSink(out_root, "late")
+    return sinks
+
+
+class _EpochDriver:
+    """The exactly-once epoch protocol behind both feeds.
+
+    Construction opens the sinks, fixes the lineage's hot-key pins and the
+    resume point, submits the exchange of the first epoch ``groups`` already
+    knows (its read+split tasks have no side effects, so they run while the
+    actors start and restore), waits for the actors, then writes the lineage
+    meta: the readiness marker, before any checkpoint write or epoch call.
+
+    Pipelined execution, NO per-epoch barrier: each partition's actor call
+    queue serializes drain(k) -> checkpoint(k) -> drain(k+1); the driver
+    trails behind committing sink manifests strictly in epoch order, with at
+    most ``max_inflight`` epochs submitted and not yet committed.
+    Crash-consistency: an actor checkpoint may exist for an epoch whose
+    manifests never committed; _resume_point therefore takes the newest
+    epoch with BOTH a full checkpoint cut AND a contiguous manifest prefix,
+    and later epochs re-run deterministically (overwriting their files and
+    stale checkpoints byte-identically).
+
+    ``proc`` is the partition-actor pool; an autoscale step replaces it at
+    a drained cut."""
+
+    def __init__(
+        self, out_root: str, cfg: OrderedConfig, num_partitions: int,
+        groups: list[list[str]], resume: bool, salt_hot_keys: bool,
+        sample_files: list[str], checkpoint_full_every: int,
+        max_inflight: int, fail_after_epoch: int | None,
+    ):
+        Path(out_root).mkdir(parents=True, exist_ok=True)
+        self.out_root = out_root
+        self.sinks = _open_sinks(out_root, cfg)
+        self.checkpoint_full_every = checkpoint_full_every
+        self.max_inflight = max_inflight
+        self.fail_after_epoch = fail_after_epoch
+        overrides = _lineage_overrides(
+            out_root, num_partitions, salt_hot_keys, sample_files, cfg.key, resume
+        )
+        e_star = (
+            _resume_point(out_root, num_partitions, self.sinks)
+            if resume and groups else None
+        )
+        self.start = 0 if e_star is None else e_star + 1
+        self.proc = OrderedProcessor(cfg, num_partitions, overrides)
+        self._first = (
+            self.proc.exchange(groups[self.start])
+            if self.start < len(groups) and groups[self.start] else None
+        )
+        self.proc.wait_ready(out_root, e_star)
+        write_lineage_meta(
+            out_root, self.proc.P, clear_mismatched=True, overrides=overrides
+        )
+        self.stats = StatsTracker()
+        self._epoch_stage = self.stats.stage("epoch_commit")
+        self.pending: list[tuple[int, list, float]] = []
+        self.total_emitted = 0
+        self.epochs_run = 0
+
+    def feed(self, epoch: int, group: list[str], final: bool = False) -> None:
+        """Submit one epoch. An empty ``group`` is the flush epoch: the
+        operators release what they hold open (final=True) and the ordered,
+        status and dlq sinks commit it with zero rows."""
+        while len(self.pending) >= self.max_inflight:
+            self.commit_oldest()
+        proc = self.proc
+        paths = [
+            {name: s.part_path(epoch, p) for name, s in self.sinks.items()}
+            for p in range(proc.P)
+        ]
+        if not group:
+            refs = [w.flush_final_to_sink.remote(paths[p])
+                    for p, w in enumerate(proc.workers)]
+        else:
+            # compaction cadence: every k-th epoch writes a FULL counter
+            # snapshot (restore merges deltas only from the newest full epoch)
+            full_ckpt = (
+                self.checkpoint_full_every > 0
+                and epoch % self.checkpoint_full_every == 0
+            )
+            exchange = (
+                self._first if epoch == self.start and self._first is not None
+                else proc.exchange(group)
+            )
+            self._first = None
+            refs = proc.feed_epoch_to_sinks(
+                exchange, _epoch_ts(epoch), paths, final=final,
+                ckpt=(self.out_root, epoch, full_ckpt),
+            )
+        self.pending.append((epoch, refs, time.monotonic()))
+
+    def commit_oldest(self) -> None:
+        """Commit the oldest in-flight epoch's manifests (blocks until its
+        partitions finish); the injected failure fires right after."""
+        epoch, refs, t_submit = self.pending.pop(0)
+        rows_per_part = ray.get(refs)
+        e_rows = 0
+        for name, s in self.sinks.items():
+            rows = {p: r.get(name, 0) for p, r in enumerate(rows_per_part)}
+            s.commit_epoch(epoch, rows)
+            if name == "ordered":
+                e_rows = sum(rows.values())
+                self.total_emitted += e_rows
+        # submit->commit latency + emitted rows, per epoch (pipelined, so
+        # concurrent-epoch latencies overlap; rates() gives the true rate)
+        self._epoch_stage.record(e_rows, time.monotonic() - t_submit)
+        self.stats.record(e_rows)
+        self.epochs_run += 1
+        if self.fail_after_epoch is not None and epoch == self.fail_after_epoch:
+            self.proc.shutdown()
+            raise RuntimeError(f"injected failure after epoch {epoch}")
+
+    def commit_oldest_if_ready(self) -> None:
+        """Commit the oldest in-flight epoch only if all its partitions have
+        finished, so the call never blocks on running work."""
+        if self.pending:
+            refs = list(self.pending[0][1])
+            ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+            if len(ready) == len(refs):
+                self.commit_oldest()
+
+    def drain(self) -> None:
+        """Commit every in-flight epoch: a consistent cut."""
+        while self.pending:
+            self.commit_oldest()
+
+    def finish(self, n_epochs: int, collect_final_status: bool, **metrics) -> StreamResult:
+        """Drain, collect the completion summary (and, if asked, the per-key
+        final status at epoch ``n_epochs``'s tick), stop the actors."""
+        self.drain()
+        # snapshot the sliding-window rate NOW: final-status collection and
+        # actor teardown below can outlast the window and trim it to zero
+        rates = self.stats.rates()
+        fin = None
+        if collect_final_status:
+            fin = self.proc.final_status_table(_epoch_ts(n_epochs)).to_pandas()
+        summary = self.proc.completion_summary()
+        self.proc.shutdown()
+        return StreamResult(
+            out_root=self.out_root,
+            epochs_run=self.epochs_run,
+            epochs_skipped=self.start,
+            total_emitted=self.total_emitted,
+            final_status=fin,
+            sinks=self.sinks,
+            summary=summary,
+            metrics={"rates": rates, "stages": self.stats.summaries(), **metrics},
+        )
+
+
 def run_stream(
     files: list[str],
     out_root: str,
@@ -138,133 +321,21 @@ def run_stream(
     the kill-and-resume path: a subsequent call with resume=True must
     produce output identical to an uninterrupted run).
     """
-    cfg = cfg or OrderedConfig()
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
-
-    sinks = {"ordered": ManifestSink(out_root, "ordered"),
-             "status": ManifestSink(out_root, "status"),
-             "dlq": ManifestSink(out_root, "dlq")}
-    if cfg.window_size_s > 0:
-        sinks["windows"] = ManifestSink(out_root, "windows")
-    if cfg.session_gap_s > 0:
-        sinks["sessions"] = ManifestSink(out_root, "sessions")
-    if cfg.stream_join:
-        sinks["joined"] = ManifestSink(out_root, "joined")
-    if cfg.pattern:
-        sinks["matches"] = ManifestSink(out_root, "matches")
-    if cfg.with_book:
-        sinks["depth"] = ManifestSink(out_root, "depth")
-    if cfg.state_factory is not None:
-        sinks["user"] = ManifestSink(out_root, "user")
-    if cfg.late_data == "drop" and (cfg.window_size_s > 0 or cfg.session_gap_s > 0):
-        sinks["late"] = ManifestSink(out_root, "late")
-
     groups = [
         files[i : i + files_per_epoch] for i in range(0, len(files), files_per_epoch)
     ]
-
-    overrides = _lineage_overrides(
-        out_root, num_partitions, salt_hot_keys, files, cfg.key, resume
+    drv = _EpochDriver(
+        out_root, cfg or OrderedConfig(), num_partitions, groups, resume,
+        salt_hot_keys, files, checkpoint_full_every, max_inflight,
+        fail_after_epoch,
     )
-    e_star = _resume_point(out_root, num_partitions, sinks) if resume else None
-    start = 0 if e_star is None else e_star + 1
-    proc = OrderedProcessor(cfg, num_partitions, overrides)
-    P = proc.P
-    # the first epoch's read+split tasks have no side effects: submit them
-    # while the actors start and restore
-    first = proc.exchange(groups[start]) if start < len(groups) else None
-    # readiness marker: actors constructed and restored, before any
-    # checkpoint write and before the first epoch call
-    proc.wait_ready(out_root, e_star)
-    write_lineage_meta(out_root, P, clear_mismatched=True, overrides=overrides)
-
-    # Pipelined execution, NO per-epoch barrier: each partition's actor call
-    # queue serializes drain(k) -> checkpoint(k) -> drain(k+1); the driver
-    # trails behind committing sink manifests strictly in epoch order.
-    # Crash-consistency: an actor checkpoint may exist for an epoch whose
-    # manifests never committed; _resume_point therefore takes the newest
-    # epoch with BOTH a full checkpoint cut AND a contiguous manifest prefix,
-    # and later epochs re-run deterministically (overwriting their files and
-    # stale checkpoints byte-identically).
-    import time as _t
-
-    from .metrics import StatsTracker
-
-    stats = StatsTracker()
-    epoch_stage = stats.stage("epoch_commit")
-    total_emitted = 0
-    epochs_run = 0
-    pending: list[tuple[int, list, float]] = []
-
-    def commit_oldest():
-        nonlocal total_emitted, epochs_run
-        epoch, refs, t_submit = pending.pop(0)
-        rows_per_part = ray.get(refs)
-        e_rows = 0
-        for name, s in sinks.items():
-            rows = {p: r.get(name, 0) for p, r in enumerate(rows_per_part)}
-            s.commit_epoch(epoch, rows)
-            if name == "ordered":
-                e_rows = sum(rows.values())
-                total_emitted += e_rows
-        # submit->commit latency + emitted rows, per epoch (pipelined, so
-        # concurrent-epoch latencies overlap; rates() gives the true rate)
-        epoch_stage.record(e_rows, _t.monotonic() - t_submit)
-        stats.record(e_rows)
-        epochs_run += 1
-        if fail_after_epoch is not None and epoch == fail_after_epoch:
-            proc.shutdown()
-            raise RuntimeError(f"injected failure after epoch {epoch}")
-
-    for epoch, group in enumerate(groups):
-        final = epoch == len(groups) - 1
-        if epoch < start:
-            continue
-        while len(pending) >= max_inflight:
-            commit_oldest()
-        status_ts = pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=epoch)
-        paths = [
-            {name: s.part_path(epoch, p) for name, s in sinks.items()}
-            for p in range(P)
-        ]
-        # compaction cadence: every k-th epoch writes a FULL counter snapshot
-        # (restore merges deltas only from the newest full epoch)
-        full_ckpt = checkpoint_full_every > 0 and epoch % checkpoint_full_every == 0
-        # file paths go straight in: the fused read+split task decodes and
-        # shards each file in one step (whole blocks never enter plasma)
-        exchange = first if epoch == start else proc.exchange(group)
-        out_refs = proc.feed_epoch_to_sinks(
-            exchange, status_ts, paths, final=final, ckpt=(out_root, epoch, full_ckpt)
-        )
-        pending.append((epoch, out_refs, _t.monotonic()))
-    while pending:
-        commit_oldest()
-    # snapshot the sliding-window rate NOW: final-status collection and
-    # actor teardown below can outlast the window and trim it to zero
-    rates = stats.rates()
-
-    fin = None
-    if collect_final_status:
-        fin = proc.final_status_table(
-            pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=len(groups))
-        ).to_pandas()
-    summary = proc.completion_summary()
-    proc.shutdown()
-    return StreamResult(
-        out_root=out_root,
-        epochs_run=epochs_run,
-        epochs_skipped=start,
-        total_emitted=total_emitted,
-        final_status=fin,
-        sinks=sinks,
-        summary=summary,
-        metrics={"rates": rates, "stages": stats.summaries()},
-    )
+    for epoch in range(drv.start, len(groups)):
+        drv.feed(epoch, groups[epoch], final=epoch == len(groups) - 1)
+    return drv.finish(len(groups), collect_final_status)
 
 
 # ---------------------------------------------------------------------------
-# continuous (unbounded) mode
+# continuous (unbounded) feed
 # ---------------------------------------------------------------------------
 
 
@@ -272,29 +343,37 @@ def _epoch_record_dir(out_root: str) -> Path:
     return Path(out_root) / "epochs"
 
 
+def _write_json_atomic(path: Path, obj: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj))
+    os.replace(tmp, path)
+
+
 def _record_epoch(out_root: str, epoch: int, files: list[str]) -> None:
     """Durably pin an epoch's file group BEFORE feeding it, so a resumed run
     re-forms identical epochs regardless of what has landed since."""
-    import json
-    import os
-
-    d = _epoch_record_dir(out_root)
-    d.mkdir(parents=True, exist_ok=True)
-    tmp = d / f"epoch-{epoch:05d}.json.tmp"
-    tmp.write_text(json.dumps({"epoch": epoch, "files": files}))
-    os.replace(tmp, d / f"epoch-{epoch:05d}.json")
+    _write_json_atomic(
+        _epoch_record_dir(out_root) / f"epoch-{epoch:05d}.json",
+        {"epoch": epoch, "files": files},
+    )
 
 
 def _load_epoch_records(out_root: str) -> list[list[str]]:
-    import json
-
+    """The recorded file groups, epoch 0 first. A gap would renumber every
+    later group, and a resume would overwrite committed epochs with other
+    files' output, so a missing record raises."""
     d = _epoch_record_dir(out_root)
     if not d.exists():
         return []
     groups = []
     for f in sorted(d.glob("epoch-*.json")):
         rec = json.loads(f.read_text())
-        assert rec["epoch"] == len(groups), "epoch records must be contiguous"
+        if rec["epoch"] != len(groups):
+            raise ValueError(
+                f"epoch records under {d} are not contiguous: the record of "
+                f"epoch {len(groups)} is missing (next is {f.name})"
+            )
         groups.append(rec["files"])
     return groups
 
@@ -304,14 +383,10 @@ def _complete_autoscale(out_root: str, key: str) -> None:
     (written BEFORE rescale_checkpoint starts) carries (epoch, from, to);
     rescale_checkpoint is idempotent for the same arguments, so re-running
     it completes whatever phase the crash cut short."""
-    import json as _json
-
     marker = Path(out_root) / "ckpt" / "_autoscale.json"
     if not marker.exists():
         return
-    info = _json.loads(marker.read_text())
-    from .checkpoint import read_lineage_meta
-
+    info = json.loads(marker.read_text())
     meta = read_lineage_meta(out_root)
     done = (
         meta is not None
@@ -319,8 +394,6 @@ def _complete_autoscale(out_root: str, key: str) -> None:
         and not meta.get("migrating_to")
     )
     if not done:
-        from .rescale import rescale_checkpoint
-
         rescale_checkpoint(
             out_root, info["epoch"], info["from"], info["to"], key=key
         )
@@ -380,11 +453,7 @@ def run_stream_continuous(
     micro-batched. Both directions share the durable ``_autoscale.json``
     intent marker, so a crash mid-shrink is finished on resume too.
     """
-    import time as _time
-
     cfg = cfg or OrderedConfig()
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
     land = Path(landing_dir)
     # NOTE on the stop marker: a PRE-EXISTING <landing>/<stop_file> is a
     # supported finite-replay pattern (callers land files then write the
@@ -400,30 +469,10 @@ def run_stream_continuous(
         # finish any rescale a crash interrupted (idempotent two-phase
         # protocol in rescale.rescale_checkpoint), then adopt the lineage
         # meta's P — authoritative over the caller's num_partitions
-        from .checkpoint import read_lineage_meta
-
         _complete_autoscale(out_root, cfg.key)
         meta0 = read_lineage_meta(out_root)
         if meta0 is not None and meta0.get("partitions"):
             num_partitions = int(meta0["partitions"])
-
-    sinks = {"ordered": ManifestSink(out_root, "ordered"),
-             "status": ManifestSink(out_root, "status"),
-             "dlq": ManifestSink(out_root, "dlq")}
-    if cfg.window_size_s > 0:
-        sinks["windows"] = ManifestSink(out_root, "windows")
-    if cfg.session_gap_s > 0:
-        sinks["sessions"] = ManifestSink(out_root, "sessions")
-    if cfg.stream_join:
-        sinks["joined"] = ManifestSink(out_root, "joined")
-    if cfg.pattern:
-        sinks["matches"] = ManifestSink(out_root, "matches")
-    if cfg.with_book:
-        sinks["depth"] = ManifestSink(out_root, "depth")
-    if cfg.state_factory is not None:
-        sinks["user"] = ManifestSink(out_root, "user")
-    if cfg.late_data == "drop" and (cfg.window_size_s > 0 or cfg.session_gap_s > 0):
-        sinks["late"] = ManifestSink(out_root, "late")
 
     groups = _load_epoch_records(out_root)
     # salting samples the head of the stream: recorded epochs first (their
@@ -432,43 +481,23 @@ def run_stream_continuous(
         [f for g in groups[:2] for f in g]
         or [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
     )
-    if salt_hot_keys and not sample_files:
-        from .checkpoint import read_lineage_meta
-
-        if read_lineage_meta(out_root) is None:
-            # consumer started before any producer wrote: wait (bounded by
-            # the idle timeout) for the first files — salting against an
-            # empty dir would permanently record a pin-free lineage
-            t_wait = _time.monotonic()
-            while (
-                not sample_files
-                and not (land / stop_file).exists()
-                and _time.monotonic() - t_wait < idle_timeout_s
-            ):
-                _time.sleep(poll_interval_s)
-                sample_files = [
-                    str(f) for f in sorted(land.glob("*.parquet"))[:4]
-                ]
-    overrides = _lineage_overrides(
-        out_root, num_partitions, salt_hot_keys, sample_files, cfg.key, resume
+    if salt_hot_keys and not sample_files and read_lineage_meta(out_root) is None:
+        # consumer started before any producer wrote: wait (bounded by the
+        # idle timeout) for the first files — salting against an empty dir
+        # would permanently record a pin-free lineage
+        t_wait = time.monotonic()
+        while (
+            not sample_files
+            and not (land / stop_file).exists()
+            and time.monotonic() - t_wait < idle_timeout_s
+        ):
+            time.sleep(poll_interval_s)
+            sample_files = [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
+    drv = _EpochDriver(
+        out_root, cfg, num_partitions, groups, resume, salt_hot_keys,
+        sample_files, checkpoint_full_every, max_inflight=3,
+        fail_after_epoch=fail_after_epoch,
     )
-    e_star = (
-        _resume_point(out_root, num_partitions, sinks) if resume and groups else None
-    )
-    start = 0 if e_star is None else e_star + 1
-    proc = OrderedProcessor(cfg, num_partitions, overrides)
-    P = proc.P
-    proc.wait_ready(out_root, e_star)
-    write_lineage_meta(out_root, P, clear_mismatched=True, overrides=overrides)
-
-    from .metrics import StatsTracker
-
-    stats = StatsTracker()
-    epoch_stage = stats.stage("epoch_commit")
-    total_emitted = 0
-    epochs_run = 0
-    pending: list[tuple[int, list, float]] = []
-    max_inflight = 3
     rescales: list[dict] = []  # autoscale events (observability)
     last_rescale_epoch = -(10**9)  # cooldown anchor (no rescale yet)
 
@@ -477,64 +506,34 @@ def run_stream_continuous(
         cut, write the durable intent marker, migrate every partition's
         keyed state (crash-safe two-phase rescale_checkpoint), rebuild the
         actor pool at new_P, restore from the cut."""
-        nonlocal proc, P, last_rescale_epoch
-        import json as _js
-        import os as _os
-
-        from .checkpoint import read_lineage_meta
-        from .rescale import rescale_checkpoint
-
-        while pending:
-            commit_oldest()
+        nonlocal last_rescale_epoch
+        drv.drain()
         cut = next_epoch - 1
-        proc.shutdown()
+        old_P = drv.proc.P
+        drv.proc.shutdown()
         # durable intent marker: a crash mid-rescale is finished by
         # _complete_autoscale on the next resume
         marker = Path(out_root) / "ckpt" / "_autoscale.json"
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        tmpm = marker.with_suffix(".tmp")
-        tmpm.write_text(_js.dumps({"epoch": cut, "from": P, "to": new_P}))
-        _os.replace(tmpm, marker)
-        rescale_checkpoint(out_root, cut, P, new_P, key=cfg.key)
+        _write_json_atomic(marker, {"epoch": cut, "from": old_P, "to": new_P})
+        rescale_checkpoint(out_root, cut, old_P, new_P, key=cfg.key)
         marker.unlink()
-        meta_r = read_lineage_meta(out_root)
-        overrides_r = (meta_r or {}).get("overrides") or None
-        proc = OrderedProcessor(cfg, new_P, overrides_r)
-        old_P, P = P, proc.P
-        proc.wait_ready(out_root, cut)
-        rescales.append({"epoch": cut, "from": old_P, "to": P, "kind": kind})
+        overrides_r = (read_lineage_meta(out_root) or {}).get("overrides") or None
+        drv.proc = OrderedProcessor(cfg, new_P, overrides_r)
+        drv.proc.wait_ready(out_root, cut)
+        rescales.append({"epoch": cut, "from": old_P, "to": drv.proc.P, "kind": kind})
         last_rescale_epoch = next_epoch
-
-    def commit_oldest():
-        nonlocal total_emitted, epochs_run
-        epoch, refs, t_submit = pending.pop(0)
-        rows_per_part = ray.get(refs)
-        e_rows = 0
-        for name, s in sinks.items():
-            rows = {p: r.get(name, 0) for p, r in enumerate(rows_per_part)}
-            s.commit_epoch(epoch, rows)
-            if name == "ordered":
-                e_rows = sum(rows.values())
-                total_emitted += e_rows
-        epoch_stage.record(e_rows, _time.monotonic() - t_submit)
-        stats.record(e_rows)
-        epochs_run += 1
-        if fail_after_epoch is not None and epoch == fail_after_epoch:
-            proc.shutdown()
-            raise RuntimeError(f"injected failure after epoch {epoch}")
 
     def probe_state(epoch: int) -> None:
         """Append per-operator keyed-state sizes + driver RSS to
         out_root/state_probe.jsonl (soak observability; cheap O(P) poll)."""
-        import json as _json
         import resource
 
-        sizes = ray.get([w.state_sizes.remote() for w in proc.workers])
+        sizes = ray.get([w.state_sizes.remote() for w in drv.proc.workers])
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         rec = {
-            "t": _time.time(),
+            "t": time.time(),
             "epoch": epoch,
-            "P": P,
+            "P": drv.proc.P,
             "driver_maxrss_kb": int(rss_kb),
             "state": {
                 op: {
@@ -545,52 +544,23 @@ def run_stream_continuous(
             },
         }
         with open(Path(out_root) / "state_probe.jsonl", "a") as f:
-            f.write(_json.dumps(rec) + "\n")
+            f.write(json.dumps(rec) + "\n")
 
-    def feed(epoch: int, group: list[str], final: bool):
-        while len(pending) >= max_inflight:
-            commit_oldest()
-        status_ts = pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=epoch)
-        paths = [
-            {name: s.part_path(epoch, p) for name, s in sinks.items()}
-            for p in range(P)
-        ]
-        full_ckpt = checkpoint_full_every > 0 and epoch % checkpoint_full_every == 0
-        pending.append((epoch, proc.feed_epoch_to_sinks(
-            proc.exchange(group), status_ts, paths, final=final,
-            ckpt=(out_root, epoch, full_ckpt),
-        ), _time.monotonic()))
-        if probe_state_every_epochs and epoch % probe_state_every_epochs == 0:
+    def feed(epoch: int, group: list[str]) -> None:
+        drv.feed(epoch, group)
+        if group and probe_state_every_epochs and epoch % probe_state_every_epochs == 0:
             probe_state(epoch)
-
-    def feed_flush(epoch: int):
-        """Re-emit the open-window/join flush as a first-class epoch."""
-        while len(pending) >= max_inflight:
-            commit_oldest()
-        paths = [
-            {name: s.part_path(epoch, p) for name, s in sinks.items()}
-            for p in range(P)
-        ]
-        pending.append(
-            (epoch, [w.flush_final_to_sink.remote(paths[p])
-                     for p, w in enumerate(proc.workers)], _time.monotonic())
-        )
 
     # 1. replay already-recorded epochs (deterministic composition); an
     # empty recorded group is a flush epoch from a previous run
-    for epoch, group in enumerate(groups):
-        if epoch < start:
-            continue
-        if group:
-            feed(epoch, group, final=False)
-        else:
-            feed_flush(epoch)
+    for epoch in range(drv.start, len(groups)):
+        feed(epoch, groups[epoch])
 
     assigned = {f for g in groups for f in g}
     known = set(assigned)  # every file ever OBSERVED (for the idle clock)
     next_epoch = len(groups)
     last_was_flush = bool(groups) and not groups[-1]
-    last_new = _time.monotonic()
+    last_new = time.monotonic()
     low_since = None  # continuous low-backlog clock (shrink trigger)
 
     # 2. poll for newly landed files
@@ -603,9 +573,9 @@ def run_stream_continuous(
         fresh = [f for f in files_now if f not in known]
         if fresh:
             known.update(fresh)
-            last_new = _time.monotonic()
+            last_new = time.monotonic()
         new = [f for f in files_now if f not in assigned]
-        exiting = stop or (_time.monotonic() - last_new > idle_timeout_s)
+        exiting = stop or (time.monotonic() - last_new > idle_timeout_s)
         assigned_this_poll = 0
         # full groups always; the partial remainder only when exiting
         while len(new) >= files_per_epoch or (exiting and new):
@@ -613,13 +583,13 @@ def run_stream_continuous(
             new = new[files_per_epoch:]
             _record_epoch(out_root, next_epoch, group)
             assigned.update(group)
-            feed(next_epoch, group, final=False)
+            feed(next_epoch, group)
             next_epoch += 1
             assigned_this_poll += 1
             last_was_flush = False
             if (
                 autoscale_backlog_epochs is not None
-                and P < autoscale_max_partitions
+                and drv.proc.P < autoscale_max_partitions
                 and len(new) >= autoscale_backlog_epochs * files_per_epoch
                 # cooldown: let the grown pool chew through at least one
                 # backlog window before growing again (no flapping straight
@@ -629,7 +599,7 @@ def run_stream_continuous(
                 # backlog-driven grow: drain to a consistent cut, migrate
                 # state, rebuild the pool at the larger P
                 rescale_to(
-                    min(autoscale_max_partitions, P * autoscale_factor),
+                    min(autoscale_max_partitions, drv.proc.P * autoscale_factor),
                     "grow",
                 )
                 low_since = None
@@ -645,13 +615,8 @@ def run_stream_continuous(
         # and under trickle arrival an unconditional call would serialize
         # the driver on the in-flight epoch every poll, stalling _STOP /
         # new-file polling for the epoch's full duration (ADVICE r4).
-        if not assigned_this_poll and pending:
-            oldest_refs = list(pending[0][1])
-            ready, _ = ray.wait(
-                oldest_refs, num_returns=len(oldest_refs), timeout=0
-            )
-            if len(ready) == len(oldest_refs):
-                commit_oldest()
+        if not assigned_this_poll:
+            drv.commit_oldest_if_ready()
         # idle-driven shrink: backlog has stayed under one epoch's worth
         # of files continuously for autoscale_shrink_idle_s
         if (
@@ -660,60 +625,32 @@ def run_stream_continuous(
             and not exiting
         ):
             if assigned_this_poll:
-                # work flowed this poll — the stream is NOT idle. (The old
-                # `len(new) >= files_per_epoch` test was unreachable: the
-                # assignment loop above always drains `new` below one
-                # epoch's worth, so a fully busy stream would have been
-                # shrunk as if idle.)
+                # work flowed this poll — the stream is NOT idle (the
+                # assignment loop always drains `new` below one epoch's
+                # worth, so its length cannot tell)
                 low_since = None
             elif low_since is None:
-                low_since = _time.monotonic()
+                low_since = time.monotonic()
             elif (
-                _time.monotonic() - low_since >= autoscale_shrink_idle_s
-                and P > autoscale_min_partitions
+                time.monotonic() - low_since >= autoscale_shrink_idle_s
+                and drv.proc.P > autoscale_min_partitions
             ):
                 new_P = max(
-                    autoscale_min_partitions, max(1, P // autoscale_factor)
+                    autoscale_min_partitions, max(1, drv.proc.P // autoscale_factor)
                 )
-                if new_P < P:
+                if new_P < drv.proc.P:
                     rescale_to(new_P, "shrink")
                 low_since = None
         if exiting:
             break
-        _time.sleep(poll_interval_s)
+        time.sleep(poll_interval_s)
 
     # 3. final flush: open windows (and any terminal operator output) are
     # released by run_stream's final=True epoch; here the exit usually races
     # the stop sentinel past the last data epoch, so flush explicitly as one
     # more recorded epoch (idempotent on re-run like any other epoch).
-    if (("windows" in sinks or "sessions" in sinks or "joined" in sinks
-         or "matches" in sinks)
-            and next_epoch and not last_was_flush):
+    if any(n in drv.sinks for n in _FLUSH_SINKS) and next_epoch and not last_was_flush:
         _record_epoch(out_root, next_epoch, [])
-        feed_flush(next_epoch)
+        feed(next_epoch, [])
         next_epoch += 1
-
-    while pending:
-        commit_oldest()
-    # snapshot the sliding-window rate NOW: final-status collection and
-    # actor teardown below can outlast the window and trim it to zero
-    rates = stats.rates()
-
-    fin = None
-    if collect_final_status:
-        fin = proc.final_status_table(
-            pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=next_epoch)
-        ).to_pandas()
-    summary = proc.completion_summary()
-    proc.shutdown()
-    return StreamResult(
-        out_root=out_root,
-        epochs_run=epochs_run,
-        epochs_skipped=start,
-        total_emitted=total_emitted,
-        final_status=fin,
-        sinks=sinks,
-        summary=summary,
-        metrics={"rates": rates, "stages": stats.summaries(),
-                 "rescales": rescales},
-    )
+    return drv.finish(next_epoch, collect_final_status, rescales=rescales)

@@ -77,41 +77,29 @@ def _concat_shards(*tbls: pa.Table) -> pa.RecordBatch:
 
 
 @ray.remote
-def _read_and_split(
-    key: str, P: int, overrides, range_bounds, paths: list[str]
-) -> list[pa.RecordBatch]:
+def _read_and_split_parts(
+    key: str, P: int, parts: tuple, overrides, range_bounds, paths: list[str]
+):
     """Fused source + map side of the exchange: decode Parquet file(s) and
-    split straight into P compact per-partition shards. The whole block
-    never enters the object store — only the shards do — which cuts the
+    split straight into compact shards of the partitions in ``parts``
+    (returned alone for one part, else as a tuple). The whole block never
+    enters the object store — only the shards do — which cuts the
     full-data plasma crossings per epoch from 3 (read put, split put, concat
     put) to 1. At 32 cores on one node the exchange is store-bandwidth
-    bound, so this is the main scaling lever (BASELINE.md round-1 analysis)."""
+    bound, so this is the main scaling lever (BASELINE.md round-1 analysis).
+
+    The file path exchange asks for every partition, or with P == 1 the one
+    shard itself. Locality-aware (OrderedConfig.locality_split), one task
+    per node is node-affinity-scheduled onto the node hosting the state
+    actors for ``parts`` and materializes ONLY those partitions' shards — so
+    exchange shards never cross raylets. The trade is N_nodes redundant
+    decodes of each file group against zero cross-node object transfer;
+    sound when the input is node-local anyway (shared FS / page cache /
+    object storage read per node) and transfer dominates decode."""
     import pyarrow.parquet as pq
 
     # many split tasks run side by side; arrow's default all-cores pool per
     # task would thrash the node (same reasoning as OrderedWorker.__init__)
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(1)
-    tbls = [pq.read_table(p) for p in paths]
-    tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
-    return [_as_batch(t) for t in split_table(tbl, key, P, overrides, range_bounds)]
-
-
-@ray.remote
-def _read_and_split_parts(
-    key: str, P: int, parts: tuple, overrides, range_bounds, paths: list[str]
-):
-    """Locality-aware fused read+split (OrderedConfig.locality_split): this
-    task is node-affinity-scheduled onto the node hosting the state actors
-    for ``parts``, decodes the file group locally, and materializes ONLY
-    those partitions' shards — so exchange shards never cross raylets. The
-    trade is N_nodes redundant decodes of each file group against zero
-    cross-node object transfer; sound when the input is node-local anyway
-    (shared FS / page cache / object storage read per node) and transfer
-    dominates decode. With P == 1 it is the single-partition read path: one
-    task returns the one shard itself."""
-    import pyarrow.parquet as pq
-
     pa.set_cpu_count(1)
     pa.set_io_thread_count(1)
     tbls = [pq.read_table(p) for p in paths]
@@ -317,12 +305,12 @@ class OrderedWorker:
         never re-cross the object store. Returns {sink_name: rows_written}.
 
         ``sink_paths`` maps sink name -> this partition's part path for the
-        epoch; recognized names: ordered, status, windows, joined.
+        epoch (the sinks epochs._open_sinks opens for the config).
         ``ckpt=(root, epoch)`` additionally checkpoints this partition right
         here, so drain(k) -> checkpoint(k) -> drain(k+1) sequence per
         partition follows from the actor call queue with NO driver barrier
         (the driver trails behind, committing sink manifests in epoch order;
-        see epochs.run_stream for the resume rule this relies on).
+        see epochs._EpochDriver for the resume rule this relies on).
         """
         from .sink import write_part_atomic
 
@@ -342,30 +330,10 @@ class OrderedWorker:
             out["ordered"] = write_part_atomic(towrite, sink_paths["ordered"])
         if "status" in sink_paths:
             out["status"] = write_part_atomic(status, sink_paths["status"])
-        if "windows" in sink_paths and self.windows is not None:
-            w = self.take_window_output(final)
-            out["windows"] = write_part_atomic(w, sink_paths["windows"]) if w is not None else 0
-        if "sessions" in sink_paths and self.sessions is not None:
-            w = self.take_session_output(final)
-            out["sessions"] = write_part_atomic(w, sink_paths["sessions"]) if w is not None else 0
-        if "joined" in sink_paths and self.joiner is not None:
-            j = self.take_join_output()
-            out["joined"] = (
-                write_part_atomic(j, sink_paths["joined"]) if j is not None else 0
-            )
-        if "matches" in sink_paths and self.matcher is not None:
-            mt = self.take_match_output(final)
-            out["matches"] = (
-                write_part_atomic(mt, sink_paths["matches"]) if mt is not None else 0
-            )
+        out.update(self._write_operator_outputs(sink_paths, final))
         if "depth" in sink_paths and self.book is not None:
             d = self.book.take_touched_depth(self.cfg.book_depth)
             out["depth"] = write_part_atomic(d, sink_paths["depth"])
-        if "user" in sink_paths and self.user is not None:
-            u = self.take_user_output()
-            out["user"] = (
-                write_part_atomic(u, sink_paths["user"]) if u is not None else 0
-            )
         if "dlq" in sink_paths:
             d = self.take_dlq()
             out["dlq"] = write_part_atomic(d, sink_paths["dlq"]) if d is not None else 0
@@ -382,34 +350,42 @@ class OrderedWorker:
             self.checkpoint_to(*ckpt)
         return out
 
+    def _side_operators(self) -> dict:
+        """The keyed side operators this config runs, by sink name."""
+        ops = (("windows", self.windows), ("sessions", self.sessions),
+               ("joined", self.joiner), ("matches", self.matcher))
+        return {name: op for name, op in ops if op is not None}
+
     def gc_state(self) -> dict:
         """Evict keyed operator state idle past cfg.state_ttl_s of event
         time (each operator measures against its own watermark). Returns
         per-operator eviction counts (observability)."""
         ttl_us = int(self.cfg.state_ttl_s * 1_000_000)
-        out = {}
-        if self.windows is not None:
-            out["windows"] = self.windows.gc(ttl_us)
-        if self.sessions is not None:
-            out["sessions"] = self.sessions.gc(ttl_us)
-        if self.joiner is not None:
-            out["joined"] = self.joiner.gc(ttl_us)
-        if self.matcher is not None:
-            out["matches"] = self.matcher.gc(ttl_us)
-        return out
+        return {name: op.gc(ttl_us) for name, op in self._side_operators().items()}
 
     def state_sizes(self) -> dict:
         """Current keyed-state footprint per operator (for soak tests and
         backlog monitoring)."""
+        return {name: op.state_size() for name, op in self._side_operators().items()}
+
+    def _write_operator_outputs(self, sink_paths: dict, final: bool) -> dict:
+        """Write this epoch's windows, sessions, joined, matches and user
+        parts (the outputs a flush epoch also releases); ``final`` closes
+        whatever is still open. Returns {sink_name: rows_written}."""
+        from .sink import write_part_atomic
+
+        takes = {
+            "windows": lambda: self.take_window_output(final),
+            "sessions": lambda: self.take_session_output(final),
+            "joined": self.take_join_output,
+            "matches": lambda: self.take_match_output(final),
+            "user": self.take_user_output,
+        }
         out = {}
-        if self.windows is not None:
-            out["windows"] = self.windows.state_size()
-        if self.sessions is not None:
-            out["sessions"] = self.sessions.state_size()
-        if self.joiner is not None:
-            out["joined"] = self.joiner.state_size()
-        if self.matcher is not None:
-            out["matches"] = self.matcher.state_size()
+        for name, take in takes.items():
+            if name in sink_paths:
+                t = take()
+                out[name] = write_part_atomic(t, sink_paths[name]) if t is not None else 0
         return out
 
     def flush_final_to_sink(self, sink_paths: dict) -> dict:
@@ -420,25 +396,7 @@ class OrderedWorker:
         consult manifests and skip rows==0 entries (sink.committed_files).
         Idempotent like any epoch (deterministic given the restored
         state)."""
-        from .sink import write_part_atomic
-
-        out = {}
-        if "windows" in sink_paths and self.windows is not None:
-            w = self.take_window_output(final=True)
-            out["windows"] = write_part_atomic(w, sink_paths["windows"]) if w is not None else 0
-        if "sessions" in sink_paths and self.sessions is not None:
-            w = self.take_session_output(final=True)
-            out["sessions"] = write_part_atomic(w, sink_paths["sessions"]) if w is not None else 0
-        if "joined" in sink_paths and self.joiner is not None:
-            j = self.take_join_output()
-            out["joined"] = write_part_atomic(j, sink_paths["joined"]) if j is not None else 0
-        if "matches" in sink_paths and self.matcher is not None:
-            mt = self.take_match_output(final=True)
-            out["matches"] = write_part_atomic(mt, sink_paths["matches"]) if mt is not None else 0
-        if "user" in sink_paths and self.user is not None:
-            u = self.take_user_output()
-            out["user"] = write_part_atomic(u, sink_paths["user"]) if u is not None else 0
-        return out
+        return self._write_operator_outputs(sink_paths, final=True)
 
     def drain(self, status_ts):
         """Drain buffered overflow after a capped round (≙ re-firing of the
@@ -521,11 +479,7 @@ class OrderedWorker:
         """Join pairs produced since the last take (stream_ops)."""
         if self.joiner is None:
             return None
-        out = self._join_out
-        self._join_out = []
-        if not out:
-            return None
-        return pa.concat_tables(out) if len(out) > 1 else out[0]
+        return self._take_buffered(self._join_out)
 
     def take_match_output(self, final: bool = False):
         """CEP pattern matches produced since the last take (cep). With
@@ -537,11 +491,7 @@ class OrderedWorker:
             ft = self.matcher.take_final()
             if ft is not None and ft.num_rows:
                 self._match_out.append(ft)
-        out = self._match_out
-        self._match_out = []
-        if not out:
-            return None
-        return pa.concat_tables(out) if len(out) > 1 else out[0]
+        return self._take_buffered(self._match_out)
 
     def snapshot(self, dirty_only: bool = False):
         snap = self.state.snapshot(dirty_only=dirty_only)
@@ -728,8 +678,9 @@ class OrderedProcessor:
                     per_group.append(refs)
             else:
                 per_group = [
-                    _read_and_split.options(num_returns=self.P).remote(
-                        key, self.P, self.overrides, self.range_bounds, g
+                    _read_and_split_parts.options(num_returns=self.P).remote(
+                        key, self.P, tuple(range(self.P)), self.overrides,
+                        self.range_bounds, g,
                     )
                     for g in groups
                 ]

@@ -213,22 +213,58 @@ def committed_landing_files(out_root: str) -> set[str]:
     Full rescan — O(total epochs). The stateless ``pump()`` uses it;
     long-running loops should use ``Pump``, whose frontier cursor makes
     each poll O(newly committed epochs)."""
-    from .epochs import _load_epoch_records
+    from .epochs import _committed_prefix, _load_epoch_records
     from .sink import ManifestSink
 
-    committed = ManifestSink(out_root, "ordered").committed_epochs()
-    prefix = -1
-    for e in committed:
-        if e == prefix + 1:
-            prefix = e
-        else:
-            break
+    prefix = _committed_prefix(ManifestSink(out_root, "ordered"))
     files: set[str] = set()
     for e, group in enumerate(_load_epoch_records(out_root)):
         if e > prefix:
             break
         files.update(Path(f).name for f in group)
     return files
+
+
+def run_landing_batches(
+    landing_dir: str,
+    out_root: str,
+    runner,
+    poll_interval_s: float,
+    idle_timeout_s: float,
+    stop_file: str,
+    **kwargs,
+):
+    """Continuous mode for a resumable bounded stream runner: poll an
+    arrival-ordered landing directory and call ``runner(files, out_root,
+    resume=True, **kwargs)`` on the landed prefix whenever it grows. The
+    runner's durable epoch markers make each call process only new files,
+    exactly-once across polls AND crashes.
+
+    Only complete ``files_per_epoch`` groups run mid-stream, so epoch
+    boundaries never shift as files arrive; the trailing partial group runs
+    once ``<landing_dir>/<stop_file>`` exists. The loop also ends after
+    ``idle_timeout_s`` without new files. Returns the last runner result."""
+    fpe = kwargs.get("files_per_epoch", 2)
+    land = Path(landing_dir)
+    last_new = time.monotonic()
+    processed = 0
+    res = None
+    while True:
+        stop = (land / stop_file).exists()
+        files = sorted(str(f) for f in land.glob("*.parquet"))
+        usable = files if stop else files[: (len(files) // fpe) * fpe]
+        if len(usable) > processed:
+            res = runner(usable, out_root, resume=True, **kwargs)
+            processed = len(usable)
+            last_new = time.monotonic()
+        if stop and processed == len(files):
+            break
+        if time.monotonic() - last_new > idle_timeout_s:
+            break
+        time.sleep(poll_interval_s)
+    if res is None:
+        res = runner(files, out_root, resume=True, **kwargs)
+    return res
 
 
 class Pump:

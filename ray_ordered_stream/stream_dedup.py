@@ -36,6 +36,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .sink import ManifestSink, write_part_atomic
+from .source import run_landing_batches
 
 
 _MD5_CON = None
@@ -1054,38 +1055,16 @@ def run_dedup_stream_continuous(
 
     Producers must write files whose names sort after all earlier files
     (the landing-dir convention shared with epochs.run_stream_continuous);
-    only complete ``files_per_epoch`` groups run mid-stream, so epoch
-    boundaries never shift as files arrive. The trailing partial group runs
-    once the ``stop_file`` appears (or the idle timeout fires).
+    the poll loop is ``source.run_landing_batches``.
 
     Trade-off (documented, not hidden): state actors are re-created and
     restored once per poll that has work — bounded by snapshot compaction,
     and the right shape for a sandbox driver; a long-lived deployment would
     keep the actors resident between polls."""
-    fpe = kwargs.get("files_per_epoch", 2)
-    runner = run_neardup_stream if near else run_dedup_stream
-    land = Path(landing_dir)
-    last_new = time.monotonic()
-    processed = 0
-    res = None
-    while True:
-        stop = (land / stop_file).exists()
-        files = sorted(
-            str(f) for f in land.glob("*.parquet")
-        )
-        usable = files if stop else files[: (len(files) // fpe) * fpe]
-        if len(usable) > processed:
-            res = runner(usable, out_root, resume=True, **kwargs)
-            processed = len(usable)
-            last_new = time.monotonic()
-        if stop and processed == len(files):
-            break
-        if time.monotonic() - last_new > idle_timeout_s:
-            break
-        time.sleep(poll_interval_s)
-    if res is None:
-        res = runner(files, out_root, resume=True, **kwargs)
-    return res
+    return run_landing_batches(
+        landing_dir, out_root, run_neardup_stream if near else run_dedup_stream,
+        poll_interval_s, idle_timeout_s, stop_file, **kwargs,
+    )
 
 
 def rescale_dedup_checkpoint(out_root: str, new_partitions: int, near: bool = False):

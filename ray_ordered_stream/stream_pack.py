@@ -29,6 +29,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .sink import ManifestSink, write_part_atomic
+from .source import run_landing_batches
 
 
 @ray.remote(num_cpus=0)
@@ -275,29 +276,10 @@ def run_pack_stream_continuous(
     every poll pick up exactly where the last one stopped (same protocol
     as the dedup streams' continuous mode; a ``_STOP`` sentinel flushes
     the trailing partial epoch and exits)."""
-    import time as _time
-
-    fpe = kwargs.get("files_per_epoch", 2)
-    land = Path(landing_dir)
-    last_new = _time.monotonic()
-    processed = 0
-    res = None
-    while True:
-        stop = (land / stop_file).exists()
-        files = sorted(str(f) for f in land.glob("*.parquet"))
-        usable = files if stop else files[: (len(files) // fpe) * fpe]
-        if len(usable) > processed:
-            res = run_pack_stream(usable, out_root, resume=True, **kwargs)
-            processed = len(usable)
-            last_new = _time.monotonic()
-        if stop and processed == len(files):
-            break
-        if _time.monotonic() - last_new > idle_timeout_s:
-            break
-        _time.sleep(poll_interval_s)
-    if res is None:
-        res = run_pack_stream(files, out_root, resume=True, **kwargs)
-    return res
+    return run_landing_batches(
+        landing_dir, out_root, run_pack_stream, poll_interval_s,
+        idle_timeout_s, stop_file, **kwargs,
+    )
 
 
 def rescale_pack_checkpoint(out_root: str, new_partitions: int) -> None:

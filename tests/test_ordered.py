@@ -247,7 +247,7 @@ def test_exchange_shards_ship_o_rows_bytes(tmp_path):
     import ray
 
     from ray_ordered_stream.fixtures import gen_transcripts
-    from ray_ordered_stream.ordered import _read_and_split, _read_and_split_parts
+    from ray_ordered_stream.ordered import _read_and_split_parts
 
     t = gen_transcripts(n_convs=60, min_turns=20, max_turns=60, lateness=30, seed=5)
     files = []
@@ -257,7 +257,7 @@ def test_exchange_shards_ship_o_rows_bytes(tmp_path):
         files.append(f)
     assert len(files) == 3
     shards = ray.get(
-        _read_and_split.options(num_returns=4).remote(KEY, 4, None, None, files)
+        _read_and_split_parts.options(num_returns=4).remote(KEY, 4, (0, 1, 2, 3), None, None, files)
     )
     shards.append(ray.get(_read_and_split_parts.remote(KEY, 1, (0,), None, None, files)))
     assert sum(s.num_rows for s in shards[:4]) == shards[4].num_rows == t.num_rows

@@ -38,6 +38,17 @@ def read_sink(res, name):
     return res.sinks[name].read().to_pandas()
 
 
+def part_digests(sink):
+    """(path relative to the sink root, sha256) of every committed part."""
+    import hashlib
+
+    return [
+        (Path(f).relative_to(sink.root).as_posix(),
+         hashlib.sha256(Path(f).read_bytes()).hexdigest())
+        for f in sink.committed_files()
+    ]
+
+
 def test_stream_end_to_end_and_exactly_once(stream_files, tmp_path):
     t, files = stream_files
     out = str(tmp_path / "run1")
@@ -383,6 +394,12 @@ def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
 
     t = gen_transcripts(n_convs=8, min_turns=8, max_turns=25, lateness=30,
                         dup_rate=0.02, seed=34)
+    # three null-key rows, so the dlq sink commits real parts
+    keys = t[KEY].to_pylist()
+    for i in (3, t.num_rows // 2, t.num_rows - 2):
+        keys[i] = None
+    t = t.set_column(t.schema.get_field_index(KEY), KEY,
+                     pa.array(keys, t.schema.field(KEY).type))
     land = tmp_path / "landing"
     land.mkdir()
     files = _write_files_atomic(t, land, 6, start=0, total=6)
@@ -408,6 +425,43 @@ def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
         a = a[cols].sort_values(cols, kind="stable").reset_index(drop=True)
         b = b[cols].sort_values(cols, kind="stable").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
+    assert res.sinks["dlq"].total_committed_rows() == 3
+    # both feeds drive one epoch protocol, so the ordered, status and dlq
+    # parts are byte-identical, file for file. Windows and sessions would
+    # legitimately differ (this config runs neither): the bounded feed
+    # closes them in its last data epoch, the continuous one in a separate
+    # flush epoch.
+    for sink in ("ordered", "status", "dlq"):
+        assert part_digests(res.sinks[sink]) == part_digests(ref.sinks[sink]), sink
+
+
+def test_missing_epoch_record_fails_loudly(tmp_path, ray_session):
+    # a gap in the continuous feed's epoch records would renumber every
+    # later file group, and a resume would overwrite committed epochs with
+    # other files' output: the resume must refuse before writing anything
+    from ray_ordered_stream.epochs import run_stream_continuous
+
+    t = gen_transcripts(n_convs=6, min_turns=4, max_turns=12, lateness=10,
+                        seed=35)
+    land = tmp_path / "landing"
+    land.mkdir()
+    _write_files_atomic(t, land, 6)
+    (land / "_STOP").write_text("")
+    out = tmp_path / "out"
+    run_stream_continuous(str(land), str(out), num_partitions=2,
+                          files_per_epoch=2, poll_interval_s=0.05)
+    (out / "epochs" / "epoch-00001.json").unlink()
+
+    def committed():
+        return {f.relative_to(out).as_posix(): f.read_bytes()
+                for f in sorted(out.rglob("_manifests/*.json"))}
+
+    before = committed()
+    with pytest.raises(ValueError, match="epoch 1 is missing") as err:
+        run_stream_continuous(str(land), str(out), num_partitions=2,
+                              files_per_epoch=2, poll_interval_s=0.05)
+    assert str(out / "epochs") in str(err.value)
+    assert committed() == before
 
 
 def test_long_stream_compaction_resume(tmp_path, ray_session):
