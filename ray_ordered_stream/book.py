@@ -282,6 +282,21 @@ class BookState:
         self.last = {k: tuple(v) for k, v in snap["last"].items()}
 
 
+class BookOperator(BookState):
+    """BookState as a partition actor's operator (stream_ops.OPERATOR_KINDS):
+    each epoch releases the depth of the keys it touched."""
+
+    def __init__(self, cfg):
+        super().__init__(key=cfg.key, seq=cfg.seq)
+        self.depth = cfg.book_depth
+
+    def update(self, tbl: pa.Table, codes_kv=None) -> None:
+        super().update(tbl)
+
+    def take_closed(self, final: bool = False) -> pa.Table:
+        return self.take_touched_depth(self.depth)
+
+
 def flatten_depth(depth_tbl: pa.Table) -> pa.Table:
     """Depth rows -> flat (key, side, level, price, quantity) rows — the
     SQL-comparable projection (QUALIFY/ROW_NUMBER oracle)."""

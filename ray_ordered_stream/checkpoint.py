@@ -5,16 +5,19 @@ Layout::
     <root>/ckpt/p=<partition>/epoch-<n>/
         buffer.parquet       # buffered out-of-order rows (may be absent)
         counters.parquet     # per-key counters incl. next_seq (delta or full)
-        <op>.<table>.parquet # operator state tables (windows.keys, join.pending,
-                             # cep.carry, ...), one per table of each
-                             # configured operator; none on the ordered-only path
-        extras.json          # format version, ordered scalars, operator
-                             # scalars + table list, order-book and user state
+        <op>.<part>.parquet  # operator state tables (windows.keys,
+                             # join.pending, cep.carry, ...); none on the
+                             # ordered-only path
+        extras.json          # format version, ordered scalars, and per
+                             # operator its JSON parts + table list
         _FULL                # counters are complete, not a delta (may be absent)
         _COMMIT              # marker written last (atomic rename)
 
-Operator snapshots (stream_ops.py / cep.py) are flat dicts of JSON scalars
-and Arrow tables; the tables go to Parquet, the scalars to extras.json.
+Every snapshot entry besides the ordered core's is an operator's
+(stream_ops.OPERATOR_KINDS): a flat dict of parts. An Arrow table part goes
+to Parquet; every other part (scalars such as the watermark and the
+operator's config fields, per-key maps such as the order book's or a user
+state's) goes to extras.json under ``operators``.
 Restore reads a full epoch's payload only at the target epoch: delta epochs
 contribute just their counters.
 
@@ -37,9 +40,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 # version of the epoch-directory layout above, recorded in extras.json
-FORMAT = 2
-# snapshot entries that are operator state (the OrderedWorker slot names)
-OPERATORS = ("windows", "sessions", "join", "cep")
+FORMAT = 3
+# the ordered core's snapshot entries; every other entry is an operator's
+_ORDERED = ("counters", "buffer", "call_count", "last_status_us")
 _COUNTER_COLS = (
     ("received", pa.int64()),
     ("duplicates", pa.int64()),
@@ -91,21 +94,15 @@ def write_partition_checkpoint(
                     "call_count": snap.get("call_count", 0),
                     "last_status_us": snap.get("last_status_us"),
                     "operators": {}}
-    for name in OPERATORS:
-        if name not in snap:
-            continue
-        scalars, tables = {}, []
-        for part, v in snap[name].items():
+    for name, parts in operator_entries(snap).items():
+        values, tables = {}, []
+        for part, v in parts.items():
             if isinstance(v, pa.Table):
                 _write_atomic(v, d / f"{name}.{part}.parquet")
                 tables.append(part)
             else:
-                scalars[part] = v
-        extras["operators"][name] = {"scalars": scalars, "tables": tables}
-    if "book" in snap:
-        extras["book"] = snap["book"]
-    if "user" in snap:
-        extras["user"] = snap["user"]  # JSON-safe per-key map (userstate.py)
+                values[part] = v
+        extras["operators"][name] = {"json": values, "tables": tables}
     tmp = d / "extras.json.tmp"
     tmp.write_text(json.dumps(extras))
     os.replace(tmp, d / "extras.json")
@@ -122,6 +119,11 @@ def write_partition_checkpoint(
     tmp.write_text("ok")
     os.replace(tmp, d / "_COMMIT")
     return str(d)
+
+
+def operator_entries(snap: dict) -> dict:
+    """The operator entries of a partition snapshot, by name."""
+    return {k: v for k, v in snap.items() if k not in _ORDERED}
 
 
 def _read_extras(d: Path) -> dict:
@@ -144,8 +146,9 @@ def _read_extras(d: Path) -> dict:
         )
     raise ValueError(
         f"checkpoint at {d} has {found}; expected checkpoint format {FORMAT} "
-        "(columnar operator state). It was written by another engine "
-        "version and cannot be restored: restart with resume=False."
+        "(operator state and config under operators). It was written by "
+        "another engine version and cannot be restored: restart with "
+        "resume=False."
     )
 
 
@@ -164,12 +167,9 @@ def _read_epoch(d: Path, counters: dict) -> dict:
                   "call_count": extras["call_count"],
                   "last_status_us": extras["last_status_us"]}
     for name, op in extras["operators"].items():
-        snap[name] = dict(op["scalars"])
+        snap[name] = dict(op["json"])
         for part in op["tables"]:
             snap[name][part] = pq.read_table(d / f"{name}.{part}.parquet")
-    for name in ("book", "user"):
-        if name in extras:
-            snap[name] = extras[name]
     return snap
 
 

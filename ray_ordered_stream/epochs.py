@@ -38,10 +38,7 @@ from .ordered import OrderedProcessor
 from .rescale import rescale_checkpoint
 from .sink import ManifestSink
 from .state import OrderedConfig
-
-# sinks whose operators can hold output open until the stream ends: a
-# continuous run with any of them closes with a flush epoch
-_FLUSH_SINKS = ("windows", "sessions", "joined", "matches")
+from .stream_ops import operator_kinds, operator_sinks
 
 
 def _resume_point(out_root: str, P: int, sinks: dict) -> int | None:
@@ -134,24 +131,8 @@ def _epoch_ts(epoch: int) -> pd.Timestamp:
 
 def _open_sinks(out_root: str, cfg: OrderedConfig) -> dict[str, ManifestSink]:
     """Every sink the config writes, in manifest commit order."""
-    sinks = {"ordered": ManifestSink(out_root, "ordered"),
-             "status": ManifestSink(out_root, "status"),
-             "dlq": ManifestSink(out_root, "dlq")}
-    if cfg.window_size_s > 0:
-        sinks["windows"] = ManifestSink(out_root, "windows")
-    if cfg.session_gap_s > 0:
-        sinks["sessions"] = ManifestSink(out_root, "sessions")
-    if cfg.stream_join:
-        sinks["joined"] = ManifestSink(out_root, "joined")
-    if cfg.pattern:
-        sinks["matches"] = ManifestSink(out_root, "matches")
-    if cfg.with_book:
-        sinks["depth"] = ManifestSink(out_root, "depth")
-    if cfg.state_factory is not None:
-        sinks["user"] = ManifestSink(out_root, "user")
-    if cfg.late_data == "drop" and (cfg.window_size_s > 0 or cfg.session_gap_s > 0):
-        sinks["late"] = ManifestSink(out_root, "late")
-    return sinks
+    names = ("ordered", "status", "dlq", *operator_sinks(cfg))
+    return {n: ManifestSink(out_root, n) for n in names}
 
 
 class _EpochDriver:
@@ -649,7 +630,8 @@ def run_stream_continuous(
     # released by run_stream's final=True epoch; here the exit usually races
     # the stop sentinel past the last data epoch, so flush explicitly as one
     # more recorded epoch (idempotent on re-run like any other epoch).
-    if any(n in drv.sinks for n in _FLUSH_SINKS) and next_epoch and not last_was_flush:
+    holds_open = any(k.holds_open for k in operator_kinds(cfg))
+    if holds_open and next_epoch and not last_was_flush:
         _record_epoch(out_root, next_epoch, [])
         feed(next_epoch, [])
         next_epoch += 1

@@ -40,6 +40,7 @@ import ray
 from .partitioning import split_table
 from .schema import ARRIVAL
 from .state import _EPOCH, OrderedConfig, OrderedPartitionState, _ts_us
+from .stream_ops import LATE_SINK, Operator, _dict_codes, operator_kinds, take_buffered
 
 
 def _as_batch(tbl: pa.Table) -> pa.RecordBatch:
@@ -124,68 +125,14 @@ class OrderedWorker:
         self.cfg = cfg
         self._partition_id = partition_id
         self.state = OrderedPartitionState(cfg)
-        self.windows = None
-        self.sessions = None
-        self.joiner = None
-        self.matcher = None
-        self.book = None
-        # ≙ the MutableState extension hook (userstate.py): one fresh user
-        # state per partition actor, built once here — the actor-pool
-        # analogue of Beam creating the state on the initial event
-        self.user = cfg.state_factory() if cfg.state_factory is not None else None
-        self._join_out: list[pa.Table] = []
-        self._match_out: list[pa.Table] = []
-        self._user_out: list[pa.Table] = []
+        # one operator per kind the config enables (stream_ops.OPERATOR_KINDS);
+        # a user state is built here, once per actor
+        self.operators = [Operator(k, cfg) for k in operator_kinds(cfg)]
         self._dlq: list[pa.Table] = []
         self._late: list[pa.Table] = []
         # event-time frontier observed by THIS actor since (re)start
         # (observability only — not checkpointed; see completion_summary)
         self._max_ts_us: int | None = None
-        if cfg.with_book:
-            from .book import BookState
-
-            self.book = BookState(key=cfg.key, seq=cfg.seq)
-        if cfg.window_size_s > 0:
-            from .stream_ops import WindowAccumulator
-
-            self.windows = WindowAccumulator(
-                cfg.window_size_s, cfg.key, "ts", cfg.window_lateness_s,
-                step_s=cfg.window_step_s or None, late_data=cfg.late_data,
-            )
-        if cfg.session_gap_s > 0:
-            from .stream_ops import SessionAccumulator
-
-            self.sessions = SessionAccumulator(
-                cfg.session_gap_s, cfg.key, "ts", cfg.session_lateness_s,
-                late_data=cfg.late_data,
-            )
-        if cfg.stream_join:
-            from .stream_ops import StreamJoiner
-
-            self.joiner = StreamJoiner(
-                cfg.key, cfg.seq,
-                within_us=int(cfg.join_within_s * 1_000_000) or None,
-            )
-        if cfg.pattern and cfg.absent_role:
-            from .cep import AbsenceMatcher
-
-            self.matcher = AbsenceMatcher(
-                list(cfg.pattern), cfg.absent_role, cfg.key, cfg.seq,
-                within_us=int(cfg.pattern_within_s * 1_000_000) or None,
-                absent_within_us=(
-                    int(cfg.absent_within_s * 1_000_000) or None
-                ),
-                lateness_us=int(cfg.pattern_lateness_s * 1_000_000),
-                end_role=cfg.last_value if cfg.last_col == "role" else None,
-            )
-        elif cfg.pattern:
-            from .cep import PatternMatcher
-
-            self.matcher = PatternMatcher(
-                list(cfg.pattern), cfg.key, cfg.seq,
-                within_us=int(cfg.pattern_within_s * 1_000_000) or None,
-                end_role=cfg.last_value if cfg.last_col == "role" else None,
-            )
         self._warmup()
 
     def _warmup(self, rows: int | None = None):
@@ -234,64 +181,21 @@ class OrderedWorker:
         batch = pa.Table.from_batches(batches)
         cfg = self.cfg
         if batch[cfg.key].null_count or batch[cfg.seq].null_count:
-            import pyarrow.compute as pc
-
             bad = pc.or_(pc.is_null(batch[cfg.key]), pc.is_null(batch[cfg.seq]))
             self._dlq.append(batch.filter(bad))
             batch = batch.filter(pc.invert(bad))
         if "ts" in batch.column_names and batch.num_rows:
-            import pyarrow.compute as pc
-
             mx = pc.max(batch["ts"].cast(pa.int64())).as_py()
             if mx is not None:
                 self._max_ts_us = (
                     mx if self._max_ts_us is None else max(self._max_ts_us, mx)
                 )
         emitted, status = self.state.process(batch, status_ts)
-        codes_kv = None
-        if emitted.num_rows and (
-            self.windows is not None
-            or self.sessions is not None
-            or self.joiner is not None
-        ):
-            from .stream_ops import _dict_codes
-
-            # one encode shared by windows/sessions/joiner; the CEP matcher
-            # re-encodes over carry+batch anyway, so it is not a consumer
-            codes_kv = _dict_codes(emitted[cfg.key])
-        if self.windows is not None:
-            lt = self.windows.update(emitted, codes_kv)
-            if lt is not None and lt.num_rows:
-                self._late.append(lt)
-        if self.sessions is not None:
-            lt = self.sessions.update(emitted, codes_kv)
-            if lt is not None and lt.num_rows:
-                self._late.append(lt)
-        if self.joiner is not None:
-            j = self.joiner.update(emitted, codes_kv)
-            if j.num_rows:
-                self._join_out.append(j)
-        if self.matcher is not None:
-            mt = self.matcher.update(emitted, codes_kv)
-            if mt.num_rows:
-                self._match_out.append(mt)
-        if self.book is not None and emitted.num_rows:
-            self.book.update(emitted)
-        if self.user is not None and emitted.num_rows:
-            u = self.user.update(emitted)
-            if u is not None and u.num_rows:
-                self._user_out.append(u)
-            # ≙ the reference's cleanup-on-isLastEvent
-            # (docs/pipeline-design.md:52-56): keys whose last event was
-            # just processed release their user state
-            from .state import last_event_mask
-
-            m = last_event_mask(emitted, cfg)
-            if m is not None and m.any() and hasattr(self.user, "evict"):
-                done = pc.unique(
-                    emitted[cfg.key].filter(pa.array(m))
-                ).to_pylist()
-                self.user.evict(done)
+        if self.operators:
+            # one key encode, shared by the operators that take it
+            codes_kv = _dict_codes(emitted[cfg.key]) if emitted.num_rows else None
+            for op in self.operators:
+                op.update(emitted, codes_kv, self._late)
         return emitted, status
 
     def process_epoch_to_sink(
@@ -330,18 +234,11 @@ class OrderedWorker:
             out["ordered"] = write_part_atomic(towrite, sink_paths["ordered"])
         if "status" in sink_paths:
             out["status"] = write_part_atomic(status, sink_paths["status"])
-        out.update(self._write_operator_outputs(sink_paths, final))
-        if "depth" in sink_paths and self.book is not None:
-            d = self.book.take_touched_depth(self.cfg.book_depth)
-            out["depth"] = write_part_atomic(d, sink_paths["depth"])
-        if "dlq" in sink_paths:
-            d = self.take_dlq()
-            out["dlq"] = write_part_atomic(d, sink_paths["dlq"]) if d is not None else 0
-        if "late" in sink_paths:
-            lt = self.take_late_output()
-            out["late"] = (
-                write_part_atomic(lt, sink_paths["late"]) if lt is not None else 0
-            )
+        out.update(self._write_outputs(sink_paths, final, self.operators))
+        for name, buf in (("dlq", self._dlq), (LATE_SINK, self._late)):
+            if name in sink_paths:
+                t = take_buffered(buf)
+                out[name] = write_part_atomic(t, sink_paths[name]) if t is not None else 0
         if self.cfg.state_ttl_s > 0:
             # deterministic point: after this epoch's outputs are taken and
             # before the checkpoint, so a crash-resume replays the eviction
@@ -350,53 +247,43 @@ class OrderedWorker:
             self.checkpoint_to(*ckpt)
         return out
 
-    def _side_operators(self) -> dict:
-        """The keyed side operators this config runs, by sink name."""
-        ops = (("windows", self.windows), ("sessions", self.sessions),
-               ("joined", self.joiner), ("matches", self.matcher))
-        return {name: op for name, op in ops if op is not None}
-
     def gc_state(self) -> dict:
         """Evict keyed operator state idle past cfg.state_ttl_s of event
         time (each operator measures against its own watermark). Returns
-        per-operator eviction counts (observability)."""
+        eviction counts by sink (observability)."""
         ttl_us = int(self.cfg.state_ttl_s * 1_000_000)
-        return {name: op.gc(ttl_us) for name, op in self._side_operators().items()}
+        return {op.kind.sink: op.impl.gc(ttl_us)
+                for op in self.operators if hasattr(op.impl, "gc")}
 
     def state_sizes(self) -> dict:
-        """Current keyed-state footprint per operator (for soak tests and
+        """Current keyed-state footprint by sink (for soak tests and
         backlog monitoring)."""
-        return {name: op.state_size() for name, op in self._side_operators().items()}
+        return {op.kind.sink: op.impl.state_size()
+                for op in self.operators if hasattr(op.impl, "state_size")}
 
-    def _write_operator_outputs(self, sink_paths: dict, final: bool) -> dict:
-        """Write this epoch's windows, sessions, joined, matches and user
-        parts (the outputs a flush epoch also releases); ``final`` closes
-        whatever is still open. Returns {sink_name: rows_written}."""
+    @staticmethod
+    def _write_outputs(sink_paths: dict, final: bool, ops: list) -> dict:
+        """Write the epoch's output part of each of ``ops``; returns
+        {sink_name: rows_written}."""
         from .sink import write_part_atomic
 
-        takes = {
-            "windows": lambda: self.take_window_output(final),
-            "sessions": lambda: self.take_session_output(final),
-            "joined": self.take_join_output,
-            "matches": lambda: self.take_match_output(final),
-            "user": self.take_user_output,
-        }
         out = {}
-        for name, take in takes.items():
-            if name in sink_paths:
-                t = take()
-                out[name] = write_part_atomic(t, sink_paths[name]) if t is not None else 0
+        for op in ops:
+            t = op.take(final)
+            sink = op.kind.sink
+            out[sink] = write_part_atomic(t, sink_paths[sink]) if t is not None else 0
         return out
 
     def flush_final_to_sink(self, sink_paths: dict) -> dict:
-        """Terminal flush epoch: release still-open windows (final=True) and
-        any pending join output to their sink parts. Data sinks get NO part
-        files for this epoch — their manifests commit with zero rows, which
-        keeps every sink's manifest prefix contiguous because readers
-        consult manifests and skip rows==0 entries (sink.committed_files).
-        Idempotent like any epoch (deterministic given the restored
-        state)."""
-        return self._write_operator_outputs(sink_paths, final=True)
+        """Terminal flush epoch: the operators that can hold output open
+        release all of it (final=True) to their sink parts. Every other
+        sink gets NO part file for this epoch — its manifest commits with
+        zero rows, which keeps every sink's manifest prefix contiguous
+        because readers consult manifests and skip rows==0 entries
+        (sink.committed_files). Idempotent like any epoch (deterministic
+        given the restored state)."""
+        holding = [op for op in self.operators if op.kind.holds_open]
+        return self._write_outputs(sink_paths, True, holding)
 
     def drain(self, status_ts):
         """Drain buffered overflow after a capped round (≙ re-firing of the
@@ -436,103 +323,42 @@ class OrderedWorker:
     def buffered_rows(self) -> int:
         return self.state.buffered_row_count()
 
-    def take_window_output(self, final: bool = False):
-        """Windows closed by the current watermark (stream_ops)."""
-        if self.windows is None:
-            return None
-        return self.windows.take_closed(final=final)
-
-    def take_session_output(self, final: bool = False):
-        """Sessions closed by the current watermark (stream_ops)."""
-        if self.sessions is None:
-            return None
-        return self.sessions.take_closed(final=final)
-
-    @staticmethod
-    def _take_buffered(buf: list[pa.Table]):
-        """Drain an accumulated side-output buffer in place: None when
-        empty, else the concatenated tables since the last take."""
-        if not buf:
-            return None
-        out = pa.concat_tables(buf) if len(buf) > 1 else buf[0]
-        buf.clear()
-        return out
-
     def take_dlq(self):
         """Quarantined rows since the last take (DLQ side output)."""
-        return self._take_buffered(self._dlq)
+        return take_buffered(self._dlq)
 
-    def take_late_output(self):
-        """Late rows dropped by the window/session accumulators since the
-        last take (late_data="drop" side output)."""
-        return self._take_buffered(self._late)
+    def _operator(self, sink: str):
+        return next((op for op in self.operators if op.kind.sink == sink), None)
 
-    def take_user_output(self):
-        """User-state result rows produced since the last take
-        (userstate.UserState.update side output)."""
-        return self._take_buffered(self._user_out)
+    def has_output(self, sink: str) -> bool:
+        """Whether the operator writing ``sink`` holds untaken output."""
+        op = self._operator(sink)
+        return op is not None and any(t.num_rows for t in op.output)
 
-    def has_user_output(self) -> bool:
-        return bool(self._user_out)
-
-    def take_join_output(self):
-        """Join pairs produced since the last take (stream_ops)."""
-        if self.joiner is None:
-            return None
-        return self._take_buffered(self._join_out)
-
-    def take_match_output(self, final: bool = False):
-        """CEP pattern matches produced since the last take (cep). With
-        ``final=True`` an AbsenceMatcher also releases its still-pending
-        candidates (end-of-stream: nothing can cancel them anymore)."""
-        if self.matcher is None:
-            return None
-        if final and hasattr(self.matcher, "take_final"):
-            ft = self.matcher.take_final()
-            if ft is not None and ft.num_rows:
-                self._match_out.append(ft)
-        return self._take_buffered(self._match_out)
+    def take_output(self, sink: str):
+        """The output of the operator writing ``sink`` since the last take
+        (None if the config runs no such operator or it has none)."""
+        op = self._operator(sink)
+        return None if op is None else op.take(final=False)
 
     def snapshot(self, dirty_only: bool = False):
         snap = self.state.snapshot(dirty_only=dirty_only)
-        if self.windows is not None:
-            snap["windows"] = self.windows.snapshot()
-        if self.sessions is not None:
-            snap["sessions"] = self.sessions.snapshot()
-        if self.joiner is not None:
-            snap["join"] = self.joiner.snapshot()
-        if self.matcher is not None:
-            snap["cep"] = self.matcher.snapshot()
-        if self.book is not None:
-            snap["book"] = self.book.snapshot()
-        if self.user is not None:
-            snap["user"] = self.user.snapshot()
+        snap.update((op.kind.name, op.snapshot()) for op in self.operators)
         return snap
 
     def restore(self, snap):
         self.state = OrderedPartitionState.restore(self.cfg, snap)
-        if self.windows is not None and "windows" in snap:
-            self.windows.restore(snap["windows"])
-        if self.sessions is not None and "sessions" in snap:
-            self.sessions.restore(snap["sessions"])
-        if self.joiner is not None and "join" in snap:
-            self.joiner.restore(snap["join"])
-        if self.matcher is not None and "cep" in snap:
-            self.matcher.restore(snap["cep"])
-        self._match_out = []
-        if self.book is not None and "book" in snap:
-            self.book.restore(snap["book"])
-        if self.user is not None and "user" in snap:
-            self.user.restore(snap["user"])
-        self._user_out = []
-        self._join_out = []
+        for op in self.operators:
+            if op.kind.name in snap:
+                op.restore(snap[op.kind.name])
 
     def book_depth(self, depth: int | None = None, with_trade: bool = True):
         """Current market depth of this partition's keys (nested table,
         ≙ getCurrentMarketDepth over every live book)."""
-        if self.book is None:
+        op = self._operator("depth")
+        if op is None:
             return None
-        return self.book.depth_table(depth or self.cfg.book_depth, with_trade)
+        return op.impl.depth_table(depth or self.cfg.book_depth, with_trade)
 
     def checkpoint_to(self, root: str, epoch: int, full: bool = False) -> str:
         """Write this partition's state checkpoint: INCREMENTAL counters
@@ -802,9 +628,9 @@ class OrderedProcessor:
         facade.)"""
         import ray.data
 
-        has = ray.get([w.has_user_output.remote() for w in self.workers])
+        has = ray.get([w.has_output.remote("user") for w in self.workers])
         refs = [
-            w.take_user_output.remote()
+            w.take_output.remote("user")
             for w, h in zip(self.workers, has) if h
         ]
         if not refs:

@@ -14,15 +14,17 @@ exchange uses (partitioning.key_partition_codes — mandatory, or routed keys
 would not meet their state), and writes one FULL checkpoint per new
 partition at the same epoch:
 
-- the per-key maps: ordered counters, order-book levels/last, user state;
-- the out-of-order buffer (split by the key column);
-- every operator table (windows, sessions, stream join, CEP), split by its
-  key column through the same path; an intern table (``keys``) is then
-  sorted by key, so codes are rebuilt in key order. Operator watermarks
-  merge with MIN over the contributing partitions — a key inheriting a
-  FARTHER frontier than its old partition's would release its windows/
-  sessions early and split them vs an uninterrupted run; min only delays
-  release, which is content-invariant under bounded lateness.
+- the ordered counters (a per-key map) and the out-of-order buffer (split
+  by the key column);
+- every part of every operator entry, by its shape: a table is split by
+  its key column (an intern table, ``keys``, is then sorted by key, so
+  codes are rebuilt in key order), a per-key map (order book, user state)
+  re-routes each key's entry, a ``watermark`` merges with MIN over the
+  contributing partitions — a key inheriting a FARTHER frontier than its
+  old partition's would release its windows/sessions early and split them
+  vs an uninterrupted run; min only delays release, which is
+  content-invariant under bounded lateness — and any other scalar (the
+  operator's config fields among them) is copied.
 
 Epochs AFTER the cut and partitions >= P_new are deleted so the new
 lineage is unambiguous; a subsequent ``run_stream(..., num_partitions=
@@ -45,7 +47,7 @@ import numpy as np
 import pyarrow as pa
 
 from .checkpoint import (
-    OPERATORS,
+    operator_entries,
     read_lineage_meta,
     read_merged_checkpoint,
     write_lineage_meta_raw,
@@ -202,33 +204,25 @@ def _migrate_snapshots(
     if bufs:
         for q, part in enumerate(split_tables(bufs)):
             new[q]["buffer"] = part if part.num_rows else None
-    books = [s["book"] for s in snaps if "book" in s]
-    if books:
-        levels = split_maps([b["books"] for b in books])
-        lasts = split_maps([b["last"] for b in books])
-        for q in range(new_P):
-            new[q]["book"] = {"books": levels[q], "last": lasts[q]}
-    # user state (userstate.py contract: snapshot() is a JSON-safe map
-    # keyed by the ordering-key value, so each key's entry re-routes with
-    # the same hash as the counters)
-    users = [s["user"] for s in snaps if "user" in s]
-    if users:
-        for q, m in enumerate(split_maps(users)):
-            new[q]["user"] = m
-
-    for name in OPERATORS:
+    for name in operator_entries(snaps[0]):
         ops = [s[name] for s in snaps if name in s]
-        if not ops:
-            continue
-        wm = min((o["watermark"] for o in ops if o["watermark"] is not None),
-                 default=None)
         for q in range(new_P):
-            new[q][name] = {"watermark": wm}
-        for part in ops[0]:
-            if part == "watermark":
-                continue
-            for q, t in enumerate(split_tables([o[part] for o in ops])):
-                new[q][name][part] = t.sort_by(key) if part == "keys" else t
+            new[q][name] = {}
+        for part, v in ops[0].items():
+            vals = [o[part] for o in ops]
+            if isinstance(v, pa.Table):
+                routed = split_tables(vals)
+                if part == "keys":
+                    routed = [t.sort_by(key) for t in routed]
+            elif isinstance(v, dict):
+                routed = split_maps(vals)
+            elif part == "watermark":
+                wm = min((w for w in vals if w is not None), default=None)
+                routed = [wm] * new_P
+            else:
+                routed = [v] * new_P
+            for q, r in enumerate(routed):
+                new[q][name][part] = r
     return new
 
 

@@ -29,15 +29,24 @@ JSON scalars (``watermark``) and Arrow tables that carry the operator's
 string key column; checkpoint.py writes each table as Parquet and rescale.py
 routes each table's rows by that column. A table named ``keys`` is an
 intern table: one row per key in code order, open state as list columns.
+
+``OPERATOR_KINDS``, at the end, is the one table of what a partition actor
+runs over its emission: these three, CEP (cep.py), the order book (book.py)
+and a user state (``UserStateOperator``).
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .schema import KEY, SEQ
+from .state import last_event_mask
 
 _US = 1_000_000
 
@@ -833,3 +842,166 @@ class StreamJoiner:
     def restore(self, snap: dict) -> None:
         self._pending = snap["pending"].cast(self._pending_schema()).combine_chunks()
         self.watermark = snap["watermark"]
+
+
+
+# ---------------------------------------------------------------------------
+# the operator table: every kind the partition actor runs over its emission
+# ---------------------------------------------------------------------------
+
+# the sink shared by every kind with feeds_late; opened with late_data="drop"
+LATE_SINK = "late"
+
+
+@dataclass(frozen=True)
+class OperatorKind:
+    """One kind of operator over the ordered emission: its snapshot entry,
+    its sink, and the config fields (besides key and seq) it is built from,
+    recorded beside its snapshot. ``holds_open``: output can wait for a
+    flush epoch. ``feeds_late``: ``update`` returns late rows, not output."""
+
+    name: str
+    sink: str
+    enabled: Callable
+    fields: tuple
+    build: Callable
+    holds_open: bool = False
+    feeds_late: bool = False
+
+
+def _matcher(cfg):
+    from .cep import AbsenceMatcher, PatternMatcher
+
+    kw = dict(within_us=int(cfg.pattern_within_s * _US) or None,
+              end_role=cfg.last_value if cfg.last_col == "role" else None)
+    if not cfg.absent_role:
+        return PatternMatcher(list(cfg.pattern), cfg.key, cfg.seq, **kw)
+    return AbsenceMatcher(list(cfg.pattern), cfg.absent_role, cfg.key, cfg.seq,
+                          absent_within_us=int(cfg.absent_within_s * _US) or None,
+                          lateness_us=int(cfg.pattern_lateness_s * _US), **kw)
+
+
+def _book(cfg):
+    from .book import BookOperator
+
+    return BookOperator(cfg)
+
+
+class UserStateOperator:
+    """The one wrapper around a user state (userstate.py contract): one
+    state per partition actor, fed each non-empty emitted batch, its keys
+    evicted on their last event, its map checkpointed as the per-key
+    ``state`` part."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.state = cfg.state_factory()
+
+    def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table | None:
+        if not emitted.num_rows:
+            return None
+        out = self.state.update(emitted)
+        # ≙ the reference's cleanup-on-isLastEvent (docs/pipeline-design.md:52-56)
+        m = last_event_mask(emitted, self.cfg)
+        if m is not None and m.any() and hasattr(self.state, "evict"):
+            done = emitted[self.cfg.key].filter(pa.array(m))
+            self.state.evict(pc.unique(done).to_pylist())
+        return out
+
+    def snapshot(self) -> dict:
+        return {"state": self.state.snapshot()}
+
+    def restore(self, snap: dict) -> None:
+        self.state.restore(snap["state"])
+
+
+OPERATOR_KINDS = (
+    OperatorKind(
+        "windows", "windows", lambda c: c.window_size_s > 0,
+        ("window_size_s", "window_step_s", "window_lateness_s", "late_data"),
+        lambda c: WindowAccumulator(c.window_size_s, c.key, "ts", c.window_lateness_s,
+                                    step_s=c.window_step_s or None, late_data=c.late_data),
+        holds_open=True, feeds_late=True),
+    OperatorKind(
+        "sessions", "sessions", lambda c: c.session_gap_s > 0,
+        ("session_gap_s", "session_lateness_s", "late_data"),
+        lambda c: SessionAccumulator(c.session_gap_s, c.key, "ts", c.session_lateness_s,
+                                     late_data=c.late_data),
+        holds_open=True, feeds_late=True),
+    OperatorKind(
+        "join", "joined", lambda c: c.stream_join, ("join_within_s",),
+        lambda c: StreamJoiner(c.key, c.seq, within_us=int(c.join_within_s * _US) or None),
+        holds_open=True),
+    OperatorKind(
+        "cep", "matches", lambda c: bool(c.pattern),
+        ("pattern", "pattern_within_s", "absent_role", "absent_within_s", "pattern_lateness_s"),
+        _matcher, holds_open=True),
+    OperatorKind("book", "depth", lambda c: c.with_book, ("book_depth",), _book),
+    OperatorKind("user", "user", lambda c: c.state_factory is not None, (), UserStateOperator),
+)
+
+
+def operator_kinds(cfg) -> list[OperatorKind]:
+    """The kinds ``cfg`` enables, in table order."""
+    return [k for k in OPERATOR_KINDS if k.enabled(cfg)]
+
+
+def operator_sinks(cfg) -> list[str]:
+    """The sinks the operators of ``cfg`` write, the late sink last."""
+    kinds = operator_kinds(cfg)
+    late = cfg.late_data == "drop" and any(k.feeds_late for k in kinds)
+    return [k.sink for k in kinds] + [LATE_SINK] * late
+
+
+def take_buffered(buf: list[pa.Table]) -> pa.Table | None:
+    """Drain an output buffer in place: its rows as one table, or None."""
+    tables = [t for t in buf if t.num_rows]
+    buf.clear()
+    if not tables:
+        return None
+    return pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+
+
+class Operator:
+    """One operator as the partition actor runs it: the object its kind
+    builds, the config values it was built with, and the ``update`` output
+    no epoch has taken yet. The object has the built-ins' protocol:
+    ``update(emitted, codes_kv)``, ``snapshot()``, ``restore(snap)``, and
+    optionally ``take_closed(final)`` (output released at an epoch end),
+    ``take_final()`` (output only the stream's end releases) and
+    ``gc(ttl_us)`` / ``state_size()`` (keyed state under state_ttl_s)."""
+
+    def __init__(self, kind: OperatorKind, cfg):
+        self.kind = kind
+        self.impl = kind.build(cfg)
+        # as a checkpoint's JSON reads back (a tuple becomes a list)
+        self.config = json.loads(json.dumps({f: getattr(cfg, f) for f in kind.fields}))
+        self.output: list[pa.Table] = []
+
+    def update(self, emitted: pa.Table, codes_kv, late: list[pa.Table]) -> None:
+        got = self.impl.update(emitted, codes_kv)
+        if got is not None:
+            (late if self.kind.feeds_late else self.output).append(got)
+
+    def take(self, final: bool) -> pa.Table | None:
+        """This epoch's output (``final``: all still held); None: no part."""
+        take_closed = getattr(self.impl, "take_closed", None)
+        if take_closed is not None:
+            return take_closed(final=final)
+        if final and hasattr(self.impl, "take_final"):
+            self.output.append(self.impl.take_final())
+        return take_buffered(self.output)
+
+    def snapshot(self) -> dict:
+        return {**self.impl.snapshot(), **self.config}
+
+    def restore(self, snap: dict) -> None:
+        for f, value in self.config.items():
+            if snap.get(f) != value:
+                raise ValueError(
+                    f"the checkpoint's {self.kind.name} operator was built with "
+                    f"{f}={snap.get(f)!r}, this run has {f}={value!r}. Resume "
+                    "with the checkpoint's value, or pass resume=False to restart."
+                )
+        self.impl.restore(snap)
+        self.output.clear()

@@ -47,6 +47,13 @@ The contract a UserState must honor:
   keys whose *last event* was just processed (the reference's
   "cleanup when isLastEvent" semantics, docs/pipeline-design.md:52-56).
 
+The engine adapts a user state with one wrapper,
+``stream_ops.UserStateOperator``, the ``user`` row of the partition actor's
+operator table: it calls ``update`` on each non-empty emitted batch (the
+rows it returns wait for the epoch's ``user`` part), ``evict`` on the keys
+whose last event the batch held, and checkpoints ``snapshot()`` as a
+per-key map part, which rescaling routes by key.
+
 Factories are plain callables (``OrderedConfig(state_factory=MyState)`` or
 a closure/``functools.partial`` for configured instances); the job CLI
 accepts ``--user-state pkg.module:factory`` via :func:`resolve_factory`.

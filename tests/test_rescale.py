@@ -13,6 +13,7 @@ from ray_ordered_stream.fixtures import gen_transcripts
 from ray_ordered_stream.rescale import rescale_checkpoint
 from ray_ordered_stream.schema import KEY, SEQ
 from ray_ordered_stream.state import OrderedConfig
+from ray_ordered_stream.userstate import ChainedDigestState
 
 
 def _book_stream(seed=23):
@@ -64,10 +65,17 @@ def _content(res, sink, agg_windows=False):
     return df[cols].sort_values(cols, kind="stable").reset_index(drop=True)
 
 
-def test_rescale_checkpoint_resume_content_equality(tmp_path, ray_session):
+@pytest.mark.parametrize("extra", [
+    {},
+    # the absence matcher's pending table and the user map go through the
+    # same migrate path as every other operator part
+    dict(absent_role="assistant", absent_within_s=3.0, pattern_lateness_s=60.0,
+         state_factory=ChainedDigestState),
+], ids=["built_ins", "absence_and_user"])
+def test_rescale_checkpoint_resume_content_equality(tmp_path, ray_session, extra):
     t = _book_stream()
     files = _files(t, tmp_path / "landing", 8)
-    cfg = OrderedConfig(**CFG)
+    cfg = OrderedConfig(**CFG, **extra)
 
     res_full = run_stream(files, str(tmp_path / "full"), cfg,
                           num_partitions=3, files_per_epoch=2)
@@ -80,10 +88,12 @@ def test_rescale_checkpoint_resume_content_equality(tmp_path, ray_session):
     res = run_stream(files, out, cfg, num_partitions=4, files_per_epoch=2)
     assert res.epochs_skipped == 2  # resumed from the rescaled cut
 
-    for sink in ("ordered", "status", "joined", "sessions", "matches", "depth",
-                 "windows"):
+    sinks = ["ordered", "status", "joined", "sessions", "matches", "depth",
+             "windows"] + ["user"] * bool(extra)
+    for sink in sinks:
         a = _content(res_full, sink, agg_windows=True)
         b = _content(res, sink, agg_windows=True)
+        assert len(a), sink
         pd.testing.assert_frame_equal(a, b, obj=sink)
 
     # completion accounting identical

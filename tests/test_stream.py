@@ -15,6 +15,7 @@ from ray_ordered_stream.epochs import run_stream
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
 from ray_ordered_stream.schema import ARRIVAL, KEY, SEQ
 from ray_ordered_stream.state import OrderedConfig
+from ray_ordered_stream.userstate import ChainedDigestState
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +293,9 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
     {"call_count": 0, "last_status_us": None,
      "windows": {"watermark": 5, "acc": [["k", 0, [1, 1, 0]]], "names": ["k"]}},
     {"format": 99, "call_count": 0, "last_status_us": None, "operators": {}},
+    # format 2: order-book and user state outside "operators", no config
+    {"format": 2, "call_count": 0, "last_status_us": None, "operators": {},
+     "user": {"k": "d0"}},
 ])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, extras):
     import json
@@ -313,6 +317,35 @@ def test_checkpoint_of_another_format_fails_loudly(tmp_path, extras):
             read(root, 0, 0)
         assert str(d) in str(ei.value)
         assert f"checkpoint format {FORMAT}" in str(ei.value)
+
+
+def test_resume_with_changed_operator_config_fails_loudly(stream_files, tmp_path):
+    """Each operator's checkpoint records the config fields it was built
+    from. A resume under other values raises, naming the operator and the
+    field: open windows built with the old size would otherwise be released
+    with the new size's window_end, and a plain pattern's state does not
+    hold what an absence matcher restores."""
+    from dataclasses import replace
+
+    _t, files = stream_files
+    cfg = OrderedConfig(window_size_s=60.0, pattern=("user", "tool", "user"),
+                        warmup_rows=0)
+    out = str(tmp_path / "run")
+    kw = dict(num_partitions=2, files_per_epoch=2)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_stream(files, out, cfg, fail_after_epoch=1, **kw)
+    changed = {
+        ("windows", "window_size_s"): replace(cfg, window_size_s=30.0),
+        ("cep", "absent_role"): replace(cfg, absent_role="assistant",
+                                        absent_within_s=5.0),
+    }
+    for (name, field_name), new in changed.items():
+        with pytest.raises(ValueError, match=f"{name} operator") as ei:
+            run_stream(files, out, new, **kw)
+        assert f"{field_name}=" in str(ei.value)
+        assert "resume=False" in str(ei.value)
+    res = run_stream(files, out, new, resume=False, **kw)
+    assert res.epochs_skipped == 0 and res.epochs_run == 4
 
 
 def _write_files_atomic(tbl, d, n_files, start=0, total=None):
@@ -755,7 +788,7 @@ def test_ingest_ts_stamp_deterministic_and_monotone(stream_files, tmp_path):
     OrderedConfig(),
     OrderedConfig(window_size_s=60.0, session_gap_s=0.5, stream_join=True,
                   pattern=("user", "tool", "user"), stamp_ingest_ts=True,
-                  status_interval_s=1.5),
+                  status_interval_s=1.5, state_factory=ChainedDigestState),
 ], ids=["ordered_only", "all_operators"])
 def test_streaming_actor_never_imports_ray_data(stream_files, tmp_path, monkeypatch, cfg):
     """A streaming partition actor stays lean: shards arrive as RecordBatches,

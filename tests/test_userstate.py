@@ -145,7 +145,7 @@ def test_custom_last_fn_predicate(ray_session):
     import ray
 
     snaps = ray.get([w.snapshot.remote() for w in proc.workers])
-    assert all(not s.get("user") for s in snaps)
+    assert all(not s["user"]["state"] for s in snaps)
     proc.shutdown()
 
 
