@@ -21,10 +21,14 @@ state's) goes to extras.json under ``operators``.
 Restore reads a full epoch's payload only at the target epoch: delta epochs
 contribute just their counters.
 
-Commit order per epoch is: sink manifests FIRST, then the checkpoint
-(SURVEY.md §7.4.3). After a crash the engine resumes from the newest epoch
-whose checkpoint committed; any later epoch whose sink manifest exists is
-re-produced deterministically and overwritten idempotently.
+Commit order per epoch is: the checkpoint FIRST, then the sink manifests.
+Each partition writes its sink parts and then this checkpoint before it
+returns, and the driver commits the epoch's manifests only after all
+partitions have returned (epochs._EpochDriver). A visible manifest thus
+always has a checkpoint cut at its epoch behind it. After a crash the engine
+resumes from the newest epoch with both a checkpoint on every partition and
+a contiguous manifest prefix; any later epoch is re-produced
+deterministically and overwritten idempotently.
 """
 
 from __future__ import annotations

@@ -9,14 +9,22 @@ before feeding it and ends with a flush epoch (an empty group). Per epoch:
     fused read+split tasks (whole blocks never enter the object store)
       -> feed through the long-lived state actors (ordered drain,
          in-actor windows/join gated by the event-time watermark)
-      -> stage every partition's outputs, then commit sink manifests
-      -> checkpoint every partition (commit order: sinks first,
-         checkpoint second — SURVEY.md §7.4.3)
+      -> each partition writes its sink parts, then its checkpoint of the
+         epoch, and returns
+      -> once all P have returned, the driver commits the epoch's sink
+         manifests (strictly in epoch order), which makes its parts visible
 
-Resume: the newest epoch whose checkpoint committed on ALL partitions is the
-consistent cut; earlier epochs' sink output is kept (their manifests are
-committed), later epochs are re-run deterministically and overwrite their
-files idempotently.
+So the commit order is checkpoint first, manifests second (the reverse of
+the plan in SURVEY.md §7.4.3). A committed manifest of a data epoch has a
+checkpoint of that epoch on every partition behind it, so the driver may
+commit an epoch as soon as its partitions return, and a consumer that acks
+input on the manifest frontier (``source.Pump``) never acks a file a resume
+would read again.
+
+Resume: the newest epoch with both a checkpoint on ALL partitions and a
+contiguous manifest prefix is the consistent cut (``_resume_point`` takes
+the min of the two frontiers). Earlier epochs' sink output is kept, later
+epochs are re-run deterministically and overwrite their files idempotently.
 """
 
 from __future__ import annotations
@@ -147,7 +155,11 @@ class _EpochDriver:
     Pipelined execution, NO per-epoch barrier: each partition's actor call
     queue serializes drain(k) -> checkpoint(k) -> drain(k+1); the driver
     trails behind committing sink manifests strictly in epoch order, with at
-    most ``max_inflight`` epochs submitted and not yet committed.
+    most ``max_inflight`` epochs submitted and not yet committed. ``feed``
+    commits (blocking) only to stay under that bound; the bounded feed
+    commits the rest in ``finish``, the continuous feed commits the ready
+    prefix (``commit_ready``) after every poll and waits on the oldest
+    epoch (``wait_oldest``) between polls.
     Crash-consistency: an actor checkpoint may exist for an epoch whose
     manifests never committed; _resume_point therefore takes the newest
     epoch with BOTH a full checkpoint cut AND a contiguous manifest prefix,
@@ -245,14 +257,25 @@ class _EpochDriver:
             self.proc.shutdown()
             raise RuntimeError(f"injected failure after epoch {epoch}")
 
-    def commit_oldest_if_ready(self) -> None:
-        """Commit the oldest in-flight epoch only if all its partitions have
-        finished, so the call never blocks on running work."""
-        if self.pending:
-            refs = list(self.pending[0][1])
+    def commit_ready(self) -> None:
+        """Commit the ready prefix of the in-flight epochs: oldest first,
+        every epoch whose partitions have all finished, stopping at the
+        first that has not. Never blocks on running work."""
+        while self.pending:
+            refs = self.pending[0][1]
             ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
-            if len(ready) == len(refs):
-                self.commit_oldest()
+            if len(ready) < len(refs):
+                return
+            self.commit_oldest()
+
+    def wait_oldest(self, timeout_s: float) -> None:
+        """Return once the oldest in-flight epoch has finished, or after
+        ``timeout_s``; with nothing in flight, sleep ``timeout_s``."""
+        if self.pending:
+            refs = self.pending[0][1]
+            ray.wait(refs, num_returns=len(refs), timeout=timeout_s)
+        else:
+            time.sleep(timeout_s)
 
     def drain(self) -> None:
         """Commit every in-flight epoch: a consistent cut."""
@@ -411,7 +434,9 @@ def run_stream_continuous(
     ``files_per_epoch`` in name order. Each epoch's file group is durably
     recorded under ``out_root/epochs/`` BEFORE it is fed, so crash + resume
     re-forms byte-identical epochs and the run_stream exactly-once protocol
-    (sink manifests -> checkpoint, idempotent re-run) carries over unchanged.
+    (checkpoint -> sink manifests, idempotent re-run) carries over unchanged.
+    Every finished epoch commits at the next poll, and a poll comes as soon
+    as the oldest in-flight epoch finishes or ``poll_interval_s`` passes.
     The loop ends when ``<landing_dir>/<stop_file>`` exists and every landed
     file has been processed, or after ``idle_timeout_s`` without new files.
 
@@ -474,6 +499,13 @@ def run_stream_continuous(
         ):
             time.sleep(poll_interval_s)
             sample_files = [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
+    if not groups and read_lineage_meta(out_root) is None:
+        # a fresh run over files already landed: record the first full group
+        # now, so the driver reads and splits it while the actors boot
+        head = [str(f) for f in sorted(land.glob("*.parquet"))[:files_per_epoch]]
+        if len(head) == files_per_epoch:
+            _record_epoch(out_root, 0, head)
+            groups = [head]
     drv = _EpochDriver(
         out_root, cfg, num_partitions, groups, resume, salt_hot_keys,
         sample_files, checkpoint_full_every, max_inflight=3,
@@ -584,20 +616,11 @@ def run_stream_continuous(
                     "grow",
                 )
                 low_since = None
-        # keep the commit frontier CURRENT when no new work arrived: the
-        # pipelined protocol only forces a commit when pending hits
-        # max_inflight, so an idle stream would otherwise sit on finished
-        # epochs whose manifests never commit until exit — stalling every
-        # frontier consumer (status/stream_topk readers, the lease-queue
-        # pump's acks in source.py) and inflating apparent latency. One
-        # commit per idle poll bounds driver work while load resumes
-        # pipelined behavior immediately. Only commit when the oldest
-        # epoch's refs are all READY — commit_oldest() blocks in ray.get(),
-        # and under trickle arrival an unconditional call would serialize
-        # the driver on the in-flight epoch every poll, stalling _STOP /
-        # new-file polling for the epoch's full duration (ADVICE r4).
-        if not assigned_this_poll:
-            drv.commit_oldest_if_ready()
+        # commit every finished epoch now, not when max_inflight forces it:
+        # the commit frontier is what freshness, frontier readers and the
+        # lease-queue pump's acks (source.py) see. Non-blocking, so _STOP
+        # and new files are still seen every poll.
+        drv.commit_ready()
         # idle-driven shrink: backlog has stayed under one epoch's worth
         # of files continuously for autoscale_shrink_idle_s
         if (
@@ -624,7 +647,8 @@ def run_stream_continuous(
                 low_since = None
         if exiting:
             break
-        time.sleep(poll_interval_s)
+        # wake as soon as the oldest epoch finishes, so it commits at once
+        drv.wait_oldest(poll_interval_s)
 
     # 3. final flush: open windows (and any terminal operator output) are
     # released by run_stream's final=True epoch; here the exit usually races

@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from ray_ordered_stream.epochs import run_stream
+from ray_ordered_stream.epochs import _EpochDriver, _open_sinks, run_stream
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
 from ray_ordered_stream.schema import ARRIVAL, KEY, SEQ
 from ray_ordered_stream.state import OrderedConfig
@@ -443,6 +443,12 @@ def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
             str(land), out, num_partitions=3, files_per_epoch=2,
             poll_interval_s=0.05, fail_after_epoch=1,
         )
+    # finished epochs commit eagerly, yet nothing past the injected failure
+    # does, and every committed epoch has its file group recorded
+    for name, sink in _open_sinks(out, OrderedConfig()).items():
+        assert sink.committed_epochs() == [0, 1], name
+    for e in (0, 1):
+        assert (Path(out) / "epochs" / f"epoch-{e:05d}.json").exists()
     (land / "_STOP").write_text("")
     res = run_stream_continuous(
         str(land), out, num_partitions=3, files_per_epoch=2, poll_interval_s=0.05
@@ -466,6 +472,63 @@ def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
     # flush epoch.
     for sink in ("ordered", "status", "dlq"):
         assert part_digests(res.sinks[sink]) == part_digests(ref.sinks[sink]), sink
+
+
+def _fed_driver(files, out):
+    """An epoch driver with three finished, uncommitted epochs in flight."""
+    import ray
+
+    groups = [files[i : i + 2] for i in (0, 2, 4)]
+    drv = _EpochDriver(
+        str(out), OrderedConfig(), 2, groups, resume=False,
+        salt_hot_keys=False, sample_files=[], checkpoint_full_every=16,
+        max_inflight=3, fail_after_epoch=None,
+    )
+    for e, g in enumerate(groups):
+        drv.feed(e, g)
+    ray.get([r for _, refs, _ in drv.pending for r in refs])
+    return drv
+
+
+def _committed(drv):
+    return {n: drv.sinks[n].committed_epochs() for n in ("ordered", "status", "dlq")}
+
+
+def test_commit_ready_commits_every_finished_epoch(stream_files, tmp_path):
+    # the continuous feed's commit policy: one call commits every finished
+    # in-flight epoch, oldest first
+    drv = _fed_driver(stream_files[1], tmp_path / "out")
+    drv.commit_ready()
+    assert _committed(drv) == {n: [0, 1, 2] for n in ("ordered", "status", "dlq")}
+    assert drv.pending == []
+    drv.proc.shutdown()
+
+
+def test_commit_ready_stops_at_an_unfinished_epoch(stream_files, tmp_path):
+    # an unfinished oldest epoch holds back the finished ones behind it:
+    # manifests commit strictly in epoch order
+    import asyncio
+
+    import ray
+
+    @ray.remote(num_cpus=0)
+    class Signal:
+        def __init__(self):
+            self.event = asyncio.Event()
+
+        async def wait(self):
+            await self.event.wait()
+
+    sig = Signal.remote()
+    drv = _fed_driver(stream_files[1], tmp_path / "out")
+    blocked = sig.wait.remote()
+    drv.pending.insert(0, (-1, [blocked], 0.0))
+    drv.commit_ready()
+    assert _committed(drv) == {n: [] for n in ("ordered", "status", "dlq")}
+    assert [e for e, _, _ in drv.pending] == [-1, 0, 1, 2]
+    ray.cancel(blocked)
+    ray.kill(sig)
+    drv.proc.shutdown()
 
 
 def test_missing_epoch_record_fails_loudly(tmp_path, ray_session):
