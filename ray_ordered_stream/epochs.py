@@ -7,7 +7,7 @@ arrival order: bounded ``run_stream`` cuts a fixed file list, unbounded
 before feeding it and ends with a flush epoch (an empty group). Per epoch:
 
     fused read+split tasks (whole blocks never enter the object store)
-      -> feed through the long-lived state actors (ordered drain,
+      -> feed through the P state actors (ordered drain,
          in-actor windows/join gated by the event-time watermark)
       -> each partition writes its sink parts, then its checkpoint of the
          epoch, and returns
@@ -149,8 +149,9 @@ class _EpochDriver:
     Construction opens the sinks, fixes the lineage's hot-key pins and the
     resume point, submits the exchange of the first epoch ``groups`` already
     knows (its read+split tasks have no side effects, so they run while the
-    actors start and restore), waits for the actors, then writes the lineage
-    meta: the readiness marker, before any checkpoint write or epoch call.
+    actors are leased, reset or started, and restored), waits for the
+    actors, then writes the lineage meta: the readiness marker, before any
+    checkpoint write or epoch call.
 
     Pipelined execution, NO per-epoch barrier: each partition's actor call
     queue serializes drain(k) -> checkpoint(k) -> drain(k+1); the driver
@@ -166,8 +167,9 @@ class _EpochDriver:
     and later epochs re-run deterministically (overwriting their files and
     stale checkpoints byte-identically).
 
-    ``proc`` is the partition-actor pool; an autoscale step replaces it at
-    a drained cut."""
+    ``proc`` holds the P partition actors, leased from the driver's pool
+    (ordered._ActorPool) and returned to it by ``finish``; an autoscale
+    step replaces it at a drained cut."""
 
     def __init__(
         self, out_root: str, cfg: OrderedConfig, num_partitions: int,
@@ -254,6 +256,8 @@ class _EpochDriver:
         self.stats.record(e_rows)
         self.epochs_run += 1
         if self.fail_after_epoch is not None and epoch == self.fail_after_epoch:
+            # a crash leaves no partition actor behind, pooled or not
+            self.proc.broken = True
             self.proc.shutdown()
             raise RuntimeError(f"injected failure after epoch {epoch}")
 
@@ -517,8 +521,9 @@ def run_stream_continuous(
     def rescale_to(new_P: int, kind: str) -> None:
         """Shared grow/shrink body: drain in-flight epochs to a consistent
         cut, write the durable intent marker, migrate every partition's
-        keyed state (crash-safe two-phase rescale_checkpoint), rebuild the
-        actor pool at new_P, restore from the cut."""
+        keyed state (crash-safe two-phase rescale_checkpoint), lease new_P
+        actors (the old ones go back to the pool first, so a grow reuses
+        them), restore from the cut."""
         nonlocal last_rescale_epoch
         drv.drain()
         cut = next_epoch - 1

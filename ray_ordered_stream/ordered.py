@@ -10,9 +10,18 @@ Physical plan (SURVEY.md §7.0):
 
     input Dataset (arrival order)
       -> map-side split tasks: each block -> P per-partition shards
-      -> P long-lived OrderedWorker actors (the sharded state store);
-         one actor call per (block-group, partition) drains contiguous runs
+      -> P OrderedWorker actors (the sharded state store); one actor call
+         per (block-group, partition) drains contiguous runs
       -> emitted / status Arrow refs -> ray.data.from_arrow_refs (lazy)
+
+The actors are leased from a pool in the driver process (``_ActorPool``),
+so a driver that runs several calls, resumes or rescales pays Ray's worker
+boot once. Every lease resets the actor (``OrderedWorker.reset``): state
+comes back only through ``restore_from`` the durable checkpoint, never from
+an earlier lease. A clean ``OrderedProcessor.shutdown`` returns the actors
+(each drops its state first); a broken processor (an injected failure)
+kills them and the pool's idle actors. Pooled actors are ordinary actors:
+they die with the driver and its Ray session.
 
 The exchange is block-ref based: shards travel through the object store
 and are fetched by the owning actor (zero-copy on the same node), which is
@@ -29,6 +38,9 @@ checkpoint lineage requires (SURVEY.md §7.4.1).
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -100,7 +112,7 @@ def _read_and_split_parts(
     import pyarrow.parquet as pq
 
     # many split tasks run side by side; arrow's default all-cores pool per
-    # task would thrash the node (same reasoning as OrderedWorker.__init__)
+    # task would thrash the node (same reasoning as OrderedWorker.reset)
     pa.set_cpu_count(1)
     pa.set_io_thread_count(1)
     tbls = [pq.read_table(p) for p in paths]
@@ -114,9 +126,18 @@ def _read_and_split_parts(
 class OrderedWorker:
     """One partition of the sharded state store (≙ Beam keyed state owned by
     one worker, docs/pipeline-design.md:13-17). Serial execution per actor
-    gives per-key serial state access for free within our routing."""
+    gives per-key serial state access for free within our routing. The
+    process outlives a lease: ``reset`` makes it a partition, ``release``
+    hands it back to the driver's pool (_ActorPool)."""
 
     def __init__(self, cfg: OrderedConfig, partition_id: int):
+        self._warm = False
+        self.reset(cfg, partition_id)
+
+    def reset(self, cfg: OrderedConfig, partition_id: int) -> None:
+        """Become partition ``partition_id`` of ``cfg`` with empty state: a
+        new actor, and every lease of a pooled one (_ActorPool). Nothing of
+        an earlier lease survives; the warm-up runs once per process."""
         # P actors run side by side; pyarrow's default per-process thread
         # pool (= all cores) makes P * cores runnable threads and thrashes
         # the node. Each actor is one partition -> one core's worth of work.
@@ -126,26 +147,41 @@ class OrderedWorker:
         self._partition_id = partition_id
         self.state = OrderedPartitionState(cfg)
         # one operator per kind the config enables (stream_ops.OPERATOR_KINDS);
-        # a user state is built here, once per actor
+        # a user state is built here, once per lease
         self.operators = [Operator(k, cfg) for k in operator_kinds(cfg)]
         self._dlq: list[pa.Table] = []
         self._late: list[pa.Table] = []
         # event-time frontier observed by THIS actor since (re)start
         # (observability only — not checkpointed; see completion_summary)
         self._max_ts_us: int | None = None
-        self._warmup()
+        if not self._warm:
+            self._warm = self._warmup()
 
-    def _warmup(self, rows: int | None = None):
+    def release(self) -> bool:
+        """Back to the pool: drop this partition's state and give back the
+        memory it held, the allocator's free pages and this process's
+        resident share of the object store (_drop_shared_pages). Returns
+        whether the process is still lean (has never loaded ``ray.data`` or
+        ``ray.air``, as a batch facade's actor does when it returns tables
+        through Ray's ``pa.Table`` reducer): the pool keeps only lean
+        actors, so a streaming lease never starts on a heavier process."""
+        self.state = None
+        self.operators = []
+        self._dlq, self._late = [], []
+        pa.default_memory_pool().release_unused()
+        _drop_shared_pages()
+        return "ray.data" not in sys.modules and "ray.air" not in sys.modules
+
+    def _warmup(self) -> bool:
         """A fresh worker process pays page-fault + first-call kernel costs
         on its first realistically-sized drain (measured 2.4s -> 0.1s for an
         identical second run); with P cold actors starting together that
         serializes the first epoch. Pre-fault the allocator arenas and
         exercise the kernels once on a throwaway state with a real-sized
-        synthetic batch."""
-        if rows is None:
-            rows = self.cfg.warmup_rows
+        synthetic batch. Returns whether it ran (``warmup_rows`` > 0)."""
+        rows = self.cfg.warmup_rows
         if rows <= 0:
-            return
+            return False
         cfg = self.cfg
         n_keys = max(1, rows // 64)
         codes = np.arange(rows, dtype=np.int64) % n_keys
@@ -162,6 +198,7 @@ class OrderedWorker:
         scratch = OrderedPartitionState(cfg)
         for _ in range(2):
             scratch.process(dummy, _EPOCH)
+        return True
 
     def process_epoch(self, status_ts: datetime, schema: pa.Schema, *parts: pa.RecordBatch):
         """Feed this partition's shards for one epoch (in arrival order);
@@ -402,9 +439,109 @@ class OrderedResult:
     user: "ray.data.Dataset | None" = None
 
 
+def _drop_shared_pages() -> None:
+    """Unmap this process's resident pages of the object store's shared
+    memory (the ``rw-s`` plasma mappings; Linux only, a no-op elsewhere).
+    They are pages of a shared file, so the objects stay in the store and a
+    later access faults them back in; what goes is this process's resident
+    share, which grew 49 -> 109 MB over 5 calls of a reused actor (on the
+    benchmark's ooo_replay shape) and stays at 0 with this."""
+    try:
+        with open("/proc/self/maps") as f:
+            spans = [ln.split()[0] for ln in f if " rw-s " in ln and "plasma" in ln]
+    except OSError:
+        return
+    madvise = ctypes.CDLL(None).madvise
+    madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    madvise.restype = ctypes.c_int
+    for span in spans:
+        lo, hi = (int(x, 16) for x in span.split("-"))
+        # a failure only leaves the pages resident, as without this call
+        madvise(lo, hi - lo, mmap.MADV_DONTNEED)
+
+
+class _ActorPool:
+    """The driver process's idle partition actors, by creation options
+    (``actor_num_cpus``, ``spread_actors``), so that the Ray worker boot
+    of an ``OrderedWorker`` is paid once per driver instead of once per
+    call, resume and rescale. Each option set holds at most the largest P
+    ever returned to it. Handles of an earlier Ray session are dropped,
+    never leased."""
+
+    def __init__(self):
+        self.session: tuple | None = None
+        self.idle: dict[tuple, list] = {}
+        self.cap: dict[tuple, int] = {}
+
+    def _idle(self, key: tuple) -> list:
+        ctx = ray.get_runtime_context()
+        session = (ctx.get_job_id(), ctx.get_node_id())
+        if session != self.session:
+            self.session, self.idle, self.cap = session, {}, {}
+        return self.idle.setdefault(key, [])
+
+    def lease(self, cfg: OrderedConfig, P: int) -> list:
+        """P actors for ``cfg``: idle ones reset to their partition, new
+        ones for the rest and for any idle actor that died."""
+        opts: dict = {"num_cpus": cfg.actor_num_cpus}
+        if cfg.spread_actors:
+            opts["scheduling_strategy"] = "SPREAD"
+        idle = self._idle(_pool_key(cfg))
+        # last returned, first leased: back-to-back calls get the same actors
+        keep = max(0, len(idle) - P)
+        reused, idle[:] = idle[keep:], idle[:keep]
+        # new actors start booting while the reused ones reset
+        workers = reused + [
+            OrderedWorker.options(**opts).remote(cfg, p) for p in range(len(reused), P)
+        ]
+        resets = [w.reset.remote(cfg, p) for p, w in enumerate(reused)]
+        for p, ref in enumerate(resets):
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                workers[p] = OrderedWorker.options(**opts).remote(cfg, p)
+        return workers
+
+    def give_back(self, cfg: OrderedConfig, workers: list) -> None:
+        """Return a clean processor's actors once their queued calls have
+        run; a dead or no longer lean actor is not kept."""
+        key = _pool_key(cfg)
+        idle = self._idle(key)
+        for w, ref in [(w, w.release.remote()) for w in workers]:
+            try:
+                lean = ray.get(ref)
+            except ray.exceptions.RayActorError:
+                continue
+            if lean:
+                idle.append(w)
+            else:
+                ray.kill(w)
+        cap = self.cap[key] = max(self.cap.get(key, 0), len(workers))
+        surplus = max(0, len(idle) - cap)
+        for w in idle[:surplus]:
+            ray.kill(w)
+        del idle[:surplus]
+
+    def kill_idle(self) -> None:
+        for idle in self.idle.values():
+            for w in idle:
+                ray.kill(w)
+            idle.clear()
+
+
+def _pool_key(cfg: OrderedConfig) -> tuple:
+    return (cfg.actor_num_cpus, cfg.spread_actors)
+
+
+# one per driver process: it must outlive every OrderedProcessor, and each
+# run_stream call, resume and rescale builds its own
+_POOL = _ActorPool()
+
+
 class OrderedProcessor:
-    """Long-lived engine handle: a fixed pool of P state actors fed epoch by
-    epoch. ``ordered_process`` is the one-shot (single-epoch batch) facade."""
+    """Engine handle: P state actors leased from the driver's pool, fed
+    epoch by epoch. ``ordered_process`` is the one-shot (single-epoch
+    batch) facade."""
 
     def __init__(self, cfg: OrderedConfig | None = None, num_partitions: int | None = None,
                  overrides: dict[str, int] | None = None,
@@ -415,15 +552,23 @@ class OrderedProcessor:
         self.P = num_partitions
         self.overrides = overrides
         self.range_bounds = range_bounds
-        opts: dict = {"num_cpus": self.cfg.actor_num_cpus}
-        if self.cfg.spread_actors:
-            opts["scheduling_strategy"] = "SPREAD"
-        self.workers = [
-            OrderedWorker.options(**opts).remote(self.cfg, p) for p in range(self.P)
-        ]
+        self._workers: list | None = None
+        # set by a failure path: shutdown then kills instead of returning
+        self.broken = False
         self._emitted_refs: list[ray.ObjectRef] = []
         self._status_refs: list[ray.ObjectRef] = []
         self._node_parts_cache: dict[str, list[int]] | None = None
+
+    @property
+    def workers(self) -> list:
+        """The P partition actors, leased on first use. A driver that
+        submits its first exchange before that lets the read tasks take the
+        workers Ray has already started while the new actors start their
+        own; in the other order Ray started spare workers for the read
+        tasks' backlog that nothing used."""
+        if self._workers is None:
+            self._workers = _POOL.lease(self.cfg, self.P)
+        return self._workers
 
     def _node_parts(self) -> dict[str, list[int]]:
         """node_id -> partition ids whose state actor lives there (cached;
@@ -454,7 +599,7 @@ class OrderedProcessor:
         (fused read+split tasks — the scale path: whole blocks never enter
         the object store), a pa.Table, a Dataset, or a list of block refs.
         The tasks have no side effects, so a driver may submit an epoch's
-        exchange before its actors are up."""
+        exchange before it leases its actors (``workers``)."""
         key = self.cfg.key
         if (
             isinstance(ds_or_table, list)
@@ -687,9 +832,16 @@ class OrderedProcessor:
         return pa.concat_tables(real)
 
     def shutdown(self):
-        for w in self.workers:
-            ray.kill(w)
-        self.workers = []
+        """Give the actors up: back to the driver's pool, or, if the
+        processor is ``broken``, killed together with every idle pooled
+        actor, so that no partition process outlives the failure."""
+        workers, self._workers = self._workers or [], []
+        if self.broken:
+            for w in workers:
+                ray.kill(w)
+            _POOL.kill_idle()
+        else:
+            _POOL.give_back(self.cfg, workers)
 
 
 def ordered_process(

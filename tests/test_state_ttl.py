@@ -378,6 +378,86 @@ def test_autoscale_shrinks_on_idle_and_matches_fixed_run(ray_session, tmp_path):
     assert res.total_emitted == res_fixed.total_emitted
 
 
+def _grow_then_shrink(t, tmp_path, name):
+    """A continuous run that grows 2 -> 4 on a pre-landed backlog of five
+    epochs, shrinks back to 2 in the lull after them, then takes one more
+    epoch: every rescale lands on a fixed epoch."""
+    import threading
+    import time
+
+    from ray_ordered_stream.checkpoint import read_lineage_meta
+    from ray_ordered_stream.epochs import run_stream_continuous
+
+    n, F = t.num_rows, 12
+    step = -(-n // F)
+    land, out = tmp_path / f"land_{name}", tmp_path / f"out_{name}"
+    land.mkdir()
+    for i in range(10):
+        pq.write_table(t.slice(i * step, step), land / f"p{i:04d}.parquet")
+
+    def late_producer():
+        deadline = time.monotonic() + 30.0
+        grown = False
+        while time.monotonic() < deadline:
+            P = (read_lineage_meta(str(out)) or {}).get("partitions")
+            grown |= P == 4
+            if grown and P == 2:
+                break
+            time.sleep(0.05)
+        for i in range(10, F):
+            tmp = land / f".p{i:04d}.tmp"
+            pq.write_table(t.slice(i * step, step), tmp)
+            tmp.rename(land / f"p{i:04d}.parquet")
+        (land / "_STOP").write_text("")
+
+    th = threading.Thread(target=late_producer)
+    th.start()
+    res = run_stream_continuous(
+        str(land), str(out), num_partitions=2, files_per_epoch=2,
+        poll_interval_s=0.05, idle_timeout_s=15.0,
+        autoscale_backlog_epochs=2, autoscale_factor=2,
+        autoscale_shrink_idle_s=0.7, autoscale_min_partitions=2,
+    )
+    th.join()
+    return res
+
+
+def test_autoscale_reuses_pooled_actors(ray_session, tmp_path, monkeypatch):
+    """A grow keeps the old actors and a shrink leaves the surplus idle:
+    the sinks of a grow + shrink run on a reused pool are byte-identical to
+    the same run started on an empty pool, and the idle pool never holds
+    more actors than the largest P returned to it."""
+    from ray_ordered_stream.fixtures import gen_transcripts
+    from ray_ordered_stream.ordered import _ActorPool, _POOL
+
+    t = gen_transcripts(n_convs=16, min_turns=6, max_turns=24, lateness=20,
+                        dup_rate=0.02, seed=13)
+    idle_after, largest = [], [0]
+    give_back = _ActorPool.give_back
+
+    def record(self, cfg, workers):
+        largest[0] = max(largest[0], len(workers))
+        give_back(self, cfg, workers)
+        idle_after.append((sum(map(len, self.idle.values())), largest[0]))
+
+    monkeypatch.setattr(_ActorPool, "give_back", record)
+    _POOL.kill_idle()
+    runs = [_grow_then_shrink(t, tmp_path, name) for name in ("empty", "reused")]
+    for res in runs:
+        assert [(r["from"], r["to"]) for r in res.metrics["rescales"]] == [(2, 4), (4, 2)]
+        assert res.total_emitted == runs[0].total_emitted > 0
+    assert idle_after and all(n <= cap for n, cap in idle_after), idle_after
+
+    def digests(res):
+        return {
+            (name, Path(f).relative_to(s.root).as_posix()):
+                hashlib.sha256(Path(f).read_bytes()).hexdigest()
+            for name, s in res.sinks.items() for f in s.committed_files()
+        }
+
+    assert digests(runs[1]) == digests(runs[0])
+
+
 def test_busy_stream_never_idle_shrinks(tmp_path, ray_session):
     """Regression: the shrink clock must reset whenever epochs flow. The
     old reset condition (`len(new) >= files_per_epoch` AFTER the

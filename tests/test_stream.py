@@ -847,20 +847,24 @@ def test_ingest_ts_stamp_deterministic_and_monotone(stream_files, tmp_path):
     pd.testing.assert_frame_equal(got, got2)
 
 
-@pytest.mark.parametrize("cfg", [
-    OrderedConfig(),
-    OrderedConfig(window_size_s=60.0, session_gap_s=0.5, stream_join=True,
-                  pattern=("user", "tool", "user"), stamp_ingest_ts=True,
-                  status_interval_s=1.5, state_factory=ChainedDigestState),
-], ids=["ordered_only", "all_operators"])
+ALL_OPERATORS = OrderedConfig(
+    window_size_s=60.0, session_gap_s=0.5, stream_join=True,
+    pattern=("user", "tool", "user"), stamp_ingest_ts=True,
+    status_interval_s=1.5, state_factory=ChainedDigestState,
+)
+
+
+@pytest.mark.parametrize("cfg", [OrderedConfig(), ALL_OPERATORS],
+                         ids=["ordered_only", "all_operators"])
 def test_streaming_actor_never_imports_ray_data(stream_files, tmp_path, monkeypatch, cfg):
     """A streaming partition actor stays lean: shards arrive as RecordBatches,
     the schema as a pa.Schema and the status tick as a datetime, so nothing
     on the drain / sink / checkpoint / restore path unpickles through Ray's
     pa.Table reducer, which loads ray.data (and ray.air) into the actor.
     Each actor's sys.modules is read through __ray_call__ just before the
-    driver kills it, on a run that crashes after checkpointing epoch 0 and
-    on the resume that restores it."""
+    driver gives it up, on a run that crashes after checkpointing epoch 0,
+    on the resume that restores it and on a third run that leases the
+    resume's actors from the driver's pool."""
     import sys
 
     import ray
@@ -868,25 +872,161 @@ def test_streaming_actor_never_imports_ray_data(stream_files, tmp_path, monkeypa
     from ray_ordered_stream.ordered import OrderedProcessor, ordered_process
 
     t, files = stream_files
-    seen = []
-    kill = OrderedProcessor.shutdown
+    seen, ids = [], []
+    give_up = OrderedProcessor.shutdown
 
-    def probe_then_kill(self):
-        probe = lambda _actor: sorted(  # noqa: E731 (pickled by value)
-            m for m in sys.modules if m.split(".")[:2] in (["ray", "data"], ["ray", "air"])
+    def probe_then_give_up(self):
+        probe = lambda _actor: (  # noqa: E731 (pickled by value)
+            ray.get_runtime_context().get_actor_id(),
+            sorted(m for m in sys.modules
+                   if m.split(".")[:2] in (["ray", "data"], ["ray", "air"])),
         )
-        seen.extend(ray.get([w.__ray_call__.remote(probe) for w in self.workers]))
-        kill(self)
+        got = ray.get([w.__ray_call__.remote(probe) for w in self.workers])
+        ids.append({a for a, _ in got})
+        seen.extend(m for _, m in got)
+        give_up(self)
 
-    monkeypatch.setattr(OrderedProcessor, "shutdown", probe_then_kill)
+    monkeypatch.setattr(OrderedProcessor, "shutdown", probe_then_give_up)
     out = str(tmp_path / "run")
     with pytest.raises(RuntimeError, match="injected failure"):
         run_stream(files[:4], out, cfg, num_partitions=2, files_per_epoch=2,
                    fail_after_epoch=0)
     res = run_stream(files[:4], out, cfg, num_partitions=2, files_per_epoch=2)
     assert res.epochs_skipped == 1 and res.epochs_run == 1
-    assert len(seen) == 4
-    assert seen == [[]] * 4, seen
+    run_stream(files[:4], str(tmp_path / "again"), cfg, num_partitions=2,
+               files_per_epoch=2)
+    # the crash killed its actors, the third run reused the resume's
+    assert not ids[0] & ids[1] and ids[2] == ids[1]
+    assert len(seen) == 6
+    assert seen == [[]] * 6, seen
     # the batch facade still hands back Datasets the driver can materialize
     got = ordered_process(t, cfg, num_partitions=2).ordered.to_pandas()
     assert len(got) == len(oracle_ordered(t))
+
+
+# -- the driver's pool of partition actors ------------------------------------
+
+
+def _record_leases(monkeypatch):
+    """The actor ids of every processor, read when it is given up."""
+    import ray
+
+    from ray_ordered_stream.ordered import OrderedProcessor
+
+    ids = []
+    give_up = OrderedProcessor.shutdown
+
+    def record_then_give_up(self):
+        probe = lambda _actor: ray.get_runtime_context().get_actor_id()  # noqa: E731
+        ids.append(sorted(ray.get([w.__ray_call__.remote(probe) for w in self.workers])))
+        give_up(self)
+
+    monkeypatch.setattr(OrderedProcessor, "shutdown", record_then_give_up)
+    return ids
+
+
+def _digests(res):
+    return {name: part_digests(s) for name, s in res.sinks.items()}
+
+
+def test_consecutive_runs_lease_the_same_actors(stream_files, tmp_path, monkeypatch):
+    """Back-to-back runs reuse the same P actors, and a reused actor's
+    output is byte-identical to a new actor's, also when the config
+    switches between leases (reset rebuilds the operators and the user
+    state)."""
+    from ray_ordered_stream.ordered import _POOL
+
+    _, files = stream_files
+    ids = _record_leases(monkeypatch)
+    cfgs = [OrderedConfig(), ALL_OPERATORS, OrderedConfig()]
+    reused = [
+        _digests(run_stream(files, str(tmp_path / f"reused{i}"), c,
+                            num_partitions=2, files_per_epoch=2))
+        for i, c in enumerate(cfgs)
+    ]
+    assert len(ids[0]) == 2 and ids[0] == ids[1] == ids[2]
+    for i, c in enumerate(cfgs[:2]):
+        _POOL.kill_idle()
+        fresh = run_stream(files, str(tmp_path / f"fresh{i}"), c,
+                           num_partitions=2, files_per_epoch=2)
+        assert not set(ids[-1]) & set(ids[0])
+        assert _digests(fresh) == reused[i] and reused[i]["ordered"]
+
+
+def _all_dead(handles, timeout_s: float = 30.0) -> bool:
+    """Whether every actor dies within ``timeout_s`` (ray.kill takes effect
+    asynchronously, so a call may still reach the actor for a while)."""
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + timeout_s
+    for w in handles:
+        while True:
+            try:
+                ray.get(w.ping.remote(), timeout=timeout_s)
+            except ray.exceptions.RayActorError:
+                break
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.05)
+    return True
+
+
+def test_injected_failure_kills_leased_and_idle_actors(stream_files, tmp_path, monkeypatch):
+    """The injected crash leaves no partition actor alive, the idle pooled
+    ones included, and empties the pool: the benchmark's crash step waits
+    for exactly this (perfbench/procs.py wait_until_gone)."""
+    from ray_ordered_stream.ordered import OrderedProcessor, _POOL, _pool_key
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from procs import wait_until_gone
+
+    _, files = stream_files
+    cfg = OrderedConfig()
+    # at least four idle actors: two for the crashing run, the rest stay idle
+    spare = OrderedProcessor(cfg, 4)
+    spare.wait_ready(str(tmp_path), None)
+    spare.shutdown()
+    idle_before = list(_POOL.idle[_pool_key(cfg)])
+    assert len(idle_before) >= 4
+    drv = _EpochDriver(
+        str(tmp_path / "out"), cfg, 2, [files[:2], files[2:4]], resume=False,
+        salt_hot_keys=False, sample_files=[], checkpoint_full_every=16,
+        max_inflight=3, fail_after_epoch=0,
+    )
+    leased = list(drv.proc.workers)
+    drv.feed(0, files[:2])
+    with pytest.raises(RuntimeError, match="injected failure"):
+        drv.commit_oldest()
+    assert not any(_POOL.idle.values())
+    assert _all_dead(leased + idle_before)
+    assert wait_until_gone(b"ray::OrderedWorker", 30.0)
+
+
+def test_killed_idle_actor_is_replaced_on_lease(stream_files, tmp_path, monkeypatch):
+    """A pooled actor killed while idle is replaced by a new one at the next
+    lease, and the run's output is still the oracle's."""
+    import ray
+
+    from ray_ordered_stream.ordered import _POOL, _pool_key
+
+    t, files = stream_files
+    cfg = OrderedConfig()
+    ids = _record_leases(monkeypatch)
+    run_stream(files, str(tmp_path / "first"), cfg, num_partitions=2, files_per_epoch=2)
+    victim = _POOL.idle[_pool_key(cfg)][-1]
+    ray.kill(victim)
+    assert _all_dead([victim])
+    res = run_stream(files, str(tmp_path / "second"), cfg, num_partitions=2,
+                     files_per_epoch=2)
+    assert len(set(ids[1]) & set(ids[0])) == 1
+    exp = oracle_ordered(t)
+    got = (
+        read_sink(res, "ordered")
+        .sort_values([KEY, SEQ], kind="stable")
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(
+        got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
+    )
