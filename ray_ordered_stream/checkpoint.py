@@ -47,14 +47,6 @@ import pyarrow.parquet as pq
 FORMAT = 3
 # the ordered core's snapshot entries; every other entry is an operator's
 _ORDERED = ("counters", "buffer", "call_count", "last_status_us")
-_COUNTER_COLS = (
-    ("received", pa.int64()),
-    ("duplicates", pa.int64()),
-    ("results", pa.int64()),
-    ("next_seq", pa.int64()),
-    ("last_event", pa.bool_()),
-    ("digest", pa.string()),
-)
 
 
 def _dir(root: str, partition: int, epoch: int) -> Path:
@@ -85,14 +77,8 @@ def write_partition_checkpoint(
         # current write, else resume restores phantom buffered rows.
         (d / "buffer.parquet").unlink(missing_ok=True)
 
-    c = snap["counters"]
-    keys = sorted(c)
-    cols = list(zip(*(c[k] for k in keys))) or [()] * len(_COUNTER_COLS)
-    counters = pa.table(
-        {"key": pa.array(keys, pa.string())}
-        | {n: pa.array(v, t) for (n, t), v in zip(_COUNTER_COLS, cols)}
-    )
-    _write_atomic(counters, d / "counters.parquet")
+    # a COUNTERS_SCHEMA table in key order (OrderedPartitionState.snapshot)
+    _write_atomic(snap["counters"], d / "counters.parquet")
 
     extras: dict = {"format": FORMAT,
                     "call_count": snap.get("call_count", 0),
@@ -156,12 +142,7 @@ def _read_extras(d: Path) -> dict:
     )
 
 
-def _counters_dict(t: pa.Table) -> dict:
-    cols = t.to_pydict()  # one Python conversion per column, not per cell
-    return dict(zip(cols["key"], zip(*(cols[n] for n, _t in _COUNTER_COLS))))
-
-
-def _read_epoch(d: Path, counters: dict) -> dict:
+def _read_epoch(d: Path, counters: pa.Table) -> dict:
     """Full payload of one committed epoch dir around ``counters``."""
     extras = _read_extras(d)
     buffer = None
@@ -181,7 +162,7 @@ def read_partition_checkpoint(root: str, partition: int, epoch: int) -> dict | N
     d = _dir(root, partition, epoch)
     if not (d / "_COMMIT").exists():
         return None
-    return _read_epoch(d, _counters_dict(pq.read_table(d / "counters.parquet")))
+    return _read_epoch(d, pq.read_table(d / "counters.parquet"))
 
 
 def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None:
@@ -215,7 +196,7 @@ def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None
         # in the reversed codes is that key's last write
         _u, first_rev = np.unique(codes[::-1], return_index=True)
         merged = merged.take(pa.array(len(codes) - 1 - first_rev))
-    return _read_epoch(d, _counters_dict(merged))
+    return _read_epoch(d, merged)
 
 
 def committed_epoch(root: str, partition: int) -> int | None:

@@ -51,7 +51,7 @@ import ray
 
 from .partitioning import split_table
 from .schema import ARRIVAL
-from .state import _EPOCH, OrderedConfig, OrderedPartitionState, _ts_us
+from .state import _EPOCH, OrderedConfig, OrderedPartitionState, _empty_status, _ts_us
 from .stream_ops import LATE_SINK, Operator, _dict_codes, operator_kinds, take_buffered
 
 
@@ -213,7 +213,7 @@ class OrderedWorker:
         if not batches:
             return (
                 self.state._empty_emitted(schema.empty_table()),
-                self.state._status_for([], status_ts),
+                _empty_status(),
             )
         batch = pa.Table.from_batches(batches)
         cfg = self.cfg
@@ -334,26 +334,20 @@ class OrderedWorker:
         return emitted, status, emitted.num_rows
 
     def final_status(self, status_ts):
-        return self.state._status_for(sorted(self.state.counters), status_ts)
+        return self.state.final_status(status_ts)
 
     def completion_summary(self) -> dict:
         """O(keys) -> O(1) reduction of this partition's accounting (the
         scale path for the perf-protocol completion poll: at 10^9 keys the
         per-key final-status table cannot concat on the driver)."""
-        received = results = duplicates = 0
-        all_last = True
-        for c in self.state.counters.values():
-            received += c.received
-            results += c.results
-            duplicates += c.duplicates
-            all_last &= c.last_event
+        c = self.state.counters
         return {
-            "keys": len(self.state.counters),
-            "received": received,
-            "results": results,
-            "duplicates": duplicates,
+            "keys": len(c),
+            "received": int(c.received.sum()),
+            "results": int(c.results.sum()),
+            "duplicates": int(c.duplicates.sum()),
             "buffered": self.state.buffered_row_count(),
-            "all_last_event": all_last,
+            "all_last_event": bool(c.last_event.all()),
             "watermark_us": self._max_ts_us,
         }
 

@@ -14,8 +14,8 @@ exchange uses (partitioning.key_partition_codes — mandatory, or routed keys
 would not meet their state), and writes one FULL checkpoint per new
 partition at the same epoch:
 
-- the ordered counters (a per-key map) and the out-of-order buffer (split
-  by the key column);
+- the ordered counters and the out-of-order buffer (tables, split by their
+  key columns);
 - every part of every operator entry, by its shape: a table is split by
   its key column (an intern table, ``keys``, is then sorted by key, so
   codes are rebuilt in key order), a per-key map (order book, user state)
@@ -194,12 +194,12 @@ def _migrate_snapshots(
             out[q][k] = v
         return out
 
-    def split_tables(tables: list[pa.Table]) -> list[pa.Table]:
+    def split_tables(tables: list[pa.Table], col: str = key) -> list[pa.Table]:
         tbl = pa.concat_tables(tables, promote_options="none")
-        return split_table(tbl, key, new_P, overrides)
+        return split_table(tbl, col, new_P, overrides)
 
-    for q, m in enumerate(split_maps([s["counters"] for s in snaps])):
-        new[q]["counters"] = m
+    for q, t in enumerate(split_tables([s["counters"] for s in snaps], "key")):
+        new[q]["counters"] = t.sort_by("key")
     bufs = [s["buffer"] for s in snaps if s["buffer"] is not None and s["buffer"].num_rows]
     if bufs:
         for q, part in enumerate(split_tables(bufs)):

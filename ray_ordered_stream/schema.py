@@ -54,6 +54,23 @@ STATUS_SCHEMA = pa.schema(
 )
 
 
+#: Per-key counters of the ordered core, one row per key in key order: a
+#: partition snapshot's ``counters`` entry and the checkpoint's
+#: counters.parquet. ``next_seq`` is null until the key's initial event is
+#: processed; ``digest`` is the with_digest chain ("" when off).
+COUNTERS_SCHEMA = pa.schema(
+    [
+        pa.field("key", pa.string()),
+        pa.field("received", pa.int64()),
+        pa.field("duplicates", pa.int64()),
+        pa.field("results", pa.int64()),
+        pa.field("next_seq", pa.int64()),
+        pa.field("last_event", pa.bool_()),
+        pa.field("digest", pa.string()),
+    ]
+)
+
+
 def validate_transcript(table: pa.Table) -> None:
     """Cheap structural validation of an input batch (no full scan)."""
     names = set(table.column_names)

@@ -19,7 +19,10 @@ The drain is vectorized across all keys of the partition: sort the combined
 (buffer + new batch) by (key, seq); within each key the post-dedup sequence
 values are strictly increasing, so with k = rank within key and
 start = next expected seq, the contiguously-emittable prefix is exactly the
-rows where ``seq - (start + k) == 0``.
+rows where ``seq - (start + k) == 0``. The (key, seq, position) sort is one
+sort of a packed int64 key (``_key_seq_order``), and the per-key counters
+are columnar (``KeyCounters``): every counter update and status row is a
+bincount or a fancy index over key codes, with no per-key Python.
 
 This module is deliberately Ray-free so the state machine is unit-testable
 in-process; ``ordered.py`` wraps it in a sharded actor pool.
@@ -28,14 +31,15 @@ in-process; ``ordered.py`` wraps it in a sharded actor pool.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .schema import ARRIVAL, KEY, SEQ, STATUS_SCHEMA
+from .schema import ARRIVAL, COUNTERS_SCHEMA, KEY, SEQ, STATUS_SCHEMA
 
 
 @dataclass
@@ -162,14 +166,113 @@ class OrderedConfig:
     scratch_dir: str = "/tmp/ros_scratch"
 
 
-@dataclass
-class _KeyCounters:
-    received: int = 0
-    duplicates: int = 0
-    results: int = 0
-    next_seq: int | None = None   # None until the initial event is processed
-    last_event: bool = False
-    digest: str = ""
+class KeyCounters:
+    """The per-key counters of one partition, columnar: a key -> code intern
+    dict (codes in first-seen order) and one numpy array per counter,
+    indexed by code. Every array attribute is a view of length ``len(self)``
+    into a buffer grown by doubling, so interning new keys is amortized
+    O(new keys) and a counter update is one fancy-index assignment.
+
+    ``dirty`` marks keys mutated since the last checkpoint; ``buffered``,
+    ``buf_lo`` and ``buf_hi`` are each key's out-of-order buffer row count
+    and its earliest/latest buffered seq (valid where ``buffered > 0``)."""
+
+    FIELDS = (
+        ("received", np.int64),
+        ("duplicates", np.int64),
+        ("results", np.int64),
+        ("next_seq", np.int64),      # valid only where has_next
+        ("has_next", np.bool_),      # False until the initial event is processed
+        ("last_event", np.bool_),
+        ("digest", object),
+        ("dirty", np.bool_),
+        ("buffered", np.int64),
+        ("buf_lo", np.int64),
+        ("buf_hi", np.int64),
+    )
+
+    def __init__(self):
+        self.code: dict[str, int] = {}
+        self._names: list[pa.Array] = []   # chunks, in code order
+        self._buf = {f: np.zeros(0, dt) for f, dt in self.FIELDS}
+        self._bind(0)
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def _bind(self, n: int) -> None:
+        for f, _dt in self.FIELDS:
+            setattr(self, f, self._buf[f][:n])
+
+    def intern(self, keys: pa.Array) -> np.ndarray:
+        """Codes of the distinct ``keys`` (a dictionary encode's
+        dictionary), interning the keys not seen before, in their order,
+        with zero counters."""
+        code = self.code
+        n0 = len(code)
+        values = keys.to_numpy(zero_copy_only=False)
+        g = np.fromiter(
+            map(code.get, values, itertools.repeat(-1)), np.int64, len(values)
+        )
+        new = np.flatnonzero(g < 0)
+        if len(new):
+            n = n0 + len(new)
+            g[new] = np.arange(n0, n)
+            code.update(zip(values[new].tolist(), range(n0, n)))
+            self._names.append(keys.take(pa.array(new)).cast(pa.string()))
+            cap = len(self._buf["received"])
+            if n > cap:
+                cap = max(n, 2 * cap, 64)
+                for f, dt in self.FIELDS:
+                    grown = np.zeros(cap, dt)
+                    grown[:n0] = self._buf[f][:n0]
+                    self._buf[f] = grown
+            self._buf["digest"][n0:n] = ""
+            self._bind(n)
+        return g
+
+    def names(self) -> pa.Array:
+        """The keys in code order."""
+        if len(self._names) != 1:
+            self._names = [
+                pa.concat_arrays(self._names) if self._names else pa.array([], pa.string())
+            ]
+        return self._names[0]
+
+    def table(self, codes: np.ndarray | None = None) -> pa.Table:
+        """The counters of ``codes`` (default: every key) as a
+        ``COUNTERS_SCHEMA`` table in key order."""
+        if codes is None:
+            codes = np.arange(len(self))
+        names = self.names().take(pa.array(codes, pa.int64()))
+        o = pc.sort_indices(names).to_numpy()
+        codes = codes[o]
+        return pa.table(
+            [
+                names.take(pa.array(o)),
+                pa.array(self.received[codes], pa.int64()),
+                pa.array(self.duplicates[codes], pa.int64()),
+                pa.array(self.results[codes], pa.int64()),
+                pa.array(self.next_seq[codes], pa.int64(), mask=~self.has_next[codes]),
+                pa.array(self.last_event[codes], pa.bool_()),
+                pa.array(self.digest[codes], pa.string()),
+            ],
+            schema=COUNTERS_SCHEMA,
+        )
+
+    @classmethod
+    def from_table(cls, t: pa.Table) -> "KeyCounters":
+        """Inverse of ``table``; codes follow the table's row order."""
+        c = cls()
+        c.intern(t["key"].combine_chunks())
+        col = {f: t[f].combine_chunks() for f in COUNTERS_SCHEMA.names[1:]}
+        for f in ("received", "duplicates", "results"):
+            getattr(c, f)[:] = col[f].to_numpy(zero_copy_only=False)
+        c.has_next[:] = col["next_seq"].is_valid().to_numpy(zero_copy_only=False)
+        c.next_seq[:] = pc.fill_null(col["next_seq"], 0).to_numpy(zero_copy_only=False)
+        c.last_event[:] = col["last_event"].to_numpy(zero_copy_only=False)
+        c.digest[:] = col["digest"].to_numpy(zero_copy_only=False)
+        return c
 
 
 class OrderedPartitionState:
@@ -177,11 +280,9 @@ class OrderedPartitionState:
 
     def __init__(self, cfg: OrderedConfig | None = None):
         self.cfg = cfg or OrderedConfig()
-        self.counters: dict[str, _KeyCounters] = {}
+        self.counters = KeyCounters()
         self.buffer: pa.Table | None = None   # out-of-order remainder, sorted by (key, seq)
-        self.dirty: set[str] = set()          # keys mutated since last checkpoint
         self._buffer_file: str | None = None  # offloaded buffer (buffer_offload_rows)
-        self._bounds_cache: dict | None = None
         self._call_count = 0                  # status_every_epochs thinning phase
         self._last_status_us: int | None = None  # status_interval_s phase
 
@@ -211,7 +312,6 @@ class OrderedPartitionState:
 
             os.makedirs(cfg.scratch_dir, exist_ok=True)
             path = f"{cfg.scratch_dir}/buf-{uuid.uuid4().hex}.parquet"
-            self._bounds_cache = self._buffered_bounds()
             pq.write_table(self.buffer, path)
             self._buffer_file = path
             self.buffer = None
@@ -219,8 +319,8 @@ class OrderedPartitionState:
     def buffered_row_count(self) -> int:
         if self.buffer is not None:
             return self.buffer.num_rows
-        if self._bounds_cache is not None and self._buffer_file is not None:
-            return sum(c for c, _lo, _hi in self._bounds_cache.values())
+        if self._buffer_file is not None:
+            return int(self.counters.buffered.sum())
         return 0
 
     # -- hot path ----------------------------------------------------------
@@ -291,49 +391,42 @@ class OrderedPartitionState:
         if isinstance(kd, pa.ChunkedArray):
             kd = kd.combine_chunks()
         bcodes = np.asarray(kd.indices).astype(np.int64)
-        kvals = kd.dictionary.to_pylist()
+        n_keys = len(kd.dictionary)
         bseq = batch[cfg.seq].to_numpy(zero_copy_only=False).astype(np.int64)
         n = batch.num_rows
 
-        # pre-call counters per batch key code
-        pre = []
-        for kv in kvals:
-            kc = self.counters.get(kv)
-            pre.append(
-                (0, 0, 0, None, False)
-                if kc is None
-                else (kc.received, kc.duplicates, kc.results, kc.next_seq, kc.last_event)
-            )
+        # pre-call counters per batch key code (interning a new key gives it
+        # the zero counters it starts from)
+        kc = self.counters
+        g = kc.intern(kd.dictionary)
+        pre_recv, pre_dup, pre_res = kc.received[g], kc.duplicates[g], kc.results[g]
+        pre_next, pre_has, pre_last = kc.next_seq[g], kc.has_next[g], kc.last_event[g]
+
+        def by_batch_code(t: pa.Table | None, keep: np.ndarray | None = None):
+            """(bounds, seqs): the seqs of ``t``'s rows (those in ``keep``)
+            whose key is in the batch, grouped by batch code in row order;
+            code k's are ``seqs[bounds[k]:bounds[k + 1]]``."""
+            if t is None or not t.num_rows:
+                return np.zeros(n_keys + 1, np.int64), np.zeros(0, np.int64)
+            k = pc.fill_null(pc.index_in(t[cfg.key], value_set=kd.dictionary), -1)
+            k = k.to_numpy(zero_copy_only=False).astype(np.int64)
+            if keep is not None:
+                k[~keep] = -1
+            o = np.argsort(k, kind="stable")
+            seqs = t[cfg.seq].to_numpy(zero_copy_only=False).astype(np.int64)[o]
+            return np.searchsorted(k[o], np.arange(n_keys + 1)), seqs
 
         # pre-call buffered seqs per batch key (buffer is sorted by key, seq)
-        buf_seqs: dict[int, np.ndarray] = {}
-        if pre_buffer is not None and pre_buffer.num_rows:
-            code_of = {kv: c for c, kv in enumerate(kvals)}
-            benc = pc.dictionary_encode(pre_buffer[cfg.key]).combine_chunks()
-            bkc = benc.indices.to_numpy(zero_copy_only=False)
-            bks = pre_buffer[cfg.seq].to_numpy(zero_copy_only=False).astype(np.int64)
-            starts = np.flatnonzero(np.r_[True, bkc[1:] != bkc[:-1]])
-            ends = np.r_[starts[1:], len(bkc)]
-            for kv, s, e in zip(
-                benc.dictionary.take(pa.array(bkc[starts])).to_pylist(), starts, ends
-            ):
-                c = code_of.get(kv)
-                if c is not None:
-                    buf_seqs[c] = bks[s:e]
+        buf_b, buf_s = by_batch_code(pre_buffer)
 
         # mutate for real; this method owns call-count/thinning/status
         emitted, _ = self._process_vec(batch, status_ts, _external_status=True)
 
-        # last-event rows of the emitted set, as (code -> emitted seqs)
-        le_seqs: dict[int, list[int]] = {}
-        if emitted.num_rows:
-            le_mask = last_event_mask(emitted, cfg)
-            if le_mask is not None and le_mask.any():
-                code_of = {kv: c for c, kv in enumerate(kvals)}
-                eks = emitted[cfg.key].to_pylist()
-                ess = emitted[cfg.seq].to_numpy(zero_copy_only=False)
-                for i in np.flatnonzero(le_mask):
-                    le_seqs.setdefault(code_of[eks[i]], []).append(int(ess[i]))
+        # seqs of the emitted last-event rows per batch key
+        le_mask = last_event_mask(emitted, cfg) if emitted.num_rows else None
+        le_b, le_s = by_batch_code(
+            emitted if le_mask is not None and le_mask.any() else None, le_mask
+        )
 
         # -- per-key trajectory reconstruction (vectorized within key) ------
         recv_g = np.empty(n, np.int64)
@@ -357,9 +450,10 @@ class OrderedPartitionState:
             c = int(ck[gs])
             m = len(rows)
             seqs = bseq[rows]
-            p_recv, p_dup, p_res, p_next, p_last = pre[c]
+            p_recv, p_dup, p_res = int(pre_recv[c]), int(pre_dup[c]), int(pre_res[c])
+            p_next = int(pre_next[c]) if pre_has[c] else None
             start = p_next if p_next is not None else cfg.initial_seq
-            bs = buf_seqs.get(c, np.empty(0, np.int64))
+            bs = buf_s[buf_b[c]:buf_b[c + 1]]
             B = len(bs)
 
             # duplicate-at-arrival flags: already processed, in buffer, or a
@@ -430,11 +524,11 @@ class OrderedPartitionState:
                 earli_g[rows] = useq[np.clip(earliest_pos, 0, u - 1)]
 
             # last-event flag flips at the rank whose drain emitted it
-            if p_last:
+            if pre_last[c]:
                 lastev_g[rows] = True
-            elif c in le_seqs:
+            elif le_b[c + 1] > le_b[c]:
                 drs = []
-                for s in le_seqs[c]:
+                for s in le_s[le_b[c]:le_b[c + 1]]:
                     j = int(np.searchsorted(useq, s))
                     drs.append(int(np.searchsorted(p, j + 1, side="left")))
                 dr = min(drs)
@@ -471,7 +565,7 @@ class OrderedPartitionState:
         status = pa.table(
             {
                 KEY: keys_arr,
-                "status_ts": pa.array([status_ts] * len(sel), pa.timestamp("us")),
+                "status_ts": _repeat_ts(status_ts, len(sel)),
                 "received_count": pa.array(recv_g[sel], pa.int64()),
                 "buffered_count": pa.array(buf_g[sel], pa.int64()),
                 "last_processed_sequence": pa.array(
@@ -504,15 +598,10 @@ class OrderedPartitionState:
         payload_cols = [c for c in batch.column_names if c != ARRIVAL]
         batch = batch.select(payload_cols)
 
-        touched = set()
-
         # 1. combine buffer (earlier arrivals) + batch. ONE dictionary encode
-        #    of the key over the combined order, then a pure-integer lexsort
-        #    (codes, seq, position) — the position tiebreak keeps the
-        #    earliest arrival first among duplicate (key, seq) rows
-        #    (FIXTURES.md §2 "keep first"). Sorting by integer codes instead
-        #    of the string column itself is ~3x faster and also serves as the
-        #    received-count hash pass (np.bincount below).
+        #    of the key over the combined order (local codes in first-seen
+        #    order; they decide the emitted rows' order), interned once per
+        #    distinct key into the partition's key codes (``glob``).
         self._load_buffer()
         buffer_n = 0 if self.buffer is None else self.buffer.num_rows
         if buffer_n:
@@ -527,29 +616,26 @@ class OrderedPartitionState:
         if isinstance(keys_dict, pa.ChunkedArray):
             keys_dict = keys_dict.combine_chunks()
         codes_u = np.asarray(keys_dict.indices).astype(np.int64)
-        key_values = keys_dict.dictionary.to_pylist()
+        c = self.counters
+        glob = c.intern(keys_dict.dictionary)
+        n_local = len(glob)
         seq_u = combined[cfg.seq].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(seq_u)
 
         # received counts (per key, from the new batch rows only)
-        recv = np.bincount(codes_u[buffer_n:], minlength=len(key_values))
-        for c in np.flatnonzero(recv):
-            kv = key_values[c]
-            self.counters.setdefault(kv, _KeyCounters()).received += int(recv[c])
-            touched.add(kv)
+        recv = np.bincount(codes_u[buffer_n:], minlength=n_local)
+        c.received[glob] += recv
+        touched = recv > 0   # by local code
 
-        # The table itself is NOT reordered (that would copy every row);
-        # only the emitted / buffered subsets are taken through `order`.
-        order = np.lexsort((np.arange(n), seq_u, codes_u))
-        codes = codes_u[order]
-        seq = seq_u[order]
+        # 2. sort by (code, seq, position); the position tiebreak keeps the
+        #    earliest arrival first among duplicate (key, seq) rows
+        #    (FIXTURES.md §2 "keep first"). The table itself is NOT reordered
+        #    (that would copy every row); only the emitted / buffered subsets
+        #    are taken through `order`.
+        order, codes, seq = _key_seq_order(codes_u, seq_u)
+        n = len(seq)
 
-        # next expected seq per present key (None -> initial_seq)
-        start_per_code = np.empty(len(key_values), dtype=np.int64)
-        for c, kv in enumerate(key_values):
-            kc = self.counters.get(kv)
-            ns = kc.next_seq if kc is not None and kc.next_seq is not None else cfg.initial_seq
-            start_per_code[c] = ns
+        # next expected seq per local code
+        start_per_code = np.where(c.has_next[glob], c.next_seq[glob], cfg.initial_seq)
 
         # 3. duplicate detection: same (key, seq) as the previous row, or
         #    seq below the key's next expected seq (already processed).
@@ -562,9 +648,7 @@ class OrderedPartitionState:
             dup = np.zeros(0, dtype=bool)
 
         if dup.any():
-            dup_codes, dup_counts = np.unique(codes[dup], return_counts=True)
-            for c, cnt in zip(dup_codes, dup_counts):
-                self.counters[key_values[c]].duplicates += int(cnt)
+            c.duplicates[glob] += np.bincount(codes[dup], minlength=n_local)
 
         valid_idx = np.flatnonzero(~dup)
         vcodes = codes[valid_idx]
@@ -607,23 +691,17 @@ class OrderedPartitionState:
             e_change = np.empty(len(emit_codes), dtype=bool)
             e_change[0] = True
             e_change[1:] = emit_codes[1:] != emit_codes[:-1]
-            e_start = np.maximum.accumulate(
-                np.where(e_change, np.arange(len(emit_codes)), 0)
-            )
-            e_rank = np.arange(len(emit_codes)) - e_start
-            uniq_codes = emit_codes[e_change]
             e_change_idx = np.flatnonzero(e_change)
             group_sizes = np.diff(np.append(e_change_idx, len(emit_codes)))
-            first_seq = seq[emit_rows[e_change_idx]]
-            base = np.empty(len(uniq_codes), dtype=np.int64)
-            for gi, c in enumerate(uniq_codes):
-                kv = key_values[c]
-                kc = self.counters[kv]
-                base[gi] = kc.results
-                kc.results += int(group_sizes[gi])
-                kc.next_seq = int(first_seq[gi]) + int(group_sizes[gi])
-                touched.add(kv)
-            emit_seq_col = base[np.cumsum(e_change) - 1] + e_rank + 1
+            e_rank = np.arange(len(emit_codes)) - np.repeat(e_change_idx, group_sizes)
+            uniq_codes = emit_codes[e_change_idx]
+            g = glob[uniq_codes]
+            base = c.results[g]
+            c.results[g] = base + group_sizes
+            c.next_seq[g] = seq[emit_rows[e_change_idx]] + group_sizes
+            c.has_next[g] = True
+            touched[uniq_codes] = True
+            emit_seq_col = np.repeat(base, group_sizes) + e_rank + 1
         emitted = emitted.append_column("emit_seq", pa.array(emit_seq_col, pa.int64()))
 
         # 6. last-event handling (≙ EventExaminer.isLastEvent -> state cleanup,
@@ -632,22 +710,34 @@ class OrderedPartitionState:
         if len(emit_rows):
             is_last = last_event_mask(emitted, cfg)
             if is_last is not None:
-                for c in np.unique(emit_codes[is_last]):
-                    self.counters[key_values[c]].last_event = True
+                c.last_event[glob[emit_codes[is_last]]] = True
 
         # 7. optional demo order-dependent state (≙ OrderBookBuilder running
         #    aggregate, business-model/.../OrderBookBuilder.java:39-87): a
         #    chained per-key digest proving mutate ran in sequence order.
         if cfg.with_digest:
-            emitted = self._apply_digest(emitted, emit_codes, key_values)
+            emitted = self._apply_digest(emitted, glob[emit_codes])
 
-        # 8. new buffer = non-emittable remainder (stays sorted by key, seq)
+        # 8. new buffer = non-emittable remainder (stays sorted by key, seq);
+        #    every key with buffered rows is in this call, so its bounds are
+        #    the remainder's group boundaries
         self.buffer = (
             combined.take(pa.array(order[rest_rows])) if len(rest_rows) else None
         )
+        c.buffered[glob] = 0
+        if len(rest_rows):
+            r_codes = codes[rest_rows]
+            r_seq = seq[rest_rows]
+            r_start = np.flatnonzero(np.r_[True, r_codes[1:] != r_codes[:-1]])
+            r_end = np.r_[r_start[1:], len(r_codes)] - 1
+            g = glob[r_codes[r_start]]
+            c.buffered[g] = r_end - r_start + 1
+            c.buf_lo[g] = r_seq[r_start]
+            c.buf_hi[g] = r_seq[r_end]
 
         # 9. status rows for touched keys (thinned by status_every_epochs)
-        self.dirty |= touched
+        touched_codes = np.flatnonzero(touched)
+        c.dirty[glob[touched_codes]] = True
         if _external_status:
             # caller (_process_every_event) owns call-count accounting,
             # thinning, and the per-event status table
@@ -668,63 +758,56 @@ class OrderedPartitionState:
         if suppress:
             status = _empty_status()
         else:
-            status = self._status_for(sorted(touched), status_ts)
+            status = self._status_rows(
+                keys_dict.dictionary.take(pa.array(touched_codes)),
+                glob[touched_codes],
+                status_ts,
+            )
             self._last_status_us = ts_us
         self._maybe_offload_buffer()
         return emitted, status
 
     # -- helpers -----------------------------------------------------------
 
-    def _apply_digest(self, emitted: pa.Table, emit_codes: np.ndarray, key_values) -> pa.Table:
-        texts = emitted["text"].to_pylist() if "text" in emitted.column_names else [""] * len(emit_codes)
+    def _apply_digest(self, emitted: pa.Table, emit_keys: np.ndarray) -> pa.Table:
+        texts = emitted["text"].to_pylist() if "text" in emitted.column_names else [""] * len(emit_keys)
+        chain = self.counters.digest
         digests = []
-        for c, txt in zip(emit_codes, texts):
-            kc = self.counters[key_values[c]]
-            kc.digest = hashlib.sha1(f"{kc.digest}|{txt}".encode()).hexdigest()[:16]
-            digests.append(kc.digest)
+        for k, txt in zip(emit_keys.tolist(), texts):
+            chain[k] = hashlib.sha1(f"{chain[k]}|{txt}".encode()).hexdigest()[:16]
+            digests.append(chain[k])
         return emitted.append_column("state_digest", pa.array(digests, pa.string()))
 
-    def _buffered_bounds(self) -> dict[str, tuple[int, int, int]]:
-        """key -> (buffered_count, earliest, latest) from the current buffer.
-        The buffer is kept sorted by (key, seq), so bounds are group
-        boundaries — vectorized, no per-row Python."""
-        out: dict[str, tuple[int, int, int]] = {}
-        if self.buffer is None and self._buffer_file is not None:
-            return dict(self._bounds_cache or {})
-        if self.buffer is None or not self.buffer.num_rows:
-            return out
-        cfg = self.cfg
-        enc = pc.dictionary_encode(self.buffer[cfg.key]).combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        seqs = self.buffer[cfg.seq].to_numpy(zero_copy_only=False)
-        n = len(codes)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], n] - 1
-        for kv, s, e in zip(
-            enc.dictionary.take(pa.array(codes[starts])).to_pylist(), starts, ends
-        ):
-            out[kv] = (int(e - s + 1), int(seqs[s]), int(seqs[e]))
-        return out
+    def _status_rows(self, names: pa.Array, codes: np.ndarray, status_ts) -> pa.Table:
+        """One status row per key of ``names`` (whose key codes are
+        ``codes``), in key order. Arrow orders strings by UTF-8 bytes, which
+        is Python's ``str`` order."""
+        o = pc.sort_indices(names).to_numpy()
+        codes = codes[o]
+        c = self.counters
+        buffered = c.buffered[codes]
+        none_buffered = buffered == 0
+        return pa.table(
+            [
+                names.take(pa.array(o)).cast(pa.string()),
+                _repeat_ts(status_ts, len(codes)),
+                pa.array(c.received[codes], pa.int64()),
+                pa.array(buffered, pa.int64()),
+                pa.array(c.next_seq[codes] - 1, pa.int64(), mask=~c.has_next[codes]),
+                pa.array(c.buf_lo[codes], pa.int64(), mask=none_buffered),
+                pa.array(c.buf_hi[codes], pa.int64(), mask=none_buffered),
+                pa.array(c.duplicates[codes], pa.int64()),
+                pa.array(c.results[codes], pa.int64()),
+                pa.array(c.last_event[codes], pa.bool_()),
+            ],
+            schema=STATUS_SCHEMA,
+        )
 
-    def _status_for(self, keys: list[str], status_ts) -> pa.Table:
-        bounds = self._buffered_bounds()
-        rows = {f.name: [] for f in STATUS_SCHEMA}
-        for kv in keys:
-            kc = self.counters[kv]
-            b = bounds.get(kv)
-            rows[KEY].append(kv)
-            rows["status_ts"].append(status_ts)
-            rows["received_count"].append(kc.received)
-            rows["buffered_count"].append(b[0] if b else 0)
-            rows["last_processed_sequence"].append(
-                None if kc.next_seq is None else kc.next_seq - 1
-            )
-            rows["earliest_buffered_sequence"].append(b[1] if b else None)
-            rows["latest_buffered_sequence"].append(b[2] if b else None)
-            rows["duplicate_count"].append(kc.duplicates)
-            rows["result_count"].append(kc.results)
-            rows["last_event_received"].append(kc.last_event)
-        return pa.table(rows, schema=STATUS_SCHEMA)
+    def final_status(self, status_ts) -> pa.Table:
+        """Status rows of every key this partition has seen, in key order."""
+        return self._status_rows(
+            self.counters.names(), np.arange(len(self.counters)), status_ts
+        )
 
     def _empty_emitted(self, like: pa.Table) -> pa.Table:
         cols = [c for c in like.column_names if c != ARRIVAL]
@@ -737,26 +820,17 @@ class OrderedPartitionState:
     # -- checkpoint --------------------------------------------------------
 
     def snapshot(self, dirty_only: bool = False) -> dict:
-        """Serializable state: counters dict + buffered rows (Arrow).
+        """Serializable state: the counters (a ``COUNTERS_SCHEMA`` table in
+        key order) + buffered rows (Arrow).
 
         ``dirty_only`` restricts counters to keys mutated since the last
         ``mark_clean()`` — the incremental-checkpoint path (a full-counter
         write per epoch is O(total keys) and dominates at millions of keys;
         restore merges epoch deltas last-wins, see checkpoint.py)."""
         self._load_buffer()  # checkpoints always materialize the buffer
-        keys = self.dirty if dirty_only else self.counters.keys()
+        c = self.counters
         return {
-            "counters": {
-                k: (
-                    (c := self.counters[k]).received,
-                    c.duplicates,
-                    c.results,
-                    c.next_seq,
-                    c.last_event,
-                    c.digest,
-                )
-                for k in keys
-            },
+            "counters": c.table(np.flatnonzero(c.dirty) if dirty_only else None),
             "buffer": self.buffer,
             # thinning phase must survive kill-and-resume so re-run epochs
             # write byte-identical status-sink parts (status_every_epochs /
@@ -766,17 +840,24 @@ class OrderedPartitionState:
         }
 
     def mark_clean(self) -> None:
-        self.dirty.clear()
+        self.counters.dirty[:] = False
 
     @classmethod
     def restore(cls, cfg: OrderedConfig, snap: dict) -> "OrderedPartitionState":
         st = cls(cfg)
-        st.counters = {
-            k: _KeyCounters(received=v[0], duplicates=v[1], results=v[2],
-                            next_seq=v[3], last_event=v[4], digest=v[5])
-            for k, v in snap["counters"].items()
-        }
+        c = st.counters = KeyCounters.from_table(snap["counters"])
         st.buffer = snap["buffer"]
+        if st.buffer is not None and st.buffer.num_rows:
+            enc = pc.dictionary_encode(st.buffer[cfg.key].combine_chunks())
+            g = c.intern(enc.dictionary)[
+                enc.indices.to_numpy(zero_copy_only=False)
+            ]
+            bseq = st.buffer[cfg.seq].to_numpy(zero_copy_only=False).astype(np.int64)
+            c.buffered[:] = np.bincount(g, minlength=len(c))
+            c.buf_lo[:] = np.iinfo(np.int64).max
+            c.buf_hi[:] = np.iinfo(np.int64).min
+            np.minimum.at(c.buf_lo, g, bseq)
+            np.maximum.at(c.buf_hi, g, bseq)
         st._call_count = snap.get("call_count", 0)
         st._last_status_us = snap.get("last_status_us")
         return st
@@ -803,6 +884,39 @@ def _ts_us(status_ts) -> int:
     raise TypeError(
         "status_ts must be a pd.Timestamp, datetime or np.datetime64; got "
         f"{type(status_ts).__name__}"
+    )
+
+
+def _repeat_ts(status_ts, n: int) -> pa.Array:
+    """``status_ts`` as an ``n``-row ``timestamp[us]`` column (one Python
+    conversion, then a take)."""
+    one = pa.array([status_ts], pa.timestamp("us"))
+    return one.take(pa.array(np.zeros(n, np.int64)))
+
+
+def _key_seq_order(codes: np.ndarray, seq: np.ndarray):
+    """``(order, codes[order], seq[order])`` for the rows sorted by (code,
+    seq, position). Packs the three into one int64 ``code << (bs + bp) |
+    (seq - min) << bp | position`` and sorts it, which is several times
+    faster than the three-key ``lexsort`` and gives the same order: the
+    packed values are distinct, and the position field keeps the earliest
+    arrival first among equal (code, seq). The sorted values unpack back
+    into all three. Inputs whose bit widths pass 63 take the ``lexsort``."""
+    n = len(seq)
+    if n == 0:
+        return np.zeros(0, np.int64), codes[:0], seq[:0]
+    lo = int(seq.min())
+    bs = (int(seq.max()) - lo).bit_length()
+    bp = (n - 1).bit_length()
+    if int(codes.max()).bit_length() + bs + bp > 63:
+        order = np.lexsort((np.arange(n), seq, codes))
+        return order, codes[order], seq[order]
+    packed = (codes << (bs + bp)) | ((seq - lo) << bp) | np.arange(n, dtype=np.int64)
+    packed.sort()
+    return (
+        packed & ((1 << bp) - 1),
+        packed >> (bs + bp),
+        ((packed >> bp) & ((1 << bs) - 1)) + lo,
     )
 
 

@@ -56,9 +56,9 @@ def test_any_permutation_matches_oracle(n_convs, turns, perm_seed, dup_idx, chun
     assert list(got["emit_seq"]) == list(exp["emit_seq"])
     # buffers fully drained; accounting exact
     assert stt.buffer is None or stt.buffer.num_rows == 0
-    total = sum(c.results for c in stt.counters.values())
-    dups = sum(c.duplicates for c in stt.counters.values())
-    recv = sum(c.received for c in stt.counters.values())
+    total = int(stt.counters.results.sum())
+    dups = int(stt.counters.duplicates.sum())
+    recv = int(stt.counters.received.sum())
     assert total == len(exp)
     assert recv == t.num_rows
     assert dups == t.num_rows - len(exp)

@@ -18,7 +18,7 @@ from ray_ordered_stream.checkpoint import (
     read_merged_checkpoint,
     write_partition_checkpoint,
 )
-from ray_ordered_stream.schema import KEY, SEQ
+from ray_ordered_stream.schema import COUNTERS_SCHEMA, KEY, SEQ
 from ray_ordered_stream.stream_ops import (
     SessionAccumulator,
     StreamJoiner,
@@ -56,7 +56,8 @@ def _run_cut(make, slot: str, chunks: list[pa.Table], cut: int, feed) -> pa.Tabl
             with tempfile.TemporaryDirectory() as root:
                 write_partition_checkpoint(
                     root, 0, 0,
-                    {"counters": {}, "buffer": None, slot: op.snapshot()},
+                    {"counters": COUNTERS_SCHEMA.empty_table(), "buffer": None,
+                     slot: op.snapshot()},
                 )
                 op = make()
                 op.restore(read_merged_checkpoint(root, 0, 0)[slot])

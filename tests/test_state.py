@@ -216,7 +216,7 @@ def test_status_thinning_every_k_epochs():
     calls = len(rows_per_call)
     emitted_calls = [i for i, r in enumerate(rows_per_call) if r > 0]
     assert emitted_calls == [i for i in range(calls) if (i + 1) % 3 == 0]
-    total_results = sum(c.results for c in st.counters.values())
+    total_results = int(st.counters.results.sum())
     from ray_ordered_stream.fixtures import oracle_ordered
 
     assert total_results == len(oracle_ordered(t))
@@ -242,9 +242,11 @@ def test_buffer_offload_pathological_gap(tmp_path):
     assert st.buffer is None and st._buffer_file is not None  # offloaded
     assert len(_glob.glob(f"{scratch}/*.parquet")) == 1
     assert st.buffered_row_count() == rest.num_rows
-    # status bounds still served from the cache while offloaded
-    b = st._buffered_bounds()
-    assert list(b.values())[0][0] == rest.num_rows
+    # status bounds are still served while offloaded
+    b = st.final_status(TS).to_pylist()
+    assert len(b) == 1 and b[0]["buffered_count"] == rest.num_rows
+    assert b[0]["earliest_buffered_sequence"] == 1
+    assert b[0]["latest_buffered_sequence"] == rest.num_rows
     e, s = st.process(withheld, TS)  # gap fills -> full drain
     parts.append(e)
     emitted = pa.concat_tables(parts)
@@ -407,10 +409,7 @@ def test_every_event_matches_per_row_simulation(seed):
     df_r = em_r.to_pandas().sort_values([KEY, SEQ]).reset_index(drop=True)
     pd.testing.assert_frame_equal(df_v, df_r)
     # final state parity too
-    assert {k: (c.received, c.duplicates, c.results, c.next_seq, c.last_event, c.digest)
-            for k, c in st_v.counters.items()} == \
-           {k: (c.received, c.duplicates, c.results, c.next_seq, c.last_event, c.digest)
-            for k, c in st_r.counters.items()}
+    assert st_v.counters.table().equals(st_r.counters.table())
 
 
 def test_every_event_thinning_matches_per_row():

@@ -13,7 +13,7 @@ import pytest
 
 from ray_ordered_stream.epochs import _EpochDriver, _open_sinks, run_stream
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
-from ray_ordered_stream.schema import ARRIVAL, KEY, SEQ
+from ray_ordered_stream.schema import ARRIVAL, COUNTERS_SCHEMA, KEY, SEQ
 from ray_ordered_stream.state import OrderedConfig
 from ray_ordered_stream.userstate import ChainedDigestState
 
@@ -213,12 +213,30 @@ def test_checkpoint_overwrite_clears_stale_buffer(tmp_path):
 
     root = str(tmp_path / "out")
     buf = pa.table({"conv_id": ["c"], "turn_idx": pa.array([5], pa.int32())})
-    write_partition_checkpoint(root, 0, 3, {"counters": {}, "buffer": buf})
+    none = COUNTERS_SCHEMA.empty_table()
+    write_partition_checkpoint(root, 0, 3, {"counters": none, "buffer": buf})
     snap = read_partition_checkpoint(root, 0, 3)
     assert snap["buffer"] is not None and snap["buffer"].num_rows == 1
-    write_partition_checkpoint(root, 0, 3, {"counters": {}, "buffer": None})
+    write_partition_checkpoint(root, 0, 3, {"counters": none, "buffer": None})
     snap = read_partition_checkpoint(root, 0, 3)
     assert snap["buffer"] is None  # no phantom rows
+
+
+def _counters_table(counters: dict) -> pa.Table:
+    """A checkpoint ``counters`` entry from {key: (received, duplicates,
+    results, next_seq, last_event, digest)}, in key order."""
+    rows = [(k, *v) for k, v in sorted(counters.items())]
+    return pa.table(
+        [pa.array(col, f.type) for col, f in
+         zip(zip(*rows) if rows else [()] * len(COUNTERS_SCHEMA), COUNTERS_SCHEMA)],
+        schema=COUNTERS_SCHEMA,
+    )
+
+
+def _counters_dict(t: pa.Table) -> dict:
+    """Inverse of ``_counters_table``, keeping the table's row order."""
+    cols = t.to_pydict()
+    return dict(zip(cols["key"], zip(*(cols[n] for n in COUNTERS_SCHEMA.names[1:]))))
 
 
 def test_checkpoint_compaction_bounds_restore(tmp_path):
@@ -249,10 +267,12 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
         buf = pa.table({KEY: [f"k{e}"], SEQ: pa.array([e], pa.int32())})
         write_partition_checkpoint(
             root, 0, e,
-            {"counters": counters, "buffer": buf, "windows": acc.snapshot()},
+            {"counters": _counters_table(counters), "buffer": buf,
+             "windows": acc.snapshot()},
             full=full,
         )
     snap = read_merged_checkpoint(root, 0, 59)
+    snap["counters"] = _counters_dict(snap["counters"])
     assert len(snap["counters"]) == 61
     assert snap["counters"]["k59"][3] == 60
     assert snap["counters"]["hot"] == (59, 0, 59, 60, False, "d59")
@@ -264,6 +284,7 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
     for e in range(48):
         shutil.rmtree(ck / f"epoch-{e:05d}")
     snap2 = read_merged_checkpoint(root, 0, 59)
+    snap2["counters"] = _counters_dict(snap2["counters"])
     assert {k for k in snap2["counters"]} >= {f"k{i}" for i in range(48, 60)}
 
     # restore reads only the counters of the base and delta epochs: garbage
@@ -276,6 +297,7 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
             f.write_bytes(b"\x00garbage")
         (d / "buffer.parquet").unlink()
     snap3 = read_merged_checkpoint(root, 0, 59)
+    snap3["counters"] = _counters_dict(snap3["counters"])
     assert list(snap3["counters"].items()) == list(snap["counters"].items())
     assert snap3["buffer"].equals(snap["buffer"])
     assert snap3["windows"]["watermark"] == snap["windows"]["watermark"]
@@ -283,6 +305,7 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
     # a delta epoch that never committed is skipped
     (ck / "epoch-00055" / "_COMMIT").unlink()
     snap4 = read_merged_checkpoint(root, 0, 59)
+    snap4["counters"] = _counters_dict(snap4["counters"])
     assert "k55" not in snap4["counters"]
     assert snap4["counters"]["hot"] == snap["counters"]["hot"]
     assert len(snap4["counters"]) == len(snap["counters"]) - 1
@@ -309,7 +332,8 @@ def test_checkpoint_of_another_format_fails_loudly(tmp_path, extras):
 
     root = str(tmp_path / "out")
     d = Path(write_partition_checkpoint(
-        root, 0, 0, {"counters": {"k": (1, 0, 1, 1, False, "")}, "buffer": None}
+        root, 0, 0, {"counters": _counters_table({"k": (1, 0, 1, 1, False, "")}),
+                  "buffer": None}
     ))
     (d / "extras.json").write_text(json.dumps(extras))
     for read in (read_partition_checkpoint, read_merged_checkpoint):
