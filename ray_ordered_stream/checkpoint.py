@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 # version of the epoch-directory layout above, recorded in extras.json
 FORMAT = 3
 # the ordered core's snapshot entries; every other entry is an operator's
-_ORDERED = ("counters", "buffer", "call_count", "last_status_us")
+_ORDERED = ("counters", "buffer", "last_status_us")
 
 
 def _dir(root: str, partition: int, epoch: int) -> Path:
@@ -81,7 +81,6 @@ def write_partition_checkpoint(
     _write_atomic(snap["counters"], d / "counters.parquet")
 
     extras: dict = {"format": FORMAT,
-                    "call_count": snap.get("call_count", 0),
                     "last_status_us": snap.get("last_status_us"),
                     "operators": {}}
     for name, parts in operator_entries(snap).items():
@@ -149,7 +148,6 @@ def _read_epoch(d: Path, counters: pa.Table) -> dict:
     if (d / "buffer.parquet").exists():
         buffer = pq.read_table(d / "buffer.parquet")
     snap: dict = {"counters": counters, "buffer": buffer,
-                  "call_count": extras["call_count"],
                   "last_status_us": extras["last_status_us"]}
     for name, op in extras["operators"].items():
         snap[name] = dict(op["json"])

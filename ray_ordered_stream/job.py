@@ -6,17 +6,17 @@ multi-node cluster; this module is that job script:
     ray job submit --working-dir . -- \\
         python -m ray_ordered_stream.job \\
         --input /data/landing --out /data/out \\
-        --partitions 256 --files-per-epoch 16 --spread-actors \\
+        --partitions 256 --files-per-epoch 16 \\
         --window-size 3600 --session-gap 900 --stream-join \\
         --pattern view,click,purchase
 
 Inside a submitted job ``ray.init(address="auto")`` attaches to the
 cluster; standalone it starts a local session (guarded — never re-inits).
-On a real cluster pass ``--spread-actors`` so the state store spreads
-across nodes, and size ``--partitions`` ~ total cores (state.OrderedConfig
-notes). Exactly-once resume is the default: re-submitting the same job
-after a failure skips committed epochs and continues from the consistent
-checkpoint cut (epochs.run_stream protocol).
+The state actors are always SPREAD across the cluster's nodes
+(ordered.OrderedWorker); size ``--partitions`` ~ total cores. Exactly-once
+resume is the default: re-submitting the same job after a failure skips
+committed epochs and continues from the consistent checkpoint cut
+(epochs.run_stream protocol).
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ def build_config(args) -> "OrderedConfig":
         absent_within_s=args.absent_within,
         pattern_lateness_s=args.pattern_lateness,
         with_book=args.with_book,
-        status_every_epochs=args.status_every_epochs,
         status_interval_s=args.status_interval,
         state_ttl_s=args.state_ttl,
-        spread_actors=args.spread_actors,
         warmup_rows=args.warmup_rows,
         state_factory=(
             _resolve_user_state(args.user_state) if args.user_state else None
@@ -100,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="pluggable MutableState factory as "
                          "'package.module:callable' (userstate.py recipe); "
                          "its results flow to the 'user' sink")
-    ap.add_argument("--status-every-epochs", type=int, default=1)
     ap.add_argument("--status-interval", type=float, default=0.0)
     ap.add_argument("--autoscale-backlog-epochs", type=int, default=None,
                     help="continuous mode: grow partitions when this many "
@@ -119,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="sample the stream head and pin the heaviest keys "
                          "round-robin across partitions (pins persist in the "
                          "checkpoint lineage; resume reuses them)")
-    ap.add_argument("--spread-actors", action="store_true")
     ap.add_argument("--warmup-rows", type=int, default=8192)
     ap.add_argument(
         "--pipeline",

@@ -21,7 +21,8 @@ comes back only through ``restore_from`` the durable checkpoint, never from
 an earlier lease. A clean ``OrderedProcessor.shutdown`` returns the actors
 (each drops its state first); a broken processor (an injected failure)
 kills them and the pool's idle actors. Pooled actors are ordinary actors:
-they die with the driver and its Ray session.
+they die with the driver and its Ray session. The batch facade
+(``ordered_process``) starts its own actors and never touches the pool.
 
 The exchange is block-ref based: shards travel through the object store
 and are fetched by the owning actor (zero-copy on the same node), which is
@@ -90,25 +91,14 @@ def _concat_shards(*tbls: pa.Table) -> pa.RecordBatch:
 
 
 @ray.remote
-def _read_and_split_parts(
-    key: str, P: int, parts: tuple, overrides, range_bounds, paths: list[str]
-):
+def _read_and_split_parts(key: str, P: int, overrides, range_bounds, paths: list[str]):
     """Fused source + map side of the exchange: decode Parquet file(s) and
-    split straight into compact shards of the partitions in ``parts``
-    (returned alone for one part, else as a tuple). The whole block never
-    enters the object store — only the shards do — which cuts the
-    full-data plasma crossings per epoch from 3 (read put, split put, concat
-    put) to 1. At 32 cores on one node the exchange is store-bandwidth
-    bound, so this is the main scaling lever (BASELINE.md round-1 analysis).
-
-    The file path exchange asks for every partition, or with P == 1 the one
-    shard itself. Locality-aware (OrderedConfig.locality_split), one task
-    per node is node-affinity-scheduled onto the node hosting the state
-    actors for ``parts`` and materializes ONLY those partitions' shards — so
-    exchange shards never cross raylets. The trade is N_nodes redundant
-    decodes of each file group against zero cross-node object transfer;
-    sound when the input is node-local anyway (shared FS / page cache /
-    object storage read per node) and transfer dominates decode."""
+    split straight into P compact shards (returned alone for P == 1, else
+    as a tuple). The whole block never enters the object store — only the
+    shards do — which cuts the full-data plasma crossings per epoch from 3
+    (read put, split put, concat put) to 1. At 32 cores on one node the
+    exchange is store-bandwidth bound, so this is the main scaling lever
+    (BASELINE.md round-1 analysis)."""
     import pyarrow.parquet as pq
 
     # many split tasks run side by side; arrow's default all-cores pool per
@@ -117,12 +107,15 @@ def _read_and_split_parts(
     pa.set_io_thread_count(1)
     tbls = [pq.read_table(p) for p in paths]
     tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
-    sel = split_table(tbl, key, P, overrides, range_bounds, only=list(parts))
-    sel = [_as_batch(t) for t in sel]
-    return sel[0] if len(sel) == 1 else tuple(sel)
+    sel = [_as_batch(t) for t in split_table(tbl, key, P, overrides, range_bounds)]
+    return sel[0] if P == 1 else tuple(sel)
 
 
-@ray.remote
+# num_cpus=0: the actors are long-lived RPC-style stores whose calls
+# serialize per actor; reserving CPUs for them would starve the stateless
+# read+split tasks. SPREAD: with num_cpus=0 Ray would otherwise pack every
+# actor onto one node of a cluster; on one node it places them the same way.
+@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")
 class OrderedWorker:
     """One partition of the sharded state store (≙ Beam keyed state owned by
     one worker, docs/pipeline-design.md:13-17). Serial execution per actor
@@ -328,7 +321,6 @@ class OrderedWorker:
         (emitted, status, n_emitted)."""
         if not self.state.buffered_row_count():
             return None, None, 0
-        self.state._load_buffer()  # buffer may be offloaded to scratch Parquet
         empty = self.state.buffer.slice(0, 0)
         emitted, status = self.state.process(empty, status_ts)
         return emitted, status, emitted.num_rows
@@ -415,9 +407,6 @@ class OrderedWorker:
         self.restore(snap)
         return True
 
-    def get_node_id(self) -> str:
-        return ray.get_runtime_context().get_node_id()
-
     def ping(self):
         return True
 
@@ -455,52 +444,44 @@ def _drop_shared_pages() -> None:
 
 
 class _ActorPool:
-    """The driver process's idle partition actors, by creation options
-    (``actor_num_cpus``, ``spread_actors``), so that the Ray worker boot
-    of an ``OrderedWorker`` is paid once per driver instead of once per
-    call, resume and rescale. Each option set holds at most the largest P
-    ever returned to it. Handles of an earlier Ray session are dropped,
-    never leased."""
+    """The driver process's idle partition actors, so that the Ray worker
+    boot of an ``OrderedWorker`` is paid once per driver instead of once per
+    call, resume and rescale. It holds at most the largest P ever returned
+    to it. Handles of an earlier Ray session are dropped, never leased."""
 
     def __init__(self):
         self.session: tuple | None = None
-        self.idle: dict[tuple, list] = {}
-        self.cap: dict[tuple, int] = {}
+        self.idle: list = []
+        self.cap = 0
 
-    def _idle(self, key: tuple) -> list:
+    def _idle(self) -> list:
         ctx = ray.get_runtime_context()
         session = (ctx.get_job_id(), ctx.get_node_id())
         if session != self.session:
-            self.session, self.idle, self.cap = session, {}, {}
-        return self.idle.setdefault(key, [])
+            self.session, self.idle, self.cap = session, [], 0
+        return self.idle
 
     def lease(self, cfg: OrderedConfig, P: int) -> list:
         """P actors for ``cfg``: idle ones reset to their partition, new
         ones for the rest and for any idle actor that died."""
-        opts: dict = {"num_cpus": cfg.actor_num_cpus}
-        if cfg.spread_actors:
-            opts["scheduling_strategy"] = "SPREAD"
-        idle = self._idle(_pool_key(cfg))
+        idle = self._idle()
         # last returned, first leased: back-to-back calls get the same actors
         keep = max(0, len(idle) - P)
         reused, idle[:] = idle[keep:], idle[:keep]
         # new actors start booting while the reused ones reset
-        workers = reused + [
-            OrderedWorker.options(**opts).remote(cfg, p) for p in range(len(reused), P)
-        ]
+        workers = reused + [OrderedWorker.remote(cfg, p) for p in range(len(reused), P)]
         resets = [w.reset.remote(cfg, p) for p, w in enumerate(reused)]
         for p, ref in enumerate(resets):
             try:
                 ray.get(ref)
             except ray.exceptions.RayActorError:
-                workers[p] = OrderedWorker.options(**opts).remote(cfg, p)
+                workers[p] = OrderedWorker.remote(cfg, p)
         return workers
 
-    def give_back(self, cfg: OrderedConfig, workers: list) -> None:
+    def give_back(self, workers: list) -> None:
         """Return a clean processor's actors once their queued calls have
         run; a dead or no longer lean actor is not kept."""
-        key = _pool_key(cfg)
-        idle = self._idle(key)
+        idle = self._idle()
         for w, ref in [(w, w.release.remote()) for w in workers]:
             try:
                 lean = ray.get(ref)
@@ -510,21 +491,16 @@ class _ActorPool:
                 idle.append(w)
             else:
                 ray.kill(w)
-        cap = self.cap[key] = max(self.cap.get(key, 0), len(workers))
-        surplus = max(0, len(idle) - cap)
+        self.cap = max(self.cap, len(workers))
+        surplus = max(0, len(idle) - self.cap)
         for w in idle[:surplus]:
             ray.kill(w)
         del idle[:surplus]
 
     def kill_idle(self) -> None:
-        for idle in self.idle.values():
-            for w in idle:
-                ray.kill(w)
-            idle.clear()
-
-
-def _pool_key(cfg: OrderedConfig) -> tuple:
-    return (cfg.actor_num_cpus, cfg.spread_actors)
+        for w in self.idle:
+            ray.kill(w)
+        self.idle.clear()
 
 
 # one per driver process: it must outlive every OrderedProcessor, and each
@@ -535,14 +511,17 @@ _POOL = _ActorPool()
 class OrderedProcessor:
     """Engine handle: P state actors leased from the driver's pool, fed
     epoch by epoch. ``ordered_process`` is the one-shot (single-epoch
-    batch) facade."""
+    batch) facade, on actors of its own."""
 
     def __init__(self, cfg: OrderedConfig | None = None, num_partitions: int | None = None,
                  overrides: dict[str, int] | None = None,
                  range_bounds: list[str] | None = None):
         self.cfg = cfg or OrderedConfig()
+        # read once: ray.cluster_resources() is a ~2 ms round trip, and the
+        # exchange sizes its map tasks from it every epoch
+        self._cpus = _cpu_count()
         if num_partitions is None:
-            num_partitions = self.cfg.partitions or _default_partitions()
+            num_partitions = self.cfg.partitions or max(2, self._cpus // 2)
         self.P = num_partitions
         self.overrides = overrides
         self.range_bounds = range_bounds
@@ -551,7 +530,6 @@ class OrderedProcessor:
         self.broken = False
         self._emitted_refs: list[ray.ObjectRef] = []
         self._status_refs: list[ray.ObjectRef] = []
-        self._node_parts_cache: dict[str, list[int]] | None = None
 
     @property
     def workers(self) -> list:
@@ -563,17 +541,6 @@ class OrderedProcessor:
         if self._workers is None:
             self._workers = _POOL.lease(self.cfg, self.P)
         return self._workers
-
-    def _node_parts(self) -> dict[str, list[int]]:
-        """node_id -> partition ids whose state actor lives there (cached;
-        the pool is fixed for this processor's lifetime)."""
-        if self._node_parts_cache is None:
-            nodes = ray.get([w.get_node_id.remote() for w in self.workers])
-            parts: dict[str, list[int]] = {}
-            for p, nd in enumerate(nodes):
-                parts.setdefault(nd, []).append(p)
-            self._node_parts_cache = parts
-        return self._node_parts_cache
 
     # -- streaming feed ----------------------------------------------------
 
@@ -605,50 +572,20 @@ class OrderedProcessor:
             schema = pq.read_schema(ds_or_table[0])
             _check_names(schema.names, self.cfg)
             files = ds_or_table
-            n_map = max(1, min(len(files), max(self.P, _cpu_count())))
+            n_map = max(1, min(len(files), max(self.P, self._cpus)))
             groups = [
                 list(g)
                 for g in np.array_split(np.array(files, dtype=object), n_map)
                 if len(g)
             ]
-            if self.P == 1:
-                per_group = [
-                    [_read_and_split_parts.remote(key, 1, (0,), None, None, g)]
-                    for g in groups
-                ]
-            elif self.cfg.locality_split and len(self._node_parts()) > 1:
-                from ray.util.scheduling_strategies import (
-                    NodeAffinitySchedulingStrategy,
+            refs = [
+                _read_and_split_parts.options(num_returns=self.P).remote(
+                    key, self.P, self.overrides, self.range_bounds, g
                 )
-
-                node_parts = self._node_parts()
-                per_group = []
-                for g in groups:
-                    refs: list = [None] * self.P
-                    for nd, parts in node_parts.items():
-                        strat = NodeAffinitySchedulingStrategy(
-                            node_id=nd, soft=True
-                        )
-                        r = _read_and_split_parts.options(
-                            num_returns=len(parts), scheduling_strategy=strat
-                        ).remote(
-                            key, self.P, tuple(parts), self.overrides,
-                            self.range_bounds, g,
-                        )
-                        if len(parts) == 1:
-                            refs[parts[0]] = r
-                        else:
-                            for p, rr in zip(parts, r):
-                                refs[p] = rr
-                    per_group.append(refs)
-            else:
-                per_group = [
-                    _read_and_split_parts.options(num_returns=self.P).remote(
-                        key, self.P, tuple(range(self.P)), self.overrides,
-                        self.range_bounds, g,
-                    )
-                    for g in groups
-                ]
+                for g in groups
+            ]
+            # with one return Ray hands back the ref itself, not a list
+            per_group = [[r] for r in refs] if self.P == 1 else refs
             return per_group, schema
 
         _check_columns(ds_or_table, self.cfg)
@@ -657,7 +594,7 @@ class OrderedProcessor:
             return [], None
         # group input blocks into ~max(P, cpus) map tasks so every exchange
         # object is large enough for plasma (see _split_blocks docstring)
-        n_map = max(1, min(len(block_refs), max(self.P, _cpu_count())))
+        n_map = max(1, min(len(block_refs), max(self.P, self._cpus)))
         groups = [
             list(g)
             for g in np.array_split(np.array(block_refs, dtype=object), n_map)
@@ -835,7 +772,7 @@ class OrderedProcessor:
                 ray.kill(w)
             _POOL.kill_idle()
         else:
-            _POOL.give_back(self.cfg, workers)
+            _POOL.give_back(workers)
 
 
 def ordered_process(
@@ -849,16 +786,15 @@ def ordered_process(
     return (ordered, status) Datasets. For multi-epoch streaming with
     checkpoint/resume use ``epochs.run_stream``."""
     proc = OrderedProcessor(cfg, num_partitions, overrides)
+    # its own actors, not the pool's: they return tables through Ray's
+    # pa.Table reducer, which loads ray.data, so they could never go back
+    proc._workers = [OrderedWorker.remote(proc.cfg, p) for p in range(proc.P)]
     proc.feed_epoch(ds, _EPOCH if status_ts is None else status_ts)
     return proc.datasets()
 
 
 def _cpu_count() -> int:
     return int(ray.cluster_resources().get("CPU", 2))
-
-
-def _default_partitions() -> int:
-    return max(2, _cpu_count() // 2)
 
 
 def _check_names(names, cfg: OrderedConfig) -> None:

@@ -96,7 +96,6 @@ def split_table(
     num_partitions: int,
     overrides: dict[str, int] | None = None,
     range_bounds: list[str] | None = None,
-    only: list[int] | None = None,
 ) -> list[pa.Table]:
     """Split one block into P per-partition sub-tables (map side of the
     exchange). Row order within each sub-table preserves the block's arrival
@@ -108,21 +107,16 @@ def split_table(
     entire parent buffers (ARROW-10739; string data buffers are not
     truncated), which turns the exchange into O(P * block) bytes — measured
     6 MB per 1000-row slice vs 81 KiB compact. One stable argsort + P
-    contiguous-range takes keeps the copy at O(n) total.
-
-    ``only`` restricts the output (and the take copies) to the listed
-    partition ids, in that order — the locality_split path, where each node
-    materializes just the shards its own state actors consume."""
+    contiguous-range takes keeps the copy at O(n) total."""
     if range_bounds is not None:
         parts = range_partition_codes(tbl[key], range_bounds)
     else:
         parts = key_partition_codes(tbl[key], num_partitions, overrides)
     order = np.argsort(parts, kind="stable")
     bounds = np.searchsorted(parts[order], np.arange(num_partitions + 1))
-    wanted = range(num_partitions) if only is None else only
     return [
         tbl.take(pa.array(order[bounds[p] : bounds[p + 1]]))
-        for p in wanted
+        for p in range(num_partitions)
     ]
 
 

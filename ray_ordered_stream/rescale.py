@@ -173,7 +173,6 @@ def _migrate_snapshots(
     new: list[dict] = [
         {
             "buffer": None,
-            "call_count": max(s.get("call_count", 0) for s in snaps),
             # NB: 0 is a legitimate value (status_ts epoch ladder starts at
             # 1970-01-01) and must not collapse to None, or the interval-
             # suppression phase is lost on resume.

@@ -67,17 +67,14 @@ class OrderedConfig:
     # ride the checkpoint + rescale protocols. The built-ins below
     # (with_digest, with_book) remain as zero-config conveniences.
     state_factory: object = None
-    status_every_event: bool = False   # ≙ produceStatusUpdatesOnEveryEvent()
-    # ≙ withStatusUpdateFrequency(Duration): emit per-key status rows only
-    # every k-th process() call (1 = every call/epoch). At 10^12-turn scale
-    # per-epoch-per-key status is itself a large output; thin it here.
+    # ≙ produceStatusUpdatesOnEveryEvent(): one status row per input row
+    # instead of one per touched key and call. Not combinable with
+    # max_emit_per_round (see __post_init__).
+    status_every_event: bool = False
+    # ≙ withStatusUpdateFrequency(Duration), the reference's knob
+    # (OrderBookProducer.java:65-68): suppress status until status_ts has
+    # advanced >= this many seconds since the last emission (0 = disabled).
     # Counters keep accumulating regardless; final_status is always complete.
-    status_every_epochs: int = 1
-    # time-based thinning, the reference's actual knob
-    # (OrderBookProducer.java:65-68 withStatusUpdateFrequency(Duration)):
-    # suppress status until status_ts has advanced >= this many seconds
-    # since the last emission (0 = disabled). Composes with
-    # status_every_epochs (either knob can suppress).
     status_interval_s: float = 0.0
     max_emit_per_round: int = 0   # ≙ maxOutputElementsPerBundle (0 = unlimited)
     with_digest: bool = False     # demo order-dependent MutableState (≙ OrderBookBuilder)
@@ -136,35 +133,20 @@ class OrderedConfig:
     # exactly-once still holds under crash-resume.
     stamp_ingest_ts: bool = False
     partitions: int = 0           # 0 = auto (set by ordered.py)
-    # State actors are long-lived RPC-style stores whose calls serialize per
-    # actor; reserving whole CPUs for them starves the stateless split/read
-    # tasks (actors hold resources permanently). 0 lets the OS schedule them
-    # while Ray task CPUs stay available — on a real cluster, size the pool
-    # so P ≈ total cores and raise this if drains dominate.
-    actor_num_cpus: float = 0.0
-    # SPREAD the state actors across nodes (multi-node clusters; with
-    # num_cpus=0 Ray would otherwise pack them all onto one node).
-    spread_actors: bool = False
-    # Locality-aware exchange (multi-node): run one fused read+split task
-    # per NODE per file group, node-affinity-scheduled next to the state
-    # actors it feeds, materializing only that node's partitions — shards
-    # never cross raylets. Costs one redundant decode of each file group per
-    # node; wins when cross-node object transfer dominates decode (e.g.
-    # node-local page cache / per-node object-storage reads). No-op on a
-    # single node or when the input is pre-materialized blocks.
-    locality_split: bool = False
     # rows of synthetic data each actor drains twice at __init__ to pre-fault
     # allocator arenas / bind kernels (see OrderedWorker._warmup); bench sets
     # 65536, small values keep test-suite actor creation cheap
     warmup_rows: int = 8192
-    # Memory-aware buffering (SURVEY.md §7.4.7): when a pathological gap
-    # grows the out-of-order buffer past this row count, the buffer is
-    # offloaded to scratch Parquet between process() calls instead of
-    # pinning actor heap; it is read back (and the file removed) on the next
-    # call. 0 = keep in memory.
-    buffer_offload_rows: int = 0
-    scratch_dir: str = "/tmp/ros_scratch"
 
+    def __post_init__(self):
+        if self.status_every_event and self.max_emit_per_round > 0:
+            # the cap would apply per event, which the one-drain trajectory
+            # reconstruction of _process_every_event cannot replay
+            raise ValueError(
+                "status_every_event=True cannot be combined with "
+                f"max_emit_per_round={self.max_emit_per_round} > 0; set one "
+                "of them"
+            )
 
 class KeyCounters:
     """The per-key counters of one partition, columnar: a key -> code intern
@@ -282,46 +264,19 @@ class OrderedPartitionState:
         self.cfg = cfg or OrderedConfig()
         self.counters = KeyCounters()
         self.buffer: pa.Table | None = None   # out-of-order remainder, sorted by (key, seq)
-        self._buffer_file: str | None = None  # offloaded buffer (buffer_offload_rows)
-        self._call_count = 0                  # status_every_epochs thinning phase
         self._last_status_us: int | None = None  # status_interval_s phase
 
-    def _load_buffer(self) -> None:
-        """Read back an offloaded buffer before combining (and remove the
-        scratch file — it will be rewritten if still too large)."""
-        if self._buffer_file is not None:
-            import os
-
-            import pyarrow.parquet as pq
-
-            self.buffer = pq.read_table(self._buffer_file)
-            os.unlink(self._buffer_file)
-            self._buffer_file = None
-
-    def _maybe_offload_buffer(self) -> None:
-        cfg = self.cfg
-        if (
-            cfg.buffer_offload_rows
-            and self.buffer is not None
-            and self.buffer.num_rows > cfg.buffer_offload_rows
-        ):
-            import os
-            import uuid
-
-            import pyarrow.parquet as pq
-
-            os.makedirs(cfg.scratch_dir, exist_ok=True)
-            path = f"{cfg.scratch_dir}/buf-{uuid.uuid4().hex}.parquet"
-            pq.write_table(self.buffer, path)
-            self._buffer_file = path
-            self.buffer = None
-
     def buffered_row_count(self) -> int:
-        if self.buffer is not None:
-            return self.buffer.num_rows
-        if self._buffer_file is not None:
-            return int(self.counters.buffered.sum())
-        return 0
+        return 0 if self.buffer is None else self.buffer.num_rows
+
+    def _status_due(self, ts_us: int) -> bool:
+        """Whether ``status_interval_s`` lets a status go out at ``ts_us``;
+        if it does, the interval restarts there."""
+        last, interval = self._last_status_us, self.cfg.status_interval_s
+        if interval > 0 and last is not None and ts_us - last < interval * 1e6:
+            return False
+        self._last_status_us = ts_us
+        return True
 
     # -- hot path ----------------------------------------------------------
 
@@ -333,28 +288,9 @@ class OrderedPartitionState:
         OrderBookProcessingPipeline.java:111); otherwise one status row per
         key touched in this call (epoch mode).
         """
-        cfg = self.cfg
-        if cfg.status_every_event:
-            if batch.num_rows == 0:
-                # an empty batch is a drain request (max_emit_per_round
-                # overflow); fall through so the buffered run is processed
-                return self._process_vec(batch, status_ts)
-            if cfg.max_emit_per_round:
-                # The per-round output cap applies per *event-call* in this
-                # mode (each event may drain at most max_emit rows, overflow
-                # carries to the next event's call) — trajectory math can't
-                # replay that, so keep the legacy per-row loop for the combo.
-                # Conformance-only: O(rows × buffer); never the default path.
-                emitted, statuses = [], []
-                for i in range(batch.num_rows):
-                    e, s = self._process_vec(batch.slice(i, 1), status_ts)
-                    emitted.append(e)
-                    statuses.append(s)
-                return (
-                    pa.concat_tables(emitted) if emitted else self._empty_emitted(batch),
-                    pa.concat_tables(statuses) if statuses else _empty_status(),
-                )
+        if self.cfg.status_every_event and batch.num_rows:
             return self._process_every_event(batch, status_ts)
+        # an empty batch is a drain request (max_emit_per_round overflow)
         return self._process_vec(batch, status_ts)
 
     def _process_every_event(self, batch: pa.Table, status_ts) -> tuple[pa.Table, pa.Table]:
@@ -371,8 +307,8 @@ class OrderedPartitionState:
         the drained-prefix length after the key's rank-r arrival is
         ``searchsorted(M, r, 'right')`` — every counter and buffered bound
         falls out of that prefix plus cumulative received/duplicate sums.
-        One buffer combine + one lexsort total, vs the legacy loop's
-        O(rows × buffer) re-sort per event."""
+        One buffer combine + one lexsort total, vs an O(rows × buffer)
+        re-sort per event when the rows are fed one per call."""
         import heapq
 
         cfg = self.cfg
@@ -380,7 +316,6 @@ class OrderedPartitionState:
             arr = batch[ARRIVAL].to_numpy(zero_copy_only=False)
             if (arr[1:] < arr[:-1]).any():
                 batch = batch.sort_by(ARRIVAL)
-        self._load_buffer()
         pre_buffer = self.buffer  # immutable pa.Table (or None), pre-mutation
 
         kd = pc.dictionary_encode(
@@ -419,7 +354,7 @@ class OrderedPartitionState:
         # pre-call buffered seqs per batch key (buffer is sorted by key, seq)
         buf_b, buf_s = by_batch_code(pre_buffer)
 
-        # mutate for real; this method owns call-count/thinning/status
+        # mutate for real; this method owns the status table
         emitted, _ = self._process_vec(batch, status_ts, _external_status=True)
 
         # seqs of the emitted last-event rows per batch key
@@ -535,30 +470,11 @@ class OrderedPartitionState:
                 if dr < m:
                     lastev_g[rows[dr:]] = True
 
-        # -- call-count / thinning accounting (legacy per-row semantics) ----
-        cc0 = self._call_count
-        self._call_count += n
-        emit_flags = np.ones(n, bool)
-        if cfg.status_every_epochs > 1:
-            emit_flags &= (cc0 + np.arange(1, n + 1)) % cfg.status_every_epochs == 0
-        ts_us = _ts_us(status_ts)
+        sel = np.arange(n)
         if cfg.status_interval_s > 0:
-            if (
-                self._last_status_us is not None
-                and ts_us - self._last_status_us < cfg.status_interval_s * 1e6
-            ):
-                emit_flags[:] = False
-            else:
-                # all rows share status_ts: the first eligible row emits and
-                # resets the interval clock; the rest fall inside it
-                idx = np.flatnonzero(emit_flags)
-                emit_flags[:] = False
-                if len(idx):
-                    emit_flags[idx[0]] = True
-            if emit_flags.any():
-                self._last_status_us = ts_us
-
-        sel = np.flatnonzero(emit_flags)
+            # all rows share status_ts: the first row emits and restarts the
+            # interval, or none does
+            sel = sel[:1] if self._status_due(_ts_us(status_ts)) else sel[:0]
         if not len(sel):
             return emitted, _empty_status()
         keys_arr = pc.take(kd.dictionary, pa.array(bcodes[sel]))
@@ -602,7 +518,6 @@ class OrderedPartitionState:
         #    of the key over the combined order (local codes in first-seen
         #    order; they decide the emitted rows' order), interned once per
         #    distinct key into the partition's key codes (``glob``).
-        self._load_buffer()
         buffer_n = 0 if self.buffer is None else self.buffer.num_rows
         if buffer_n:
             combined = pa.concat_tables([self.buffer, batch], promote_options="none")
@@ -735,36 +650,17 @@ class OrderedPartitionState:
             c.buf_lo[g] = r_seq[r_start]
             c.buf_hi[g] = r_seq[r_end]
 
-        # 9. status rows for touched keys (thinned by status_every_epochs)
+        # 9. status rows for touched keys (thinned by status_interval_s)
         touched_codes = np.flatnonzero(touched)
         c.dirty[glob[touched_codes]] = True
-        if _external_status:
-            # caller (_process_every_event) owns call-count accounting,
-            # thinning, and the per-event status table
-            self._maybe_offload_buffer()
+        if _external_status or not self._status_due(_ts_us(status_ts)):
+            # (_process_every_event builds its own per-event status table)
             return emitted, _empty_status()
-        self._call_count += 1
-        suppress = cfg.status_every_epochs > 1 and bool(
-            self._call_count % cfg.status_every_epochs
+        status = self._status_rows(
+            keys_dict.dictionary.take(pa.array(touched_codes)),
+            glob[touched_codes],
+            status_ts,
         )
-        ts_us = _ts_us(status_ts)
-        if (
-            not suppress
-            and cfg.status_interval_s > 0
-            and self._last_status_us is not None
-            and ts_us - self._last_status_us < cfg.status_interval_s * 1e6
-        ):
-            suppress = True
-        if suppress:
-            status = _empty_status()
-        else:
-            status = self._status_rows(
-                keys_dict.dictionary.take(pa.array(touched_codes)),
-                glob[touched_codes],
-                status_ts,
-            )
-            self._last_status_us = ts_us
-        self._maybe_offload_buffer()
         return emitted, status
 
     # -- helpers -----------------------------------------------------------
@@ -827,15 +723,12 @@ class OrderedPartitionState:
         ``mark_clean()`` — the incremental-checkpoint path (a full-counter
         write per epoch is O(total keys) and dominates at millions of keys;
         restore merges epoch deltas last-wins, see checkpoint.py)."""
-        self._load_buffer()  # checkpoints always materialize the buffer
         c = self.counters
         return {
             "counters": c.table(np.flatnonzero(c.dirty) if dirty_only else None),
             "buffer": self.buffer,
-            # thinning phase must survive kill-and-resume so re-run epochs
-            # write byte-identical status-sink parts (status_every_epochs /
-            # status_interval_s > 0)
-            "call_count": self._call_count,
+            # the status_interval_s phase must survive kill-and-resume so
+            # re-run epochs write byte-identical status-sink parts
             "last_status_us": self._last_status_us,
         }
 
@@ -858,7 +751,6 @@ class OrderedPartitionState:
             c.buf_hi[:] = np.iinfo(np.int64).min
             np.minimum.at(c.buf_lo, g, bseq)
             np.maximum.at(c.buf_hi, g, bseq)
-        st._call_count = snap.get("call_count", 0)
         st._last_status_us = snap.get("last_status_us")
         return st
 

@@ -78,9 +78,10 @@ def _dict_codes(col) -> tuple[np.ndarray, list]:
     enc = pc.dictionary_encode(col)
     if isinstance(enc, pa.ChunkedArray):
         enc = enc.combine_chunks()
+    # to_numpy + tolist: an order of magnitude faster than to_pylist
     return (
         np.asarray(enc.indices).astype(np.int64),
-        enc.dictionary.to_pylist(),
+        enc.dictionary.to_numpy(zero_copy_only=False).tolist(),
     )
 
 

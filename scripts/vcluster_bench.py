@@ -104,8 +104,8 @@ def stop_cluster() -> None:
     time.sleep(2)
 
 
-def run_job(files: list[str], P: int, spread: bool, out_root: str,
-            files_per_epoch: int, locality: bool = False) -> tuple[float, int]:
+def run_job(files: list[str], P: int, out_root: str,
+            files_per_epoch: int) -> tuple[float, int]:
     """Connect to the running cluster and run the headline stream job."""
     import ray
 
@@ -118,8 +118,7 @@ def run_job(files: list[str], P: int, spread: bool, out_root: str,
     from ray_ordered_stream.epochs import run_stream
     from ray_ordered_stream.state import OrderedConfig
 
-    cfg = OrderedConfig(warmup_rows=65536, spread_actors=spread,
-                        locality_split=locality)
+    cfg = OrderedConfig(warmup_rows=65536)
     import shutil
 
     shutil.rmtree(out_root, ignore_errors=True)
@@ -150,21 +149,18 @@ def main() -> int:
         open(f, "rb").read()  # page-cache warm
 
     results = {}
-    for name, nodes, P, store_gb, locality in (
-        ("1x8", 1, 8, 24, False),
-        ("4x8", 4, 32, 10, False),
-        ("4x8_locality", 4, 32, 10, True),
+    for name, nodes, P, store_gb in (
+        ("1x8", 1, 8, 24),
+        ("4x8", 4, 32, 10),
     ):
         stop_cluster()
         start_cluster(nodes, 8, store_gb)
         try:
             # warm: one epoch (worker import, kernels)
-            run_job(files[:fpe], P, nodes > 1, f"/tmp/ros_vc/warm_{name}",
-                    fpe, locality)
+            run_job(files[:fpe], P, f"/tmp/ros_vc/warm_{name}", fpe)
             best, n = None, 0
             for _ in range(args.reps):
-                w, n = run_job(files, P, nodes > 1,
-                               f"/tmp/ros_vc/run_{name}", fpe, locality)
+                w, n = run_job(files, P, f"/tmp/ros_vc/run_{name}", fpe)
                 best = w if best is None or w < best else best
             results[name] = {
                 "wall_sec": round(best, 2),
@@ -173,15 +169,15 @@ def main() -> int:
                 "nodes": nodes,
                 "P": P,
                 "store_gb_per_node": store_gb,
-                "locality_split": locality,
             }
         finally:
             stop_cluster()
-    out = {"topologies": results}
-    for nm in ("4x8", "4x8_locality"):
-        out[f"efficiency_1x8_to_{nm}"] = round(
-            (results["1x8"]["wall_sec"] / results[nm]["wall_sec"]) / 4, 3
-        )
+    out = {
+        "topologies": results,
+        "efficiency_1x8_to_4x8": round(
+            (results["1x8"]["wall_sec"] / results["4x8"]["wall_sec"]) / 4, 3
+        ),
+    }
     print(json.dumps(out))
     return 0
 

@@ -476,7 +476,7 @@ def test_rescale_migrates_absence_matcher_state(ray_session, tmp_path):
     assert snap["pending"].num_rows and snap["carry"].num_rows
 
     def full(cep):
-        return {"counters": COUNTERS_SCHEMA.empty_table(), "buffer": None, "call_count": 0,
+        return {"counters": COUNTERS_SCHEMA.empty_table(), "buffer": None,
                 "last_status_us": 0, "cep": cep}
 
     old = [full(snap), full(AbsenceMatcher(["a", "b"], "c").snapshot())]

@@ -52,6 +52,32 @@ def test_ordered_process_dataset_input_and_partition_invariance():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_ordered_process_leaves_the_actor_pool_alone(tmp_path):
+    # the batch facade's actors load ray.data (Ray's pa.Table reducer), so
+    # they can never go back to the pool: the facade must not take the
+    # pool's idle actors either
+    import ray
+
+    from ray_ordered_stream.ordered import _POOL
+
+    warm = OrderedProcessor(OrderedConfig(warmup_rows=256), num_partitions=2)
+    warm.wait_ready(str(tmp_path), None)
+    warm.shutdown()
+    before = [w._actor_id.hex() for w in _POOL.idle]
+    assert len(before) >= 2
+    t = tiny_fixture("t_multi")
+    res = ordered_process(t, OrderedConfig(warmup_rows=256), num_partitions=2)
+    got = sorted_df(res.ordered)
+    assert res.status.count() > 0
+    assert [w._actor_id.hex() for w in _POOL.idle] == before
+    assert ray.get([w.ping.remote() for w in _POOL.idle])
+    exp = oracle_ordered(t)
+    pd.testing.assert_frame_equal(
+        got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_final_status_completion_protocol():
     # ≙ run-perf-test.sh check_processing_progress: all input rows accounted
     # for; every key fully processed with empty buffers.
@@ -188,45 +214,6 @@ def test_null_key_rows_quarantined_to_dlq():
     proc.shutdown()
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_locality_split_matches_oracle(tmp_path, monkeypatch):
-    # locality_split routes each node's partitions through a node-affine
-    # _read_and_split_parts task. One local node can't host two raylets, so
-    # stub the affinity strategy to DEFAULT and fake a 2-node partition map —
-    # this exercises the full data path (parts pruning, per-node task fan-out,
-    # shard-ref reassembly) minus the placement hint itself.
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray
-    import ray.util.scheduling_strategies as rss
-
-    from ray_ordered_stream.fixtures import gen_transcripts
-
-    monkeypatch.setattr(
-        rss, "NodeAffinitySchedulingStrategy", lambda node_id, soft: "DEFAULT"
-    )
-    t = gen_transcripts(n_convs=40, min_turns=3, max_turns=30, lateness=8,
-                        dup_rate=0.1)
-    files = []
-    for i, lo in enumerate(range(0, t.num_rows, 211)):
-        p = str(tmp_path / f"f{i:03d}.parquet")
-        pq.write_table(t.slice(lo, 211), p)
-        files.append(p)
-    proc = OrderedProcessor(
-        OrderedConfig(locality_split=True, warmup_rows=256), num_partitions=4
-    )
-    nd = list(proc._node_parts())[0]
-    proc._node_parts_cache = {nd: [0, 2], "other-node": [3, 1]}
-    e_refs, _ = proc.feed_epoch(files, TS)
-    em = pa.concat_tables(ray.get(e_refs))
-    got = sorted_df(em)
-    exp = oracle_ordered(t)
-    pd.testing.assert_frame_equal(
-        got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
-    )
-    proc.shutdown()
-
-
 def _wire_bytes(obj) -> int:
     """Pickled size with protocol 5, out-of-band buffers included (what
     Ray's serializer puts in plasma for a natively pickled object)."""
@@ -257,9 +244,9 @@ def test_exchange_shards_ship_o_rows_bytes(tmp_path):
         files.append(f)
     assert len(files) == 3
     shards = ray.get(
-        _read_and_split_parts.options(num_returns=4).remote(KEY, 4, (0, 1, 2, 3), None, None, files)
+        _read_and_split_parts.options(num_returns=4).remote(KEY, 4, None, None, files)
     )
-    shards.append(ray.get(_read_and_split_parts.remote(KEY, 1, (0,), None, None, files)))
+    shards.append(ray.get(_read_and_split_parts.remote(KEY, 1, None, None, files)))
     assert sum(s.num_rows for s in shards[:4]) == shards[4].num_rows == t.num_rows
 
     def bound(b):

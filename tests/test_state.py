@@ -203,46 +203,20 @@ def test_initial_seq_gap_from_start():
     assert_matches_oracle(t2, emitted)
 
 
-def test_status_thinning_every_k_epochs():
-    # ≙ withStatusUpdateFrequency: status emitted every 3rd call only;
-    # counters still accumulate and the final accounting is complete.
-    t = tiny_fixture("t_multi")
-    st = OrderedPartitionState(OrderedConfig(status_every_epochs=3))
-    n = t.num_rows
-    rows_per_call = []
-    for lo in range(0, n, 97):
-        _, s = st.process(t.slice(lo, min(97, n - lo)), TS)
-        rows_per_call.append(s.num_rows)
-    calls = len(rows_per_call)
-    emitted_calls = [i for i, r in enumerate(rows_per_call) if r > 0]
-    assert emitted_calls == [i for i in range(calls) if (i + 1) % 3 == 0]
-    total_results = int(st.counters.results.sum())
-    from ray_ordered_stream.fixtures import oracle_ordered
-
-    assert total_results == len(oracle_ordered(t))
-
-
-def test_buffer_offload_pathological_gap(tmp_path):
+def test_buffer_offload_pathological_gap():
     # turn 0 of a big conversation withheld until the end: every other row
-    # buffers; with offload enabled the buffer lives on disk between calls.
-    import glob as _glob
-
+    # buffers, the status bounds cover the whole buffer, and the late turn 0
+    # drains all of it.
     t = gen_transcripts(n_convs=1, min_turns=400, max_turns=400, end_sentinel=False)
     t = t.drop_columns([ARRIVAL])
     withheld = t.slice(0, 1)
     rest = t.slice(1)
-    scratch = str(tmp_path / "scratch")
-    st = OrderedPartitionState(
-        OrderedConfig(buffer_offload_rows=50, scratch_dir=scratch)
-    )
+    st = OrderedPartitionState(OrderedConfig())
     parts = []
     for lo in range(0, rest.num_rows, 37):
         e, s = st.process(rest.slice(lo, 37), TS)
         parts.append(e)
-    assert st.buffer is None and st._buffer_file is not None  # offloaded
-    assert len(_glob.glob(f"{scratch}/*.parquet")) == 1
     assert st.buffered_row_count() == rest.num_rows
-    # status bounds are still served while offloaded
     b = st.final_status(TS).to_pylist()
     assert len(b) == 1 and b[0]["buffered_count"] == rest.num_rows
     assert b[0]["earliest_buffered_sequence"] == 1
@@ -252,26 +226,19 @@ def test_buffer_offload_pathological_gap(tmp_path):
     emitted = pa.concat_tables(parts)
     assert_matches_oracle(t, emitted)
     assert st.buffered_row_count() == 0
-    assert len(_glob.glob(f"{scratch}/*.parquet")) == 0  # scratch reclaimed
 
 
-def test_drain_empty_batch_works_with_offloaded_buffer(tmp_path):
-    # ADVICE r1: an offloaded buffer must still drain on an empty-batch call
-    # (max_emit_per_round overflow), in both status modes.
+def test_drain_empty_batch_works_with_offloaded_buffer():
+    # ADVICE r1: a buffer must still drain on an empty-batch call (the
+    # max_emit_per_round overflow request), in both status modes.
     for every_event in (False, True):
         t = gen_transcripts(n_convs=1, min_turns=200, max_turns=200,
                             end_sentinel=False).drop_columns([ARRIVAL])
-        st = OrderedPartitionState(
-            OrderedConfig(
-                buffer_offload_rows=10,
-                scratch_dir=str(tmp_path / f"s{every_event}"),
-                status_every_event=every_event,
-            )
-        )
-        # withhold turn 0 -> everything buffers (and offloads)
+        st = OrderedPartitionState(OrderedConfig(status_every_event=every_event))
+        # withhold turn 0 -> everything buffers
         e, _ = st.process(t.slice(1), TS)
         assert e.num_rows == 0
-        assert st._buffer_file is not None and st.buffer is None
+        assert st.buffered_row_count() == t.num_rows - 1
         e, _ = st.process(t.slice(0, 1), TS)  # gap fills
         parts = [e]
         empty = t.slice(0, 0)
@@ -284,19 +251,13 @@ def test_drain_empty_batch_works_with_offloaded_buffer(tmp_path):
         assert_matches_oracle(t, emitted)
 
 
-def test_call_count_survives_snapshot_restore():
-    # ADVICE r1: the status_every_epochs thinning phase must survive
-    # kill-and-resume so re-run epochs emit status on the same cadence.
-    t = tiny_fixture("t_multi")
-    st = OrderedPartitionState(OrderedConfig(status_every_epochs=3))
-    st.process(t.slice(0, 50), TS)   # call 1: thinned
-    snap = st.snapshot()
-    st2 = OrderedPartitionState.restore(OrderedConfig(status_every_epochs=3), snap)
-    assert st2._call_count == 1
-    _, s2 = st2.process(t.slice(50, 50), TS)  # call 2: thinned
-    assert s2.num_rows == 0
-    _, s3 = st2.process(t.slice(100, 50), TS)  # call 3: emits
-    assert s3.num_rows > 0
+def test_every_event_with_emit_cap_is_rejected():
+    # the per-event status trajectory is rebuilt from one drain per call,
+    # which a per-event output cap would break: the config refuses the pair
+    with pytest.raises(ValueError, match="status_every_event.*max_emit_per_round"):
+        OrderedConfig(status_every_event=True, max_emit_per_round=5)
+    OrderedConfig(status_every_event=True)
+    OrderedConfig(max_emit_per_round=5)
 
 
 _TICK_US = 1_735_689_601_000_007  # 2025-01-01 00:00:01.000007 UTC
@@ -410,19 +371,3 @@ def test_every_event_matches_per_row_simulation(seed):
     pd.testing.assert_frame_equal(df_v, df_r)
     # final state parity too
     assert st_v.counters.table().equals(st_r.counters.table())
-
-
-def test_every_event_thinning_matches_per_row():
-    # status_every_epochs counts CALLS; in per-event mode each row is a call.
-    t = tiny_fixture("t_multi")
-    cfg = dict(status_every_event=True, status_every_epochs=3)
-    st_v = OrderedPartitionState(OrderedConfig(**cfg))
-    _, s_v = st_v.process(t.slice(0, 20), TS)
-    st_r, _, s_r = _simulate_per_row(
-        t, dict(status_every_epochs=3), [(0, 20)]
-    )
-    pd.testing.assert_frame_equal(
-        s_v.to_pandas().reset_index(drop=True),
-        s_r.to_pandas().reset_index(drop=True),
-    )
-    assert st_v._call_count == st_r._call_count == 20

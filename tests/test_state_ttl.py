@@ -435,10 +435,10 @@ def test_autoscale_reuses_pooled_actors(ray_session, tmp_path, monkeypatch):
     idle_after, largest = [], [0]
     give_back = _ActorPool.give_back
 
-    def record(self, cfg, workers):
+    def record(self, workers):
         largest[0] = max(largest[0], len(workers))
-        give_back(self, cfg, workers)
-        idle_after.append((sum(map(len, self.idle.values())), largest[0]))
+        give_back(self, workers)
+        idle_after.append((len(self.idle), largest[0]))
 
     monkeypatch.setattr(_ActorPool, "give_back", record)
     _POOL.kill_idle()

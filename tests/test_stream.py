@@ -1001,7 +1001,7 @@ def test_injected_failure_kills_leased_and_idle_actors(stream_files, tmp_path, m
     """The injected crash leaves no partition actor alive, the idle pooled
     ones included, and empties the pool: the benchmark's crash step waits
     for exactly this (perfbench/procs.py wait_until_gone)."""
-    from ray_ordered_stream.ordered import OrderedProcessor, _POOL, _pool_key
+    from ray_ordered_stream.ordered import OrderedProcessor, _POOL
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from procs import wait_until_gone
@@ -1012,7 +1012,7 @@ def test_injected_failure_kills_leased_and_idle_actors(stream_files, tmp_path, m
     spare = OrderedProcessor(cfg, 4)
     spare.wait_ready(str(tmp_path), None)
     spare.shutdown()
-    idle_before = list(_POOL.idle[_pool_key(cfg)])
+    idle_before = list(_POOL.idle)
     assert len(idle_before) >= 4
     drv = _EpochDriver(
         str(tmp_path / "out"), cfg, 2, [files[:2], files[2:4]], resume=False,
@@ -1023,7 +1023,7 @@ def test_injected_failure_kills_leased_and_idle_actors(stream_files, tmp_path, m
     drv.feed(0, files[:2])
     with pytest.raises(RuntimeError, match="injected failure"):
         drv.commit_oldest()
-    assert not any(_POOL.idle.values())
+    assert not _POOL.idle
     assert _all_dead(leased + idle_before)
     assert wait_until_gone(b"ray::OrderedWorker", 30.0)
 
@@ -1033,13 +1033,13 @@ def test_killed_idle_actor_is_replaced_on_lease(stream_files, tmp_path, monkeypa
     lease, and the run's output is still the oracle's."""
     import ray
 
-    from ray_ordered_stream.ordered import _POOL, _pool_key
+    from ray_ordered_stream.ordered import _POOL
 
     t, files = stream_files
     cfg = OrderedConfig()
     ids = _record_leases(monkeypatch)
     run_stream(files, str(tmp_path / "first"), cfg, num_partitions=2, files_per_epoch=2)
-    victim = _POOL.idle[_pool_key(cfg)][-1]
+    victim = _POOL.idle[-1]
     ray.kill(victim)
     assert _all_dead([victim])
     res = run_stream(files, str(tmp_path / "second"), cfg, num_partitions=2,
