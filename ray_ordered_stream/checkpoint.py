@@ -2,24 +2,27 @@
 
 Layout::
 
-    <root>/ckpt/p=<partition>/epoch-<n>/
-        buffer.parquet       # buffered out-of-order rows (may be absent)
-        counters.parquet     # per-key counters incl. next_seq (delta or full)
-        <op>.<part>.parquet  # operator state tables (windows.keys,
-                             # join.pending, cep.carry, ...); none on the
-                             # ordered-only path
-        extras.json          # format version, ordered scalars, and per
-                             # operator its JSON parts + table list
-        _FULL                # counters are complete, not a delta (may be absent)
-        _COMMIT              # marker written last (atomic rename)
+    <root>/ckpt/meta.json                       # lineage: partitions, pins
+    <root>/ckpt/p=<partition>/epoch-<n>/state.arrow
 
-Every snapshot entry besides the ordered core's is an operator's
-(stream_ops.OPERATOR_KINDS): a flat dict of parts. An Arrow table part goes
-to Parquet; every other part (scalars such as the watermark and the
-operator's config fields, per-key maps such as the order book's or a user
-state's) goes to extras.json under ``operators``.
-Restore reads a full epoch's payload only at the target epoch: delta epochs
-contribute just their counters.
+``state.arrow`` is an Arrow IPC file holding one record batch of one row,
+with one ``list<struct>`` column per snapshot table: ``counters`` (always
+first: the per-key counters, a delta or full), ``buffer`` (the buffered
+out-of-order rows, absent when empty) and ``<op>.<part>`` per operator
+table (windows.keys, join.pending, cep.carry, ...). Each column's field
+metadata keeps its table's schema metadata. The schema metadata
+``checkpoint`` is a JSON object: the format version, ``full`` (the
+counters are complete, not a delta), ``last_status_us``, and per operator
+(stream_ops.OPERATOR_KINDS) its non-table parts: scalars such as the
+watermark and the operator's config fields, and per-key maps such as the
+order book's or a user state's. The file is written as ``state.arrow.tmp``
+and renamed; the rename is the commit, so an epoch without ``state.arrow``
+never committed.
+
+Restore reads the target epoch in full. Delta epochs back to the newest
+full one contribute only their ``counters`` column, read alone
+(``IpcReadOptions.included_fields``), so their other columns are never
+decompressed.
 
 Commit order per epoch is: the checkpoint FIRST, then the sink manifests.
 Each partition writes its sink parts and then this checkpoint before it
@@ -41,10 +44,14 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
+import pyarrow.ipc as ipc
 
-# version of the epoch-directory layout above, recorded in extras.json
-FORMAT = 3
+# version of the layout above, recorded in every state.arrow
+FORMAT = 4
+STATE_FILE = "state.arrow"
+# lz4 over zstd: half the write time of format 3's Parquet files for ~1.6x
+# their bytes; uncompressed was faster still at 5-6x the bytes (NOTES.md)
+_WRITE = ipc.IpcWriteOptions(compression="lz4")
 # the ordered core's snapshot entries; every other entry is an operator's
 _ORDERED = ("counters", "buffer", "last_status_us")
 
@@ -53,60 +60,59 @@ def _dir(root: str, partition: int, epoch: int) -> Path:
     return Path(root) / "ckpt" / f"p={partition:05d}" / f"epoch-{epoch:05d}"
 
 
-def _write_atomic(table: pa.Table, path: Path) -> None:
+def write_json_atomic(path: Path, obj: dict) -> None:
+    """Write ``obj`` as JSON to ``path`` through a rename, so a reader sees
+    the old file or the new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    pq.write_table(table, tmp)
+    tmp.write_text(json.dumps(obj))
     os.replace(tmp, path)
+
+
+def _pack(name: str, t: pa.Table) -> tuple[pa.Field, pa.Array]:
+    """``t`` as a one-row ``list<struct>`` column named ``name``."""
+    rows = pa.StructArray.from_arrays(
+        [c.combine_chunks() for c in t.columns], fields=list(t.schema)
+    )
+    col = pa.ListArray.from_arrays(pa.array([0, len(rows)], pa.int32()), rows)
+    return pa.field(name, col.type, metadata=t.schema.metadata), col
+
+
+def _unpack(batch: pa.RecordBatch, i: int) -> pa.Table:
+    """Inverse of ``_pack`` for column ``i`` of ``batch``."""
+    t = pa.Table.from_struct_array(batch.column(i).flatten())
+    return t.replace_schema_metadata(batch.schema.field(i).metadata)
 
 
 def write_partition_checkpoint(
     root: str, partition: int, epoch: int, snap: dict, full: bool = False
 ) -> str:
-    """``full=True`` marks this epoch's counters as a complete snapshot (not a
-    delta): restore then merges deltas only from the newest full epoch, which
-    bounds resume cost on long streams (compaction)."""
+    """Write ``snap`` as this partition-epoch's ``state.arrow`` and return
+    the epoch directory. ``full=True`` marks the counters as a complete
+    snapshot (not a delta): restore then merges deltas only from the newest
+    full epoch, which bounds resume cost on long streams (compaction)."""
     d = _dir(root, partition, epoch)
     d.mkdir(parents=True, exist_ok=True)
-
-    if snap["buffer"] is not None and snap["buffer"].num_rows:
-        _write_atomic(snap["buffer"], d / "buffer.parquet")
-    else:
-        # A re-run may overwrite an epoch dir that previously committed with
-        # a non-empty buffer (crash recovery / changed config reusing the
-        # out_root). A committed checkpoint must contain only files from the
-        # current write, else resume restores phantom buffered rows.
-        (d / "buffer.parquet").unlink(missing_ok=True)
-
     # a COUNTERS_SCHEMA table in key order (OrderedPartitionState.snapshot)
-    _write_atomic(snap["counters"], d / "counters.parquet")
-
-    extras: dict = {"format": FORMAT,
-                    "last_status_us": snap.get("last_status_us"),
-                    "operators": {}}
+    tables = {"counters": snap["counters"]}
+    if snap["buffer"] is not None and snap["buffer"].num_rows:
+        tables["buffer"] = snap["buffer"]
+    meta: dict = {"format": FORMAT, "full": full,
+                  "last_status_us": snap.get("last_status_us"),
+                  "operators": {}}
     for name, parts in operator_entries(snap).items():
-        values, tables = {}, []
+        values = meta["operators"][name] = {}
         for part, v in parts.items():
             if isinstance(v, pa.Table):
-                _write_atomic(v, d / f"{name}.{part}.parquet")
-                tables.append(part)
+                tables[f"{name}.{part}"] = v
             else:
                 values[part] = v
-        extras["operators"][name] = {"json": values, "tables": tables}
-    tmp = d / "extras.json.tmp"
-    tmp.write_text(json.dumps(extras))
-    os.replace(tmp, d / "extras.json")
-
-    full_marker = d / "_FULL"
-    if full:
-        tmp = d / "_FULL.tmp"
-        tmp.write_text("ok")
-        os.replace(tmp, full_marker)
-    else:
-        full_marker.unlink(missing_ok=True)  # re-run may change the cadence
-
-    tmp = d / "_COMMIT.tmp"
-    tmp.write_text("ok")
-    os.replace(tmp, d / "_COMMIT")
+    fields, cols = zip(*(_pack(n, t) for n, t in tables.items()))
+    schema = pa.schema(fields, metadata={"checkpoint": json.dumps(meta)})
+    tmp = d / (STATE_FILE + ".tmp")
+    with ipc.new_file(tmp, schema, options=_WRITE) as w:
+        w.write_batch(pa.record_batch(list(cols), schema=schema))
+    os.replace(tmp, d / STATE_FILE)
     return str(d)
 
 
@@ -115,52 +121,38 @@ def operator_entries(snap: dict) -> dict:
     return {k: v for k, v in snap.items() if k not in _ORDERED}
 
 
-def _read_extras(d: Path) -> dict:
-    """extras.json of a committed epoch dir, checked against ``FORMAT``. An
-    older layout (operator state inline in extras.json) or an unknown
-    version fails here, naming the directory, instead of restoring empty or
-    half-read operator state."""
-    try:
-        extras = json.loads((d / "extras.json").read_text())
-    except (OSError, ValueError) as e:
-        found = f"an unreadable extras.json ({e})"
-    else:
-        version = extras.get("format") if isinstance(extras, dict) else None
-        if version == FORMAT:
-            return extras
-        found = (
-            "no format version (the older layout with operator state "
-            "inline in extras.json)" if version is None
-            else f"format {version!r}"
-        )
-    raise ValueError(
+def _wrong_format(d: Path, found: str) -> ValueError:
+    return ValueError(
         f"checkpoint at {d} has {found}; expected checkpoint format {FORMAT} "
-        "(operator state and config under operators). It was written by "
-        "another engine version and cannot be restored: restart with "
-        "resume=False."
+        f"(one {STATE_FILE} per partition-epoch). It was written by another "
+        "engine version and cannot be restored: restart with resume=False."
     )
 
 
-def _read_epoch(d: Path, counters: pa.Table) -> dict:
-    """Full payload of one committed epoch dir around ``counters``."""
-    extras = _read_extras(d)
-    buffer = None
-    if (d / "buffer.parquet").exists():
-        buffer = pq.read_table(d / "buffer.parquet")
-    snap: dict = {"counters": counters, "buffer": buffer,
-                  "last_status_us": extras["last_status_us"]}
-    for name, op in extras["operators"].items():
-        snap[name] = dict(op["json"])
-        for part in op["tables"]:
-            snap[name][part] = pq.read_table(d / f"{name}.{part}.parquet")
-    return snap
+def _committed(d: Path) -> bool:
+    """Whether epoch dir ``d`` holds a committed checkpoint. A format-3
+    dir (a ``_COMMIT`` marker, no ``state.arrow``) raises instead of
+    reading as uncommitted, which would restart the stream from scratch."""
+    if (d / STATE_FILE).exists():
+        return True
+    if (d / "_COMMIT").exists():
+        raise _wrong_format(d, "format 3 (_COMMIT and per-table Parquet files)")
+    return False
 
 
-def read_partition_checkpoint(root: str, partition: int, epoch: int) -> dict | None:
-    d = _dir(root, partition, epoch)
-    if not (d / "_COMMIT").exists():
-        return None
-    return _read_epoch(d, pq.read_table(d / "counters.parquet"))
+def _open(d: Path, counters_only: bool = False) -> tuple[dict, pa.RecordBatch]:
+    """The metadata and the batch of ``d``'s state.arrow, checked against
+    ``FORMAT``; with ``counters_only`` the batch holds just ``counters``."""
+    opts = ipc.IpcReadOptions(included_fields=[0]) if counters_only else None
+    with ipc.open_file(d / STATE_FILE, options=opts) as r:
+        raw = (r.schema.metadata or {}).get(b"checkpoint")
+        meta = json.loads(raw) if raw else None
+        version = meta.get("format") if isinstance(meta, dict) else None
+        if version != FORMAT:
+            raise _wrong_format(
+                d, "no format version" if version is None else f"format {version!r}"
+            )
+        return meta, r.get_batch(0)
 
 
 def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None:
@@ -169,24 +161,22 @@ def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None
     per key wins, keys in first-seen order) starting from the newest FULL
     snapshot <= epoch (compaction bound — restore cost is O(epochs since last
     full), not O(all epochs)). Delta epochs are read for their counters
-    only; buffer, operator state and extras are written in full each epoch,
-    so only the target epoch's are read."""
+    only; buffer and operator state are written in full each epoch, so only
+    the target epoch's are read. None if ``epoch`` never committed."""
     d = _dir(root, partition, epoch)
-    if not (d / "_COMMIT").exists():
+    if not _committed(d):
         return None
-    base = 0
-    for e in range(epoch, -1, -1):
-        de = _dir(root, partition, e)
-        if (de / "_FULL").exists() and (de / "_COMMIT").exists():
-            base = e
+    meta, batch = _open(d)
+    tables, full = [_unpack(batch, 0)], meta["full"]
+    # partitions may skip epochs only if never committed
+    for e in range(epoch - 1, -1, -1):
+        if full:
             break
-    tables = [
-        pq.read_table(_dir(root, partition, e) / "counters.parquet")
-        for e in range(base, epoch + 1)
-        # partitions may skip epochs only if never committed
-        if (_dir(root, partition, e) / "_COMMIT").exists()
-    ]
-    merged = pa.concat_tables(tables)
+        if _committed(de := _dir(root, partition, e)):
+            m, b = _open(de, counters_only=True)
+            tables.append(_unpack(b, 0))
+            full = m["full"]
+    merged = pa.concat_tables(tables[::-1])
     if len(tables) > 1 and merged.num_rows:
         enc = pc.dictionary_encode(merged["key"].combine_chunks())
         codes = np.asarray(enc.indices)
@@ -194,20 +184,23 @@ def read_merged_checkpoint(root: str, partition: int, epoch: int) -> dict | None
         # in the reversed codes is that key's last write
         _u, first_rev = np.unique(codes[::-1], return_index=True)
         merged = merged.take(pa.array(len(codes) - 1 - first_rev))
-    return _read_epoch(d, merged)
+
+    snap: dict = {"counters": merged, "buffer": None,
+                  "last_status_us": meta["last_status_us"], **meta["operators"]}
+    for i, col in enumerate(batch.schema.names[1:], 1):
+        if col == "buffer":
+            snap["buffer"] = _unpack(batch, i)
+        else:
+            name, part = col.split(".", 1)
+            snap[name][part] = _unpack(batch, i)
+    return snap
 
 
 def committed_epoch(root: str, partition: int) -> int | None:
     """Newest committed checkpoint epoch for a partition, or None."""
     base = Path(root) / "ckpt" / f"p={partition:05d}"
-    if not base.exists():
-        return None
-    epochs = [
-        int(d.name.split("-")[1])
-        for d in base.glob("epoch-*")
-        if (d / "_COMMIT").exists()
-    ]
-    return max(epochs) if epochs else None
+    epochs = sorted((int(d.name.split("-")[1]) for d in base.glob("epoch-*")), reverse=True)
+    return next((e for e in epochs if _committed(_dir(root, partition, e))), None)
 
 
 def write_lineage_meta(
@@ -239,19 +232,10 @@ def write_lineage_meta(
         )
     ):
         shutil.rmtree(ck)
-    ck.mkdir(parents=True, exist_ok=True)
     m: dict = {"partitions": partitions}
     if overrides:
         m["overrides"] = overrides
-    write_lineage_meta_raw(root, m)
-
-
-def write_lineage_meta_raw(root: str, meta: dict) -> None:
-    ck = Path(root) / "ckpt"
-    ck.mkdir(parents=True, exist_ok=True)
-    tmp = ck / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta))
-    os.replace(tmp, ck / "meta.json")
+    write_json_atomic(ck / "meta.json", m)
 
 
 def read_lineage_meta(root: str) -> dict | None:

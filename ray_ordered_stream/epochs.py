@@ -30,7 +30,6 @@ epochs are re-run deterministically and overwrite their files idempotently.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +39,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .checkpoint import read_lineage_meta, resume_epoch, write_lineage_meta
+from .checkpoint import read_lineage_meta, resume_epoch, write_json_atomic, write_lineage_meta
 from .metrics import StatsTracker
 from .ordered import OrderedProcessor
 from .rescale import rescale_checkpoint
@@ -351,17 +350,10 @@ def _epoch_record_dir(out_root: str) -> Path:
     return Path(out_root) / "epochs"
 
 
-def _write_json_atomic(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj))
-    os.replace(tmp, path)
-
-
 def _record_epoch(out_root: str, epoch: int, files: list[str]) -> None:
     """Durably pin an epoch's file group BEFORE feeding it, so a resumed run
     re-forms identical epochs regardless of what has landed since."""
-    _write_json_atomic(
+    write_json_atomic(
         _epoch_record_dir(out_root) / f"epoch-{epoch:05d}.json",
         {"epoch": epoch, "files": files},
     )
@@ -532,7 +524,7 @@ def run_stream_continuous(
         # durable intent marker: a crash mid-rescale is finished by
         # _complete_autoscale on the next resume
         marker = Path(out_root) / "ckpt" / "_autoscale.json"
-        _write_json_atomic(marker, {"epoch": cut, "from": old_P, "to": new_P})
+        write_json_atomic(marker, {"epoch": cut, "from": old_P, "to": new_P})
         rescale_checkpoint(out_root, cut, old_P, new_P, key=cfg.key)
         marker.unlink()
         overrides_r = (read_lineage_meta(out_root) or {}).get("overrides") or None

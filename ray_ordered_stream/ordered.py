@@ -21,8 +21,9 @@ comes back only through ``restore_from`` the durable checkpoint, never from
 an earlier lease. A clean ``OrderedProcessor.shutdown`` returns the actors
 (each drops its state first); a broken processor (an injected failure)
 kills them and the pool's idle actors. Pooled actors are ordinary actors:
-they die with the driver and its Ray session. The batch facade
-(``ordered_process``) starts its own actors and never touches the pool.
+they die with the driver and its Ray session. A processor whose first
+call is the batch feed (``feed_epoch``, behind ``ordered_process``) starts
+its own actors and never touches the pool.
 
 The exchange is block-ref based: shards travel through the object store
 and are fetched by the owning actor (zero-copy on the same node), which is
@@ -511,7 +512,7 @@ _POOL = _ActorPool()
 class OrderedProcessor:
     """Engine handle: P state actors leased from the driver's pool, fed
     epoch by epoch. ``ordered_process`` is the one-shot (single-epoch
-    batch) facade, on actors of its own."""
+    batch) facade over ``feed_epoch``."""
 
     def __init__(self, cfg: OrderedConfig | None = None, num_partitions: int | None = None,
                  overrides: dict[str, int] | None = None,
@@ -613,8 +614,13 @@ class OrderedProcessor:
 
     def feed_epoch(self, ds_or_table, status_ts) -> tuple[list, list]:
         """Run one epoch through the state store. Returns (emitted_refs,
-        status_refs) — one pair per partition; nothing touches the driver."""
+        status_refs) — one pair per partition; nothing touches the driver.
+        A processor with no actors yet starts its own instead of leasing the
+        pool's: these return tables through Ray's pa.Table reducer, which
+        loads ray.data, so they could never go back to the pool."""
         per_group, schema = self.exchange(ds_or_table)
+        if self._workers is None:
+            self._workers = [OrderedWorker.remote(self.cfg, p) for p in range(self.P)]
         if not per_group:
             return [], []
         status_ts = _wire_ts(status_ts)
@@ -786,9 +792,6 @@ def ordered_process(
     return (ordered, status) Datasets. For multi-epoch streaming with
     checkpoint/resume use ``epochs.run_stream``."""
     proc = OrderedProcessor(cfg, num_partitions, overrides)
-    # its own actors, not the pool's: they return tables through Ray's
-    # pa.Table reducer, which loads ray.data, so they could never go back
-    proc._workers = [OrderedWorker.remote(proc.cfg, p) for p in range(proc.P)]
     proc.feed_epoch(ds, _EPOCH if status_ts is None else status_ts)
     return proc.datasets()
 

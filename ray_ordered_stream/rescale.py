@@ -50,7 +50,7 @@ from .checkpoint import (
     operator_entries,
     read_lineage_meta,
     read_merged_checkpoint,
-    write_lineage_meta_raw,
+    write_json_atomic,
     write_partition_checkpoint,
 )
 from .partitioning import key_partition_codes, split_table
@@ -145,21 +145,19 @@ def rescale_checkpoint(
         mig_meta: dict = {"partitions": old_P, "migrating_to": new_P}
         if old_overrides:
             mig_meta["overrides"] = old_overrides
-        write_lineage_meta_raw(root, mig_meta)
+        write_json_atomic(ck / "meta.json", mig_meta)
         if stage_root.exists():  # stale stage from an older aborted attempt
             shutil.rmtree(stage_root)
         for q in range(new_P):
             write_partition_checkpoint(str(stage_root), q, epoch, new[q],
                                        full=True)
-        tmp = stage_root / "stage.json.tmp"
-        tmp.write_text(json.dumps({"epoch": epoch, "new_P": new_P}))
-        os.replace(tmp, stage_marker)
+        write_json_atomic(stage_marker, {"epoch": epoch, "new_P": new_P})
 
     _swap_stage(ck, stage_root, epoch, new_P)
     final_meta: dict = {"partitions": new_P}
     if new_overrides:
         final_meta["overrides"] = new_overrides
-    write_lineage_meta_raw(root, final_meta)
+    write_json_atomic(ck / "meta.json", final_meta)
     shutil.rmtree(stage_root, ignore_errors=True)
 
 
@@ -229,7 +227,8 @@ def _swap_stage(ck: Path, stage_root: Path, epoch: int, new_P: int) -> None:
     """Install the staged migrated checkpoints over the live lineage. Every
     step is derivable from the stage alone and idempotent: stale lineage
     deletion re-runs harmlessly, and a staged dir already moved by a
-    previous (crashed) swap is skipped (its dest carries the _COMMIT)."""
+    previous (crashed) swap is skipped (its dest holds the committed
+    state.arrow)."""
     for pdir in sorted(ck.glob("p=*")):
         pnum = int(pdir.name.split("=")[1])
         if pnum >= new_P:

@@ -56,8 +56,8 @@ STATUS_SCHEMA = pa.schema(
 
 #: Per-key counters of the ordered core, one row per key in key order: a
 #: partition snapshot's ``counters`` entry and the checkpoint's
-#: counters.parquet. ``next_seq`` is null until the key's initial event is
-#: processed; ``digest`` is the with_digest chain ("" when off).
+#: ``counters`` column. ``next_seq`` is null until the key's initial event
+#: is processed.
 COUNTERS_SCHEMA = pa.schema(
     [
         pa.field("key", pa.string()),
@@ -66,7 +66,6 @@ COUNTERS_SCHEMA = pa.schema(
         pa.field("results", pa.int64()),
         pa.field("next_seq", pa.int64()),
         pa.field("last_event", pa.bool_()),
-        pa.field("digest", pa.string()),
     ]
 )
 

@@ -30,7 +30,6 @@ in-process; ``ordered.py`` wraps it in a sharded actor pool.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -64,8 +63,8 @@ class OrderedConfig:
     # partition actor. Its update() sees every emitted row exactly once in
     # per-key sequence order; its output rows flow to the 'user' sink
     # (streaming) / OrderedResult.user (batch); its snapshot()/restore()
-    # ride the checkpoint + rescale protocols. The built-ins below
-    # (with_digest, with_book) remain as zero-config conveniences.
+    # ride the checkpoint + rescale protocols. The built-in with_book
+    # below remains as a zero-config convenience.
     state_factory: object = None
     # ≙ produceStatusUpdatesOnEveryEvent(): one status row per input row
     # instead of one per touched key and call. Not combinable with
@@ -77,7 +76,6 @@ class OrderedConfig:
     # Counters keep accumulating regardless; final_status is always complete.
     status_interval_s: float = 0.0
     max_emit_per_round: int = 0   # ≙ maxOutputElementsPerBundle (0 = unlimited)
-    with_digest: bool = False     # demo order-dependent MutableState (≙ OrderBookBuilder)
     # per-key incremental order book over the emitted stream (≙ the real
     # OrderBookBuilder/MarketDepth business logic, book.py); the input must
     # carry type/side/price/qty columns
@@ -100,11 +98,15 @@ class OrderedConfig:
     # sideOutputLateData semantics
     late_data: str = "merge"
     stream_join: bool = False     # enables the sequence-driven as-of join
-    join_within_s: float = 0.0    # > 0 bounds joined pairs by event time
+    # > 0 bounds joined pairs by event time: an answer that comes too late
+    # is no answer (the batch join_user_assistant's within_us)
+    join_within_s: float = 0.0
     # non-empty enables streaming CEP: emit a match whenever these roles
     # occur on consecutive turns of one key (cep.PatternMatcher side output)
     pattern: tuple = ()
-    pattern_within_s: float = 0.0  # 0 = no event-time bound on a match
+    # > 0 bounds a match's first-to-last turn by event time (the batch
+    # match_pattern's within_us, Flink's within); 0 = no bound
+    pattern_within_s: float = 0.0
     # non-empty (with pattern) switches the CEP side output to NEGATION
     # (cep.AbsenceMatcher, Flink's notFollowedBy): emit a match only when
     # NO same-key turn with this role follows the pattern within
@@ -166,7 +168,6 @@ class KeyCounters:
         ("next_seq", np.int64),      # valid only where has_next
         ("has_next", np.bool_),      # False until the initial event is processed
         ("last_event", np.bool_),
-        ("digest", object),
         ("dirty", np.bool_),
         ("buffered", np.int64),
         ("buf_lo", np.int64),
@@ -209,7 +210,6 @@ class KeyCounters:
                     grown = np.zeros(cap, dt)
                     grown[:n0] = self._buf[f][:n0]
                     self._buf[f] = grown
-            self._buf["digest"][n0:n] = ""
             self._bind(n)
         return g
 
@@ -237,7 +237,6 @@ class KeyCounters:
                 pa.array(self.results[codes], pa.int64()),
                 pa.array(self.next_seq[codes], pa.int64(), mask=~self.has_next[codes]),
                 pa.array(self.last_event[codes], pa.bool_()),
-                pa.array(self.digest[codes], pa.string()),
             ],
             schema=COUNTERS_SCHEMA,
         )
@@ -253,7 +252,6 @@ class KeyCounters:
         c.has_next[:] = col["next_seq"].is_valid().to_numpy(zero_copy_only=False)
         c.next_seq[:] = pc.fill_null(col["next_seq"], 0).to_numpy(zero_copy_only=False)
         c.last_event[:] = col["last_event"].to_numpy(zero_copy_only=False)
-        c.digest[:] = col["digest"].to_numpy(zero_copy_only=False)
         return c
 
 
@@ -627,13 +625,7 @@ class OrderedPartitionState:
             if is_last is not None:
                 c.last_event[glob[emit_codes[is_last]]] = True
 
-        # 7. optional demo order-dependent state (≙ OrderBookBuilder running
-        #    aggregate, business-model/.../OrderBookBuilder.java:39-87): a
-        #    chained per-key digest proving mutate ran in sequence order.
-        if cfg.with_digest:
-            emitted = self._apply_digest(emitted, glob[emit_codes])
-
-        # 8. new buffer = non-emittable remainder (stays sorted by key, seq);
+        # 7. new buffer = non-emittable remainder (stays sorted by key, seq);
         #    every key with buffered rows is in this call, so its bounds are
         #    the remainder's group boundaries
         self.buffer = (
@@ -650,7 +642,7 @@ class OrderedPartitionState:
             c.buf_lo[g] = r_seq[r_start]
             c.buf_hi[g] = r_seq[r_end]
 
-        # 9. status rows for touched keys (thinned by status_interval_s)
+        # 8. status rows for touched keys (thinned by status_interval_s)
         touched_codes = np.flatnonzero(touched)
         c.dirty[glob[touched_codes]] = True
         if _external_status or not self._status_due(_ts_us(status_ts)):
@@ -664,15 +656,6 @@ class OrderedPartitionState:
         return emitted, status
 
     # -- helpers -----------------------------------------------------------
-
-    def _apply_digest(self, emitted: pa.Table, emit_keys: np.ndarray) -> pa.Table:
-        texts = emitted["text"].to_pylist() if "text" in emitted.column_names else [""] * len(emit_keys)
-        chain = self.counters.digest
-        digests = []
-        for k, txt in zip(emit_keys.tolist(), texts):
-            chain[k] = hashlib.sha1(f"{chain[k]}|{txt}".encode()).hexdigest()[:16]
-            digests.append(chain[k])
-        return emitted.append_column("state_digest", pa.array(digests, pa.string()))
 
     def _status_rows(self, names: pa.Array, codes: np.ndarray, status_ts) -> pa.Table:
         """One status row per key of ``names`` (whose key codes are
@@ -708,10 +691,7 @@ class OrderedPartitionState:
     def _empty_emitted(self, like: pa.Table) -> pa.Table:
         cols = [c for c in like.column_names if c != ARRIVAL]
         t = like.select(cols).slice(0, 0)
-        t = t.append_column("emit_seq", pa.array([], pa.int64()))
-        if self.cfg.with_digest:
-            t = t.append_column("state_digest", pa.array([], pa.string()))
-        return t
+        return t.append_column("emit_seq", pa.array([], pa.int64()))
 
     # -- checkpoint --------------------------------------------------------
 

@@ -146,7 +146,7 @@ def test_bookstate_snapshot_restore_roundtrip():
     ]
     st = BookState()
     st.update(_batch(rows))
-    # snapshot must survive the JSON round-trip the checkpoint extras use
+    # snapshot must survive the JSON round-trip of the checkpoint metadata
     snap = json.loads(json.dumps(st.snapshot()))
     st2 = BookState()
     st2.restore(snap)

@@ -116,29 +116,41 @@ def test_stream_matches_sink_e2e(tmp_path, ray_session):
     t = gen_transcripts(
         n_convs=8, min_turns=10, max_turns=40, lateness=25, dup_rate=0.02, seed=3
     )
-    d = tmp_path / "landing"
-    d.mkdir()
-    files = []
-    n, nf = t.num_rows, 5
-    step = -(-n // nf)
-    for i in range(nf):
-        f = d / f"part-{i:05d}.parquet"
-        pq.write_table(t.slice(i * step, step), f)
-        files.append(str(f))
-    cfg = OrderedConfig(pattern=tuple(PAT))
-    res = run_stream(files, str(tmp_path / "out"), cfg, num_partitions=3,
-                     files_per_epoch=2)
-    got = (
-        res.sinks["matches"].read().to_pandas()
-        .sort_values([KEY, "start_seq"])
-        .reset_index(drop=True)
+    # the second input bounds a match by event time; the fixture spaces one
+    # key's turns evenly, so shift them by 0-0.9 s to make the bound split
+    # the matches (1.6 s apart before the shift)
+    seq = t[SEQ].to_numpy()
+    shifted = t.set_column(
+        t.schema.get_field_index("ts"), t.schema.field("ts"),
+        pa.array(t["ts"].to_numpy() + (seq % 4 * 300_000).astype("timedelta64[us]")),
     )
-    exp = (
-        _brute(oracle_ordered(t), PAT)
-        .sort_values([KEY, "start_seq"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[[KEY, "start_seq", "end_seq"]], exp)
+    for i, (t, within_s) in enumerate([(t, 0.0), (shifted, 1.5)]):
+        d = tmp_path / f"landing{i}"
+        d.mkdir()
+        files = []
+        n, nf = t.num_rows, 5
+        step = -(-n // nf)
+        for j in range(nf):
+            f = d / f"part-{j:05d}.parquet"
+            pq.write_table(t.slice(j * step, step), f)
+            files.append(str(f))
+        cfg = OrderedConfig(pattern=tuple(PAT), pattern_within_s=within_s)
+        res = run_stream(files, str(tmp_path / f"out{i}"), cfg, num_partitions=3,
+                         files_per_epoch=2)
+        got = (
+            res.sinks["matches"].read().to_pandas()
+            .sort_values([KEY, "start_seq"])
+            .reset_index(drop=True)
+        )
+        within_us = int(within_s * 1_000_000) or None
+        exp = (
+            _brute(oracle_ordered(t), PAT, within_us)
+            .sort_values([KEY, "start_seq"])
+            .reset_index(drop=True)
+        )
+        if within_us:  # the bound drops some matches, not all
+            assert 0 < len(exp) < len(_brute(oracle_ordered(t), PAT))
+        pd.testing.assert_frame_equal(got[[KEY, "start_seq", "end_seq"]], exp)
 
 
 def test_pattern_matcher_carry_dropped_after_end_sentinel():

@@ -51,11 +51,34 @@ def test_ordered_process_dataset_input_and_partition_invariance():
     )
 
 
+def _facade_feed(t, cfg):
+    res = ordered_process(t, cfg, num_partitions=2)
+    got = sorted_df(res.ordered)
+    assert res.status.count() > 0
+    exp = oracle_ordered(t)
+    pd.testing.assert_frame_equal(
+        got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
+    )
+
+
+def _processor_feed(t, cfg):
+    # the registry's ordered_final_status / order_book_depth shape
+    proc = OrderedProcessor(cfg, 2)
+    proc.feed_epoch(t, TS)
+    fin = proc.final_status_table(TS).to_pandas().sort_values(KEY)
+    proc.shutdown()
+    exp = oracle_final_status(t).sort_values(KEY)
+    assert list(fin["received_count"]) == list(exp["received_count"])
+    assert list(fin["result_count"]) == list(exp["result_count"])
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_ordered_process_leaves_the_actor_pool_alone(tmp_path):
-    # the batch facade's actors load ray.data (Ray's pa.Table reducer), so
-    # they can never go back to the pool: the facade must not take the
-    # pool's idle actors either
+@pytest.mark.parametrize("feed", [_facade_feed, _processor_feed],
+                         ids=["ordered_process", "feed_epoch"])
+def test_ordered_process_leaves_the_actor_pool_alone(tmp_path, feed):
+    # a batch feed's actors load ray.data (Ray's pa.Table reducer), so they
+    # can never go back to the pool: a batch feed must not take the pool's
+    # idle actors either
     import ray
 
     from ray_ordered_stream.ordered import _POOL
@@ -65,16 +88,9 @@ def test_ordered_process_leaves_the_actor_pool_alone(tmp_path):
     warm.shutdown()
     before = [w._actor_id.hex() for w in _POOL.idle]
     assert len(before) >= 2
-    t = tiny_fixture("t_multi")
-    res = ordered_process(t, OrderedConfig(warmup_rows=256), num_partitions=2)
-    got = sorted_df(res.ordered)
-    assert res.status.count() > 0
+    feed(tiny_fixture("t_multi"), OrderedConfig(warmup_rows=256))
     assert [w._actor_id.hex() for w in _POOL.idle] == before
     assert ray.get([w.ping.remote() for w in _POOL.idle])
-    exp = oracle_ordered(t)
-    pd.testing.assert_frame_equal(
-        got[[KEY, SEQ, "text", "emit_seq"]], exp[[KEY, SEQ, "text", "emit_seq"]]
-    )
 
 
 @pytest.mark.usefixtures("ray_session")

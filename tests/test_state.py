@@ -164,19 +164,6 @@ def test_max_emit_per_round_loop_drain():
     assert max(p.num_rows for p in parts) <= 50
 
 
-def test_digest_is_order_dependent():
-    t = tiny_fixture("t_reverse")
-    cfg = OrderedConfig(with_digest=True)
-    st, emitted, _ = run_single_epoch(t, cfg)
-    df = emitted.to_pandas().sort_values(SEQ)
-    assert df["state_digest"].nunique() == 3
-    # replaying in order gives the same digest chain
-    t_in = tiny_fixture("t_inorder")
-    st2, emitted2, _ = run_single_epoch(t_in, OrderedConfig(with_digest=True))
-    df2 = emitted2.to_pandas().sort_values(SEQ)
-    assert list(df["state_digest"]) == list(df2["state_digest"])
-
-
 def test_snapshot_restore_roundtrip():
     t = tiny_fixture("t_multi")
     half = t.num_rows // 2
@@ -353,7 +340,7 @@ def test_every_event_matches_per_row_simulation(seed):
     cuts = [0, n // 3, n // 3 + 7, n]
     epochs = list(zip(cuts[:-1], cuts[1:]))
 
-    st_v = OrderedPartitionState(OrderedConfig(status_every_event=True, with_digest=True))
+    st_v = OrderedPartitionState(OrderedConfig(status_every_event=True))
     em_v, ss_v = [], []
     for lo, hi in epochs:
         e, s = st_v.process(t.slice(lo, hi - lo), TS)
@@ -362,7 +349,7 @@ def test_every_event_matches_per_row_simulation(seed):
     em_v = pa.concat_tables(em_v)
     ss_v = pa.concat_tables(ss_v).to_pandas()
 
-    st_r, em_r, ss_r = _simulate_per_row(t, dict(with_digest=True), epochs)
+    st_r, em_r, ss_r = _simulate_per_row(t, {}, epochs)
     ss_r = ss_r.to_pandas()
 
     pd.testing.assert_frame_equal(ss_v.reset_index(drop=True), ss_r.reset_index(drop=True))

@@ -3,7 +3,7 @@ per-key model of the same contract: status rows (every column), dirty
 snapshots and emitted order, over random arrival orders with duplicates,
 buffer carry-over, ``max_emit_per_round`` and a restore mid-stream; the
 packed-key sort against its ``lexsort`` fallback; and a checkpoint written
-by the previous engine version (tests/data/counters_v3)."""
+in format 4 (tests/data/ckpt_v4)."""
 
 from datetime import datetime
 from pathlib import Path
@@ -15,7 +15,6 @@ import pytest
 
 from ray_ordered_stream.checkpoint import (
     read_merged_checkpoint,
-    read_partition_checkpoint,
     write_partition_checkpoint,
 )
 from ray_ordered_stream.schema import COUNTERS_SCHEMA, KEY, SEQ, STATUS_SCHEMA
@@ -24,6 +23,7 @@ from ray_ordered_stream.state import (
     OrderedPartitionState,
     _key_seq_order,
 )
+from ray_ordered_stream.stream_ops import Operator, operator_kinds
 
 TS = datetime(2025, 1, 1)
 # byte order differs from naive expectations: upper case before lower, and
@@ -101,8 +101,8 @@ class RefState:
     def take_dirty(self):
         rows = [{"key": k, "received": (c := self.c[k])["received"],
                  "duplicates": c["duplicates"], "results": c["results"],
-                 "next_seq": c["next_seq"], "last_event": c["last_event"],
-                 "digest": ""} for k in sorted(self.dirty)]
+                 "next_seq": c["next_seq"], "last_event": c["last_event"]}
+                for k in sorted(self.dirty)]
         self.dirty = set()
         return rows
 
@@ -169,8 +169,8 @@ def test_counters_match_per_key_model(tmp_path, seed, cap):
     assert [r[KEY] for r in final] == sorted(ref.c)
     assert st.snapshot()["counters"].to_pylist() == [
         {"key": k, **{f: ref.c[k][f] for f in
-                      ("received", "duplicates", "results", "next_seq", "last_event")},
-         "digest": ""} for k in sorted(ref.c)]
+                      ("received", "duplicates", "results", "next_seq", "last_event")}}
+        for k in sorted(ref.c)]
 
 
 def test_lexsort_fallback_matches_packed_path(monkeypatch):
@@ -217,27 +217,41 @@ def test_lexsort_fallback_matches_packed_path(monkeypatch):
 
 
 def test_counters_written_by_previous_version_restore_unchanged(tmp_path):
-    """tests/data/counters_v3 is a checkpoint lineage (a full epoch 0 and a
-    delta epoch 1, with buffered rows) written by the engine version whose
-    counters lived in a per-key dict, plus that version's output for the
-    rest of the input: restoring it must keep every counter, and go on to
-    the same emitted rows and final status."""
-    data = Path(__file__).parent / "data" / "counters_v3"
-    cfg = OrderedConfig(with_digest=True)
-    ck = data / "ckpt" / "p=00000"
-    full = pq.read_table(ck / "epoch-00000" / "counters.parquet")
-    delta = pq.read_table(ck / "epoch-00001" / "counters.parquet")
-    merged = {r["key"]: r for r in full.to_pylist() + delta.to_pylist()}
+    """tests/data/ckpt_v4 is a checkpoint lineage in format 4 (a full epoch
+    0 and a delta epoch 1, with buffered rows and a windows operator of
+    ``window_size_s=2.0``), written from ``gen_transcripts(n_convs=12,
+    min_turns=4, max_turns=24, lateness=20, dup_rate=0.05, seed=7)`` in
+    three calls of a third each, plus that version's output for the last
+    third: restoring it must keep every counter, and go on to the same
+    emitted rows, window rows and final status."""
+    data = Path(__file__).parent / "data" / "ckpt_v4"
+    cfg = OrderedConfig(window_size_s=2.0)
+    full = read_merged_checkpoint(str(data), 0, 0)
+    delta = read_merged_checkpoint(str(data), 0, 1)
+    merged = {r["key"]: r for r in full["counters"].to_pylist()}
+    assert delta["counters"].num_rows > len(merged)  # both epochs were read
+    merged.update((r["key"], r) for r in delta["counters"].to_pylist())
 
-    st = OrderedPartitionState.restore(cfg, read_merged_checkpoint(str(data), 0, 1))
+    st = OrderedPartitionState.restore(cfg, delta)
     assert st.snapshot()["counters"].to_pylist() == [merged[k] for k in sorted(merged)]
     assert st.buffered_row_count() > 0
+    (op,) = [Operator(k, cfg) for k in operator_kinds(cfg)]
+    op.restore(delta["windows"])
     emitted, _ = st.process(pq.read_table(data / "rest.parquet"), TS)
     assert emitted.equals(pq.read_table(data / "rest_emitted.parquet"))
     assert st.final_status(TS).equals(pq.read_table(data / "final_status.parquet"))
+    op.update(emitted, None, [])
+    assert op.take(final=True).equals(pq.read_table(data / "rest_windows.parquet"))
 
-    # a full epoch rewritten from the restored arrays is the same table
-    st0 = OrderedPartitionState.restore(cfg, read_partition_checkpoint(str(data), 0, 0))
-    write_partition_checkpoint(str(tmp_path), 0, 0, st0.snapshot(), full=True)
-    again = pq.read_table(tmp_path / "ckpt" / "p=00000" / "epoch-00000" / "counters.parquet")
-    assert again.equals(full)
+    # a full epoch rewritten from the restored state is the same checkpoint
+    st0 = OrderedPartitionState.restore(cfg, full)
+    op.restore(full["windows"])
+    snap = {**st0.snapshot(), "windows": op.snapshot()}
+    write_partition_checkpoint(str(tmp_path), 0, 0, snap, full=True)
+    again = read_merged_checkpoint(str(tmp_path), 0, 0)
+    assert again["counters"].equals(full["counters"])
+    assert again["last_status_us"] == full["last_status_us"]
+    assert again["windows"].keys() == full["windows"].keys()
+    for part, v in full["windows"].items():
+        assert again["windows"][part].equals(v) if isinstance(v, pa.Table) \
+            else again["windows"][part] == v

@@ -205,9 +205,9 @@ def test_partition_count_must_match_checkpoint(stream_files, tmp_path):
 
 def test_checkpoint_overwrite_clears_stale_buffer(tmp_path):
     # ADVICE r1: re-writing an epoch checkpoint whose previous write had a
-    # non-empty buffer must not leave the stale buffer.parquet behind.
+    # non-empty buffer must not restore the stale buffered rows.
     from ray_ordered_stream.checkpoint import (
-        read_partition_checkpoint,
+        read_merged_checkpoint,
         write_partition_checkpoint,
     )
 
@@ -215,16 +215,16 @@ def test_checkpoint_overwrite_clears_stale_buffer(tmp_path):
     buf = pa.table({"conv_id": ["c"], "turn_idx": pa.array([5], pa.int32())})
     none = COUNTERS_SCHEMA.empty_table()
     write_partition_checkpoint(root, 0, 3, {"counters": none, "buffer": buf})
-    snap = read_partition_checkpoint(root, 0, 3)
+    snap = read_merged_checkpoint(root, 0, 3)
     assert snap["buffer"] is not None and snap["buffer"].num_rows == 1
     write_partition_checkpoint(root, 0, 3, {"counters": none, "buffer": None})
-    snap = read_partition_checkpoint(root, 0, 3)
+    snap = read_merged_checkpoint(root, 0, 3)
     assert snap["buffer"] is None  # no phantom rows
 
 
 def _counters_table(counters: dict) -> pa.Table:
     """A checkpoint ``counters`` entry from {key: (received, duplicates,
-    results, next_seq, last_event, digest)}, in key order."""
+    results, next_seq, last_event)}, in key order."""
     rows = [(k, *v) for k, v in sorted(counters.items())]
     return pa.table(
         [pa.array(col, f.type) for col, f in
@@ -242,6 +242,8 @@ def _counters_dict(t: pa.Table) -> dict:
 def test_checkpoint_compaction_bounds_restore(tmp_path):
     # Full snapshots every K epochs bound restore to <= K delta reads.
     from ray_ordered_stream.checkpoint import (
+        STATE_FILE,
+        committed_epoch,
         read_merged_checkpoint,
         write_partition_checkpoint,
     )
@@ -250,13 +252,14 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
     root = str(tmp_path / "out")
     acc = WindowAccumulator(5.0)
     expect: dict = {}  # dict.update merge from the newest full epoch
+    written = []  # each epoch's counters table
     for e in range(60):
         full = e % 16 == 0
-        counters = {f"k{e}": (1, 0, 1, e + 1, False, ""),
-                    "hot": (e, 0, e, e + 1, False, f"d{e}")}
+        counters = {f"k{e}": (1, 0, 1, e + 1, False),
+                    "hot": (e, 0, e, e + 1, False)}
         if full:  # full snapshot carries everything seen so far
-            counters = {f"k{i}": (1, 0, 1, i + 1, False, "") for i in range(e + 1)}
-            counters["hot"] = (e, 0, e, e + 1, False, f"d{e}")
+            counters = {f"k{i}": (1, 0, 1, i + 1, False) for i in range(e + 1)}
+            counters["hot"] = (e, 0, e, e + 1, False)
             expect = {}
         expect.update(sorted(counters.items()))
         acc.update(pa.table({
@@ -265,17 +268,17 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
         }))
         acc.take_closed()
         buf = pa.table({KEY: [f"k{e}"], SEQ: pa.array([e], pa.int32())})
+        written.append(_counters_table(counters))
         write_partition_checkpoint(
             root, 0, e,
-            {"counters": _counters_table(counters), "buffer": buf,
-             "windows": acc.snapshot()},
+            {"counters": written[-1], "buffer": buf, "windows": acc.snapshot()},
             full=full,
         )
     snap = read_merged_checkpoint(root, 0, 59)
     snap["counters"] = _counters_dict(snap["counters"])
     assert len(snap["counters"]) == 61
     assert snap["counters"]["k59"][3] == 60
-    assert snap["counters"]["hot"] == (59, 0, 59, 60, False, "d59")
+    assert snap["counters"]["hot"] == (59, 0, 59, 60, False)
     assert list(snap["counters"].items()) == list(expect.items())  # key order too
     # deleting pre-base epochs must not affect restore (bounded lineage)
     import shutil
@@ -288,59 +291,97 @@ def test_checkpoint_compaction_bounds_restore(tmp_path):
     assert {k for k in snap2["counters"]} >= {f"k{i}" for i in range(48, 60)}
 
     # restore reads only the counters of the base and delta epochs: garbage
-    # in every other file of theirs must not change the merged snapshot
+    # in every other column and JSON part of theirs must not change the
+    # merged snapshot
+    garbage = pa.table({"x": [b"\x00garbage"]})
     for e in range(48, 59):
-        d = ck / f"epoch-{e:05d}"
-        ops = sorted(d.glob("windows.*.parquet"))
-        assert ops
-        for f in ops + [d / "extras.json"]:
-            f.write_bytes(b"\x00garbage")
-        (d / "buffer.parquet").unlink()
+        write_partition_checkpoint(
+            root, 0, e,
+            {"counters": written[e], "buffer": garbage, "last_status_us": "garbage",
+             "windows": {"watermark": "garbage", "keys": garbage}},
+            full=e % 16 == 0,
+        )
     snap3 = read_merged_checkpoint(root, 0, 59)
     snap3["counters"] = _counters_dict(snap3["counters"])
     assert list(snap3["counters"].items()) == list(snap["counters"].items())
     assert snap3["buffer"].equals(snap["buffer"])
     assert snap3["windows"]["watermark"] == snap["windows"]["watermark"]
     assert snap3["windows"]["keys"].equals(snap["windows"]["keys"])
-    # a delta epoch that never committed is skipped
-    (ck / "epoch-00055" / "_COMMIT").unlink()
+    # a leftover temporary file next to a committed state.arrow is ignored
+    for e in (58, 59):
+        (ck / f"epoch-{e:05d}" / (STATE_FILE + ".tmp")).write_bytes(b"\x00garbage")
     snap4 = read_merged_checkpoint(root, 0, 59)
-    snap4["counters"] = _counters_dict(snap4["counters"])
-    assert "k55" not in snap4["counters"]
-    assert snap4["counters"]["hot"] == snap["counters"]["hot"]
-    assert len(snap4["counters"]) == len(snap["counters"]) - 1
+    assert list(_counters_dict(snap4["counters"]).items()) == list(snap["counters"].items())
+    assert snap4["buffer"].equals(snap["buffer"])
+    assert committed_epoch(root, 0) == 59
+    # a delta epoch that never committed (its write stopped before the
+    # rename) is skipped
+    d = ck / "epoch-00055"
+    (d / STATE_FILE).replace(d / (STATE_FILE + ".tmp"))
+    snap5 = read_merged_checkpoint(root, 0, 59)
+    snap5["counters"] = _counters_dict(snap5["counters"])
+    assert "k55" not in snap5["counters"]
+    assert snap5["counters"]["hot"] == snap["counters"]["hot"]
+    assert len(snap5["counters"]) == len(snap["counters"]) - 1
+    assert read_merged_checkpoint(root, 0, 55) is None
+
+
+V3_LINEAGE = Path(__file__).parent / "data" / "counters_v3"
 
 
 @pytest.mark.parametrize("extras", [
-    # the previous layout: operator state inline in extras.json
-    {"call_count": 0, "last_status_us": None,
-     "windows": {"watermark": 5, "acc": [["k", 0, [1, 1, 0]]], "names": ["k"]}},
-    {"format": 99, "call_count": 0, "last_status_us": None, "operators": {}},
+    # the checkpoint metadata of another layout: no format version
+    {"last_status_us": None, "operators": {}},
+    {"format": 99, "full": True, "last_status_us": None, "operators": {}},
     # format 2: order-book and user state outside "operators", no config
-    {"format": 2, "call_count": 0, "last_status_us": None, "operators": {},
+    {"format": 2, "full": True, "last_status_us": None, "operators": {},
      "user": {"k": "d0"}},
+    # the checked-in format-3 lineage (_COMMIT, per-table Parquet files)
+    pytest.param(None, id="format3_lineage"),
 ])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, extras):
     import json
+    import shutil
 
     from ray_ordered_stream.checkpoint import (
         FORMAT,
+        STATE_FILE,
+        committed_epoch,
         read_merged_checkpoint,
-        read_partition_checkpoint,
+        resume_epoch,
         write_partition_checkpoint,
     )
+    from ray_ordered_stream.rescale import rescale_checkpoint
 
     root = str(tmp_path / "out")
-    d = Path(write_partition_checkpoint(
-        root, 0, 0, {"counters": _counters_table({"k": (1, 0, 1, 1, False, "")}),
-                  "buffer": None}
-    ))
-    (d / "extras.json").write_text(json.dumps(extras))
-    for read in (read_partition_checkpoint, read_merged_checkpoint):
+    if extras is None:
+        shutil.copytree(V3_LINEAGE / "ckpt", tmp_path / "out" / "ckpt")
+        d = tmp_path / "out" / "ckpt" / "p=00000" / "epoch-00001"
+        reads = [lambda: read_merged_checkpoint(root, 0, 1),
+                 lambda: committed_epoch(root, 0),
+                 lambda: resume_epoch(root, 1),
+                 lambda: rescale_checkpoint(root, 1, 1, 2)]
+    else:
+        d = Path(write_partition_checkpoint(
+            root, 0, 0, {"counters": _counters_table({"k": (1, 0, 1, 1, False)}),
+                      "buffer": None}
+        ))
+        f = d / STATE_FILE
+        with pa.ipc.open_file(f) as r:
+            t = r.read_all()
+        t = t.replace_schema_metadata({"checkpoint": json.dumps(extras)})
+        with pa.ipc.new_file(f, t.schema) as w:
+            w.write_table(t)
+        reads = [lambda: read_merged_checkpoint(root, 0, 0),
+                 lambda: rescale_checkpoint(root, 0, 1, 2)]
+    for read in reads:
         with pytest.raises(ValueError) as ei:
-            read(root, 0, 0)
+            read()
         assert str(d) in str(ei.value)
         assert f"checkpoint format {FORMAT}" in str(ei.value)
+        assert "resume=False" in str(ei.value)
+    # nothing was migrated or rewritten
+    assert not (tmp_path / "out" / "ckpt" / "p=00001").exists()
 
 
 def test_resume_with_changed_operator_config_fails_loudly(stream_files, tmp_path):
@@ -610,10 +651,15 @@ def test_long_stream_compaction_resume(tmp_path, ray_session):
     with pytest.raises(RuntimeError, match="injected failure"):
         run_stream(files, out, num_partitions=3, files_per_epoch=1,
                    checkpoint_full_every=4, fail_after_epoch=9)
-    # FULL markers exist at epochs 0,4,8 for every partition
+    # epochs 0,4,8 are full for every partition, the others deltas
+    import json
+
     for p in range(3):
-        for e in (0, 4, 8):
-            assert (Path(out) / "ckpt" / f"p={p:05d}" / f"epoch-{e:05d}" / "_FULL").exists()
+        for e in range(10):
+            f = Path(out) / "ckpt" / f"p={p:05d}" / f"epoch-{e:05d}" / "state.arrow"
+            with pa.ipc.open_file(f) as r:
+                meta = json.loads(r.schema.metadata[b"checkpoint"])
+            assert meta["full"] == (e % 4 == 0)
     # deleting pre-base delta epochs must not hurt the resume (bounded read)
     import shutil as _sh
 

@@ -238,17 +238,22 @@ def test_stream_sliding_and_session_sinks_e2e(sliding_stream_files, tmp_path):
     ).all()
 
 
-def test_stream_joiner_within_us_matches_batch(ray_session):
+def test_stream_joiner_within_us_matches_batch(ray_session, tmp_path):
     """Streaming joiner with an event-time bound == batch join_user_assistant
-    with the same within_us."""
+    with the same within_us: the joiner alone, and in the engine
+    (``join_within_s``), whose run also ends keys on a non-default
+    ``last_value``."""
     import ray.data
 
+    from ray_ordered_stream.epochs import run_stream
     from ray_ordered_stream.join import join_user_assistant
     from ray_ordered_stream.stream_ops import StreamJoiner
 
-    t = gen_transcripts(n_convs=8, min_turns=10, max_turns=40, seed=17)
+    # no "end" sentinel turns, so under the default last_value no key ends
+    t = gen_transcripts(n_convs=8, min_turns=10, max_turns=40, seed=17,
+                        end_sentinel=False)
     exp_df = oracle_ordered(t)
-    within = 3_000_000  # 3s; per-conv spacing is 1s -> some pairs drop
+    within = 2_000_000  # 2s; pairs are 0.8 s or 2.4 s apart -> some drop
     inorder = pa.Table.from_pandas(
         exp_df.sort_values([KEY, SEQ], kind="stable"), preserve_index=False
     )
@@ -258,12 +263,6 @@ def test_stream_joiner_within_us_matches_batch(ray_session):
     step = -(-inorder.num_rows // n_chunks)
     for i in range(n_chunks):
         outs.append(j.update(inorder.slice(i * step, step)))
-    got = (
-        pa.concat_tables(outs)
-        .to_pandas()
-        .sort_values([KEY, "user_turn_idx"])
-        .reset_index(drop=True)
-    )
     ds = ray.data.from_arrow(
         pa.Table.from_pandas(exp_df, preserve_index=False)
     )
@@ -273,12 +272,31 @@ def test_stream_joiner_within_us_matches_batch(ray_session):
         .sort_values([KEY, "user_turn_idx"])
         .reset_index(drop=True)
     )
-    assert len(exp) > 0
-    pd.testing.assert_frame_equal(
-        got[[KEY, "user_turn_idx", "assistant_turn_idx", "lag_us"]],
-        exp[[KEY, "user_turn_idx", "assistant_turn_idx", "lag_us"]],
-        check_dtype=False,
-    )
+    assert 0 < len(exp) < len(join_user_assistant(ds).to_pandas())
+
+    files = []
+    for i in range(n_chunks):
+        files.append(str(tmp_path / f"part-{i:05d}.parquet"))
+        pq.write_table(t.slice(i * step, step), files[-1])
+    cfg = OrderedConfig(stream_join=True, join_within_s=within / US, last_value="tool")
+    res = run_stream(files, str(tmp_path / "out"), cfg, num_partitions=2,
+                     files_per_epoch=2, collect_final_status=True)
+    for joined in (pa.concat_tables(outs), res.sinks["joined"].read()):
+        got = (
+            joined.to_pandas()
+            .sort_values([KEY, "user_turn_idx"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(
+            got[[KEY, "user_turn_idx", "assistant_turn_idx", "lag_us"]],
+            exp[[KEY, "user_turn_idx", "assistant_turn_idx", "lag_us"]],
+            check_dtype=False,
+        )
+    # a key has seen its last event once it has a "tool" turn
+    ended = exp_df.groupby(KEY)["role"].apply(lambda r: bool((r == "tool").any()))
+    assert ended.any()
+    fin = res.final_status.set_index(KEY)["last_event_received"]
+    assert fin.sort_index().to_dict() == ended.sort_index().to_dict()
 
 
 def test_session_merge_many_nested_singletons_converges():
