@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -204,38 +203,22 @@ def committed_epoch(root: str, partition: int) -> int | None:
 
 
 def write_lineage_meta(
-    root: str, partitions: int, clear_mismatched: bool = False,
-    overrides: dict[str, int] | None = None,
+    root: str, partitions: int, overrides: dict[str, int] | None = None,
 ) -> None:
     """Record the partition count the checkpoint lineage was written with
-    (SURVEY.md §7.4.1: P is part of the lineage). ``clear_mismatched`` is
-    for the stream drivers: if an existing lineage was written with a
-    DIFFERENT P it is invalid for the new run and is cleared — that path is
-    only reachable with resume=False (resume raises first), so the caller
-    already opted into a from-scratch rerun. ``rescale_checkpoint`` instead
-    updates the meta in place after migrating the partition state.
+    (SURVEY.md §7.4.1: P is part of the lineage). The stream drivers call
+    it only over a fresh lineage (resume=False deletes the old one first)
+    or one ``resume_epoch`` accepted, so it never overwrites the meta of
+    another P; ``rescale_checkpoint`` instead updates the meta in place
+    after migrating the partition state.
 
     ``overrides`` (hot-key partition pins from skew salting) are part of the
     routing and therefore of the lineage: a resumed run MUST route with the
-    recorded overrides or keys would miss their checkpointed state. For the
-    same reason ``clear_mismatched`` compares the pins too — a resume=False
-    rerun with a different salt setting must not leave stale checkpoints
-    routed under the old pins for a later crash-resume to silently adopt."""
-    ck = Path(root) / "ckpt"
-    meta = read_lineage_meta(root)
-    if (
-        meta is not None
-        and clear_mismatched
-        and (
-            meta.get("partitions") != partitions
-            or (meta.get("overrides") or None) != (overrides or None)
-        )
-    ):
-        shutil.rmtree(ck)
+    recorded overrides or keys would miss their checkpointed state."""
     m: dict = {"partitions": partitions}
     if overrides:
         m["overrides"] = overrides
-    write_json_atomic(ck / "meta.json", m)
+    write_json_atomic(Path(root) / "ckpt" / "meta.json", m)
 
 
 def read_lineage_meta(root: str) -> dict | None:

@@ -25,11 +25,14 @@ Resume: the newest epoch with both a checkpoint on ALL partitions and a
 contiguous manifest prefix is the consistent cut (``_resume_point`` takes
 the min of the two frontiers). Earlier epochs' sink output is kept, later
 epochs are re-run deterministically and overwrite their files idempotently.
+``resume=False`` deletes every sink, the checkpoint lineage and the epoch
+records first (``_reset_outputs``).
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +48,7 @@ from .ordered import OrderedProcessor
 from .rescale import rescale_checkpoint
 from .sink import ManifestSink
 from .state import OrderedConfig
-from .stream_ops import operator_kinds, operator_sinks
+from .stream_ops import LATE_SINK, OPERATOR_KINDS, operator_kinds, operator_sinks
 
 
 def _resume_point(out_root: str, P: int, sinks: dict) -> int | None:
@@ -136,6 +139,16 @@ def _epoch_ts(epoch: int) -> pd.Timestamp:
     return pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=epoch)
 
 
+def _reset_outputs(out_root: str, *dirs: str) -> None:
+    """``resume=False``: before anything reads them, delete every sink the
+    engine writes, the checkpoint lineage and ``dirs`` under ``out_root``.
+    An earlier, longer run's later manifests would otherwise stay committed
+    and its later checkpoints would pass for the resume cut."""
+    sinks = ("ordered", "status", "dlq", *(k.sink for k in OPERATOR_KINDS), LATE_SINK)
+    for d in (*sinks, "ckpt", *dirs):
+        shutil.rmtree(Path(out_root) / d, ignore_errors=True)
+
+
 def _open_sinks(out_root: str, cfg: OrderedConfig) -> dict[str, ManifestSink]:
     """Every sink the config writes, in manifest commit order."""
     names = ("ordered", "status", "dlq", *operator_sinks(cfg))
@@ -186,9 +199,13 @@ class _EpochDriver:
             out_root, num_partitions, salt_hot_keys, sample_files, cfg.key, resume
         )
         e_star = (
-            _resume_point(out_root, num_partitions, self.sinks)
-            if resume and groups else None
+            _resume_point(out_root, num_partitions, self.sinks) if resume else None
         )
+        if not groups:
+            # nothing recorded yet: start at epoch 0. The resume point was
+            # still taken, so a lineage of another P or an unfinished
+            # rescale raises here too.
+            e_star = None
         self.start = 0 if e_star is None else e_star + 1
         self.proc = OrderedProcessor(cfg, num_partitions, overrides)
         self._first = (
@@ -196,9 +213,7 @@ class _EpochDriver:
             if self.start < len(groups) and groups[self.start] else None
         )
         self.proc.wait_ready(out_root, e_star)
-        write_lineage_meta(
-            out_root, self.proc.P, clear_mismatched=True, overrides=overrides
-        )
+        write_lineage_meta(out_root, self.proc.P, overrides=overrides)
         self.stats = StatsTracker()
         self._epoch_stage = self.stats.stage("epoch_commit")
         self.pending: list[tuple[int, list, float]] = []
@@ -328,6 +343,8 @@ def run_stream(
     the kill-and-resume path: a subsequent call with resume=True must
     produce output identical to an uninterrupted run).
     """
+    if not resume:
+        _reset_outputs(out_root)
     groups = [
         files[i : i + files_per_epoch] for i in range(0, len(files), files_per_epoch)
     ]
@@ -457,6 +474,8 @@ def run_stream_continuous(
     """
     cfg = cfg or OrderedConfig()
     land = Path(landing_dir)
+    if not resume:
+        _reset_outputs(out_root, "epochs")
     # NOTE on the stop marker: a PRE-EXISTING <landing>/<stop_file> is a
     # supported finite-replay pattern (callers land files then write the
     # marker), so it is NOT cleared here. Queue-mode runs instead clear a

@@ -254,22 +254,28 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     if args.pipeline == "pack":
-        from .stream_pack import run_pack_stream
+        from .stream_pack import run_pack_stream, run_pack_stream_continuous
 
-        files = [str(f) for f in sorted(Path(args.input).glob("*.parquet"))]
-        if not files:
-            print(json.dumps({"error": f"no parquet files in {args.input}"}))
-            return 2
-        sink, epochs_run, epochs_skipped, packs = run_pack_stream(
-            files, args.out,
+        common = dict(
             budget=args.pack_budget,
             vocab_size=args.pack_vocab,
             id_col=args.dedup_id_col,
             text_col=args.dedup_text_col,
             num_partitions=args.partitions,
             files_per_epoch=args.files_per_epoch,
-            resume=not args.no_resume,
         )
+        if args.continuous:
+            sink, epochs_run, epochs_skipped, packs = run_pack_stream_continuous(
+                args.input, args.out, idle_timeout_s=args.idle_timeout, **common,
+            )
+        else:
+            files = [str(f) for f in sorted(Path(args.input).glob("*.parquet"))]
+            if not files:
+                print(json.dumps({"error": f"no parquet files in {args.input}"}))
+                return 2
+            sink, epochs_run, epochs_skipped, packs = run_pack_stream(
+                files, args.out, resume=not args.no_resume, **common,
+            )
         print(json.dumps({
             "pipeline": "pack", "epochs_run": epochs_run,
             "epochs_skipped": epochs_skipped, "packs": packs,

@@ -22,12 +22,27 @@ Fingerprints are the full 128-bit md5 carried as two uint64 columns;
 membership tests are vectorized (searchsorted on the high word, low-word
 confirmation only on the rare high-word run) — no per-row Python in the
 actor hot path.
+
+``_run_marker_stream`` is the one epoch loop and checkpoint layout of the
+marker streams: this one, the near-dedup streams below and stream_pack.py's
+packer. Layout under ``<out_root>/ckpt``::
+
+    meta.json                    # partitions + the stream's parameters
+    epoch-<e>.json               # the commit marker of epoch e
+    delta-<e>/part-<p>.parquet   # partition p's checkpoint of epoch e (the
+                                 # dedup streams: what it kept; the pack
+                                 # stream: its whole carry)
+    full-<e>.json                # commit marker of the snapshot below
+    full-<e>/part-<p>.parquet    # partition p's whole state after epoch e
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +50,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from .checkpoint import write_json_atomic
 from .sink import ManifestSink, write_part_atomic
 from .source import run_landing_batches
 
@@ -173,6 +189,217 @@ def _member(
     return out
 
 
+# ---------------------------------------------------------------------------
+# The marker streams' epoch loop (exact dedup, near-dedup, pack)
+# ---------------------------------------------------------------------------
+
+# epochs between full snapshots: the pack stream's cadence and the dedup
+# streams' default
+COMPACT_EVERY = 8
+
+
+def _read_with_arrival(path: str, columns: list[str] | None, base: int) -> pa.Table:
+    """One feed file with an ``arrival`` column: each row's index in the
+    whole feed (``base`` is the row count of every earlier file)."""
+    t = pq.read_table(path, columns=columns)
+    return t.append_column(
+        "arrival", pa.array(base + np.arange(t.num_rows), pa.int64())
+    )
+
+
+def _ep(f: Path) -> int:
+    """The epoch in a checkpoint name: ``epoch-<e>.json``, ``delta-<e>``,
+    ``full-<e>`` or ``full-<e>.json``."""
+    return int(f.stem.split("-")[1])
+
+
+def _part(d: Path, p: int) -> str:
+    return str(d / f"part-{p:05d}.parquet")
+
+
+def _committed_epochs(ck: Path) -> set[int]:
+    return {_ep(f) for f in ck.glob("epoch-*.json")}
+
+
+def _restore_plan(ck: Path, done: set[int]) -> list[Path]:
+    """The checkpoint directories that rebuild every partition's state as of
+    the newest committed epoch, oldest first: the newest ``full-<e>``
+    snapshot of a committed epoch, then the ``delta-<e>`` of every later
+    committed epoch. Partition p's file in each is ``_part(d, p)``."""
+    base = max((_ep(f) for f in ck.glob("full-*.json") if _ep(f) in done), default=-1)
+    return ([ck / f"full-{base:05d}"] if base >= 0 else []) + [
+        ck / f"delta-{e:05d}" for e in sorted(done) if e > base
+    ]
+
+
+def _prune(ck: Path, epoch: int) -> None:
+    """Delete what the full snapshot of ``epoch`` supersedes: the older
+    snapshots (markers first) and every delta up to ``epoch``."""
+    stale = [f for f in ck.glob("full-*.json") if _ep(f) < epoch]
+    stale += [d for d in ck.glob("full-*") if d.is_dir() and _ep(d) < epoch]
+    stale += [d for d in ck.glob("delta-*") if _ep(d) <= epoch]
+    for f in stale:
+        if f.is_dir():
+            shutil.rmtree(f)
+        else:
+            f.unlink()
+
+
+def _summed(stats: list[dict]) -> dict:
+    return {k: int(sum(s[k] for s in stats)) for k in stats[0]}
+
+
+def _process_step(actors, epoch: int, shards, part, delta) -> list[dict]:
+    """The epoch step of a stream with one actor per partition: partition
+    p's ``process_epoch`` takes shard p of every file."""
+    return ray.get([
+        w.process_epoch.remote(epoch, part(p), delta(p), *[s[p] for s in shards])
+        for p, w in enumerate(actors)
+    ])
+
+
+def _run_marker_stream(
+    files: list[str],
+    out_root: str,
+    sink_name: str,
+    params: dict,
+    make_actors,
+    read,
+    step,
+    num_partitions: int,
+    files_per_epoch: int,
+    resume: bool,
+    fail_after_epoch: int | None,
+    compact_every: int,
+) -> tuple[ManifestSink, int, int, Counter]:
+    """Drive an arrival-ordered feed epoch by epoch through a marker stream.
+
+    Per stream it is given the sink's name; ``params``, the meta entries a
+    resume must match; ``make_actors()``, the P state partitions (with
+    ``restore(files)`` and ``write_full(path)``) followed by any helper
+    actors the step uses; ``read(path, base)``, which submits one file's
+    read+split task (``base``: the arrival index of its first row) and
+    returns its shard refs; and ``step(actors, epoch, shards, part,
+    delta)``, which runs one epoch over the per-file shard lists, writes
+    partition p's sink part to ``part(p)`` and its checkpoint delta to
+    ``delta(p)``, and returns one stats dict per partition whose first
+    entry is the partition's sink rows.
+
+    ``resume=True`` skips the committed epochs and restores the state
+    partitions from ``_restore_plan``; ``resume=False`` first deletes the
+    sink and the checkpoint. Per epoch the sink manifest commits first, then
+    the marker (the partitions' stats summed), so a crash between them
+    re-runs the epoch against the pre-epoch state and overwrites its parts
+    byte-identically. Every ``compact_every`` epochs each state partition
+    writes its whole state to ``full-<e>``, and the snapshots and deltas it
+    supersedes are deleted, so the checkpoint stays bounded on an unbounded
+    stream. Returns (sink, epochs run, epochs skipped, the run epochs'
+    stats summed)."""
+    P = num_partitions
+    ck = Path(out_root) / "ckpt"
+    ck.mkdir(parents=True, exist_ok=True)
+    _complete_dedup_rescale(ck)  # finish any half-swapped rescale first
+    sink = ManifestSink(out_root, sink_name)
+    meta_path = ck / "meta.json"
+    if not resume:
+        # a fresh run inherits neither checkpoints nor committed epochs
+        # (phantom epochs of an earlier, longer run)
+        shutil.rmtree(ck)
+        ck.mkdir()
+        sink.reset()
+    elif meta_path.exists():
+        meta = json.loads(meta_path.read_text())
+        if meta["partitions"] != P:
+            raise ValueError(
+                f"checkpoint has {meta['partitions']} partitions, got {P}"
+            )
+        for name, val in params.items():
+            # the restored state was built under these (band hashes, pack
+            # cuts): resuming under others would silently mix the two
+            if meta.get(name) != val:
+                raise ValueError(
+                    f"checkpoint was written with {name}={meta.get(name)}, "
+                    f"got {name}={val}; resume requires identical stream "
+                    "parameters"
+                )
+    old = sorted(ck.glob("carry-*"))
+    if old:
+        raise ValueError(
+            f"{old[0]} is a pack checkpoint of an older layout, which "
+            "cannot be resumed; pass resume=False to restart"
+        )
+    write_json_atomic(meta_path, {"partitions": P, **params})
+
+    bases = [0, *accumulate(pq.read_metadata(f).num_rows for f in files)]
+    done = _committed_epochs(ck)
+    actors = make_actors()
+    epochs_run = epochs_skipped = 0
+    totals: Counter = Counter()
+    try:
+        if done:
+            plan = _restore_plan(ck, done)
+            ray.get([
+                w.restore.remote([_part(d, p) for d in plan])
+                for p, w in enumerate(actors[:P])
+            ])
+        for e, i in enumerate(range(0, len(files), files_per_epoch)):
+            if e in done:
+                epochs_skipped += 1
+                continue
+            # one read+split task PER FILE: the hash or signature kernel is
+            # the epoch's dominant cost and must run file-parallel (measured
+            # 3x the whole wall when serialized)
+            shards = [
+                read(files[j], bases[j])
+                for j in range(i, min(i + files_per_epoch, len(files)))
+            ]
+            delta = ck / f"delta-{e:05d}"
+            stats = step(
+                actors, e, shards,
+                lambda p: sink.part_path(e, p), lambda p: _part(delta, p),
+            )
+            sink.commit_epoch(
+                e, {p: next(iter(s.values())) for p, s in enumerate(stats)}
+            )
+            summed = _summed(stats)
+            write_json_atomic(
+                ck / f"epoch-{e:05d}.json",
+                {"epoch": e, **summed, "committed_at": time.time()},
+            )
+            totals.update(summed)
+            epochs_run += 1
+            if compact_every and (e + 1) % compact_every == 0:
+                full = ck / f"full-{e:05d}"
+                counts = ray.get([
+                    w.write_full.remote(_part(full, p))
+                    for p, w in enumerate(actors[:P])
+                ])
+                write_json_atomic(
+                    ck / f"full-{e:05d}.json", {"epoch": e, **_summed(counts)}
+                )
+                _prune(ck, e)
+            if fail_after_epoch is not None and e >= fail_after_epoch:
+                raise RuntimeError(f"injected failure after epoch {e}")
+    finally:
+        for w in actors:
+            ray.kill(w)
+    return sink, epochs_run, epochs_skipped, totals
+
+
+def _read_seen(path: str) -> pa.Table:
+    """One delta or full file of a dedup partition's seen-state. Each row
+    carries the epoch it was kept in (``ep``); a file without that column
+    is of an older layout whose epochs are unknown, so it raises."""
+    t = pq.read_table(path)
+    if "ep" not in t.column_names:
+        raise ValueError(
+            f"{path} has no 'ep' column: a dedup checkpoint of an older "
+            "layout, which cannot be resumed or rescaled; pass resume=False "
+            "to restart"
+        )
+    return t
+
+
 @ray.remote(num_cpus=0)
 class DedupPartition:
     """Per-partition seen-fingerprint state + actor-direct sink writes.
@@ -194,20 +421,19 @@ class DedupPartition:
         self.seen_ep = np.empty(0, dtype=np.int64)
         self.dropped = 0
 
-    def restore(self, delta_files: list[str]) -> int:
-        his, los, eps = [self.seen_hi], [self.seen_lo], [self.seen_ep]
-        for i, f in enumerate(delta_files):
-            t = pq.read_table(f)
-            his.append(t["fp_hi"].to_numpy(zero_copy_only=False).astype(np.uint64))
-            los.append(t["fp_lo"].to_numpy(zero_copy_only=False).astype(np.uint64))
-            if "ep" in t.column_names:
-                eps.append(t["ep"].to_numpy(zero_copy_only=False).astype(np.int64))
-            else:  # legacy delta without epochs: file order is epoch order
-                eps.append(np.full(t.num_rows, i, dtype=np.int64))
-        hi = np.concatenate(his)
-        lo = np.concatenate(los)
-        ep = np.concatenate(eps)
-        self._set_sorted_dedup(hi, lo, ep)
+    def restore(self, files: list[str]) -> int:
+        ts = [_read_seen(f) for f in files]
+
+        def col(name, own):
+            return np.concatenate([own] + [
+                t[name].to_numpy(zero_copy_only=False).astype(own.dtype) for t in ts
+            ])
+
+        self._set_sorted_dedup(
+            col("fp_hi", self.seen_hi),
+            col("fp_lo", self.seen_lo),
+            col("ep", self.seen_ep),
+        )
         return len(self.seen_hi)
 
     def _set_sorted_dedup(self, hi, lo, ep) -> None:
@@ -221,7 +447,7 @@ class DedupPartition:
             hi, lo, ep = hi[last], lo[last], ep[last]
         self.seen_hi, self.seen_lo, self.seen_ep = hi, lo, ep
 
-    def write_full(self, path: str) -> int:
+    def write_full(self, path: str) -> dict:
         """Compaction: the whole seen-set as one file (same schema as the
         deltas, so restore treats it as just another input)."""
         write_part_atomic(
@@ -232,7 +458,7 @@ class DedupPartition:
             ),
             path,
         )
-        return len(self.seen_hi)
+        return {"fingerprints": len(self.seen_hi)}
 
     def process_epoch(
         self, epoch: int, part_path: str, delta_path: str, *shards: pa.Table
@@ -307,28 +533,14 @@ class DedupPartition:
 
 @ray.remote
 def _read_split(
-    files: list[str],
-    id_col: str,
-    text_col: str,
-    P: int,
-    arrival_base: int,
-    *,
+    path: str, text_col: str, P: int, arrival_base: int,
     columns: list[str] | None,
 ) -> list[pa.Table]:
-    """Fused read + fingerprint + split for one epoch (one full-data plasma
+    """Fused read + fingerprint + split of one file (one full-data plasma
     crossing, same discipline as the ordered engine's fused exchange)."""
     from .exchange import split_compact
 
-    tbls = []
-    off = arrival_base
-    for f in files:
-        t = pq.read_table(f, columns=columns)
-        t = t.append_column(
-            "arrival", pa.array(off + np.arange(t.num_rows), pa.int64())
-        )
-        off += t.num_rows
-        tbls.append(t)
-    tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
+    tbl = _read_with_arrival(path, columns, arrival_base)
     col = tbl[text_col]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -359,7 +571,7 @@ def run_dedup_stream(
     files_per_epoch: int = 2,
     resume: bool = False,
     fail_after_epoch: int | None = None,
-    compact_every: int = 8,
+    compact_every: int = COMPACT_EVERY,
     ttl_epochs: int | None = None,
 ) -> DedupStreamResult:
     """Drive the document feed through the dedup partitions epoch by epoch.
@@ -368,163 +580,23 @@ def run_dedup_stream(
     skips committed epochs and restores each partition's seen-state from
     its checkpoint deltas (exactly-once output across crashes). Every
     ``compact_every`` epochs each partition also writes its FULL seen-set
-    (``full-<e>``), so restore cost is bounded by one full file plus the
+    (``full-<e>``) and the snapshots and deltas it folds are deleted, so
+    restore cost and checkpoint size are bounded by one full file plus the
     trailing deltas, not by stream length."""
-    root = Path(out_root)
-    ck = root / "ckpt"
-    ck.mkdir(parents=True, exist_ok=True)
-    _complete_dedup_rescale(ck)  # finish any half-swapped rescale first
-    sink = ManifestSink(out_root, "deduped")
+    P = num_partitions
     if columns is None:
         columns = [id_col, text_col]
-
-    meta_path = ck / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        if meta["partitions"] != num_partitions:
-            if resume:
-                raise ValueError(
-                    f"checkpoint has {meta['partitions']} partitions, "
-                    f"got {num_partitions}"
-                )
-            import shutil
-
-            shutil.rmtree(ck)
-            ck.mkdir(parents=True, exist_ok=True)
-    if not resume:
-        # a fresh (non-resume) run must not inherit stale checkpoints —
-        # nor stale sink manifests (phantom committed epochs from a
-        # previous, longer run would survive into read()/totals).
-        import shutil
-
-        for f in ck.glob("epoch-*.json"):
-            f.unlink()
-        for f in ck.glob("full-*.json"):
-            f.unlink()
-        for f in list(ck.glob("delta-*")) + list(ck.glob("full-*")):
-            shutil.rmtree(f, ignore_errors=True)
-        sink.reset()
-    meta_path.write_text(json.dumps({"partitions": num_partitions}))
-
-    P = num_partitions
-    workers = [DedupPartition.remote(p, ttl_epochs) for p in range(P)]
-
-    def delta_dir(epoch: int) -> Path:
-        return ck / f"delta-{epoch:05d}"
-
-    def marker(epoch: int) -> Path:
-        return ck / f"epoch-{epoch:05d}.json"
-
-    groups = [
-        files[i : i + files_per_epoch]
-        for i in range(0, len(files), files_per_epoch)
-    ]
-    # arrival index base per epoch (row counts from parquet metadata only)
-    bases, acc = [], 0
-    for g in groups:
-        bases.append(acc)
-        acc += sum(pq.read_metadata(f).num_rows for f in g)
-
-    def full_dir(epoch: int) -> Path:
-        return ck / f"full-{epoch:05d}"
-
-    def full_marker(epoch: int) -> Path:
-        return ck / f"full-{epoch:05d}.json"
-
-    done = {
-        int(f.stem.split("-")[1]) for f in ck.glob("epoch-*.json")
-    } if resume else set()
-    if done:
-        fulls = sorted(
-            e for f in ck.glob("full-*.json")
-            for e in [int(f.stem.split("-")[1])]
-            if e in done
-        )
-        base_full = fulls[-1] if fulls else None
-        tail = sorted(e for e in done if base_full is None or e > base_full)
-        restore_files = [
-            ([str(full_dir(base_full) / f"part-{p:05d}.parquet")]
-             if base_full is not None else [])
-            + [str(delta_dir(e) / f"part-{p:05d}.parquet") for e in tail]
-            for p in range(P)
-        ]
-        ray.get(
-            [w.restore.remote(restore_files[p]) for p, w in enumerate(workers)]
-        )
-
-    epochs_run = epochs_skipped = 0
-    kept_total = dropped_total = 0
-    for e, g in enumerate(groups):
-        if e in done:
-            epochs_skipped += 1
-            continue
-        # one read+fingerprint+split task PER FILE: the md5 loop is the
-        # epoch's dominant cost and must run file-parallel, not once per
-        # epoch (measured 3x the whole wall when serialized)
-        f_bases, fb = [], bases[e]
-        for f in g:
-            f_bases.append(fb)
-            fb += pq.read_metadata(f).num_rows
-        shard_groups = [
-            _read_split.options(num_returns=P).remote(
-                [f], id_col, text_col, P, f_bases[i], columns=columns
-            )
-            for i, f in enumerate(g)
-        ]
-        dd = delta_dir(e)
-        dd.mkdir(parents=True, exist_ok=True)
-        stats = ray.get(
-            [
-                workers[p].process_epoch.remote(
-                    e,
-                    sink.part_path(e, p),
-                    str(dd / f"part-{p:05d}.parquet"),
-                    *[sg[p] for sg in shard_groups],
-                )
-                for p in range(P)
-            ]
-        )
-        sink.commit_epoch(e, {p: s["kept"] for p, s in enumerate(stats)})
-        marker(e).write_text(
-            json.dumps(
-                {
-                    "epoch": e,
-                    "kept": sum(s["kept"] for s in stats),
-                    "dropped": sum(s["dropped"] for s in stats),
-                    "committed_at": time.time(),
-                }
-            )
-        )
-        kept_total += sum(s["kept"] for s in stats)
-        dropped_total += sum(s["dropped"] for s in stats)
-        epochs_run += 1
-        if compact_every and (e + 1) % compact_every == 0:
-            fd = full_dir(e)
-            fd.mkdir(parents=True, exist_ok=True)
-            sizes = ray.get(
-                [
-                    workers[p].write_full.remote(
-                        str(fd / f"part-{p:05d}.parquet")
-                    )
-                    for p in range(P)
-                ]
-            )
-            full_marker(e).write_text(
-                json.dumps({"epoch": e, "fingerprints": int(sum(sizes))})
-            )
-            # deltas folded into the full snapshot are no longer needed
-            import shutil as _sh
-
-            for old in sorted(ck.glob("delta-*")):
-                if int(old.name.split("-")[1]) <= e:
-                    _sh.rmtree(old, ignore_errors=True)
-        if fail_after_epoch is not None and e >= fail_after_epoch:
-            raise RuntimeError("injected failure (dedup stream)")
-    for w in workers:
-        ray.kill(w)
-    return DedupStreamResult(
-        sink, epochs_run, epochs_skipped, kept_total, dropped_total
+    sink, run, skipped, totals = _run_marker_stream(
+        files, out_root, "deduped", {},
+        make_actors=lambda: [DedupPartition.remote(p, ttl_epochs) for p in range(P)],
+        read=lambda f, base: _read_split.options(num_returns=P).remote(
+            f, text_col, P, base, columns
+        ),
+        step=_process_step,
+        num_partitions=P, files_per_epoch=files_per_epoch, resume=resume,
+        fail_after_epoch=fail_after_epoch, compact_every=compact_every,
     )
+    return DedupStreamResult(sink, run, skipped, totals["kept"], totals["dropped"])
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +630,15 @@ class BandPartition:
             bh, ep = bh[last], ep[last]
         self.seen, self.seen_ep = bh, ep
 
-    def restore(self, delta_files: list[str]) -> int:
-        parts, eps = [self.seen], [self.seen_ep]
-        for i, f in enumerate(delta_files):
-            t = pq.read_table(f)
-            parts.append(t["band_hash"].to_numpy(zero_copy_only=False))
-            if "ep" in t.column_names:
-                eps.append(t["ep"].to_numpy(zero_copy_only=False).astype(np.int64))
-            else:  # legacy delta without epochs: file order is epoch order
-                eps.append(np.full(t.num_rows, i, dtype=np.int64))
+    def restore(self, files: list[str]) -> int:
+        ts = [_read_seen(f) for f in files]
         self._set_sorted_dedup(
-            np.concatenate(parts).astype(np.int64), np.concatenate(eps)
+            np.concatenate([self.seen] + [
+                t["band_hash"].to_numpy(zero_copy_only=False) for t in ts
+            ]).astype(np.int64),
+            np.concatenate([self.seen_ep] + [
+                t["ep"].to_numpy(zero_copy_only=False).astype(np.int64) for t in ts
+            ]),
         )
         return len(self.seen)
 
@@ -644,12 +714,12 @@ class BandPartition:
         )
         return len(new)
 
-    def write_full(self, path: str) -> int:
+    def write_full(self, path: str) -> dict:
         write_part_atomic(
             pa.table({"band_hash": pa.array(self.seen, pa.int64()),
                       "ep": pa.array(self.seen_ep, pa.int64())}), path
         )
-        return len(self.seen)
+        return {"band_hashes": len(self.seen)}
 
 
 @ray.remote(num_cpus=0)
@@ -707,11 +777,10 @@ class NearDupPayloadPartition:
 
 @ray.remote
 def _read_split_neardup(
-    files: list[str],
+    path: str,
     id_col: str,
     text_col: str,
-    doc_P: int,
-    band_P: int,
+    P: int,
     bands: int,
     num_perm: int,
     k: int,
@@ -720,10 +789,10 @@ def _read_split_neardup(
     columns: list[str] | None,
     sig: str = "minhash",
 ):
-    """Fused read + banded signature + double split for one epoch: payload
-    shards by doc id (with the doc's band hashes as columns) AND band-pair
-    shards by band hash. One full-data read; only (band_hash, doc_id,
-    arrival) triples go to the band partitions.
+    """Fused read + banded signature + double split of one file: P payload
+    shards by doc id (with the doc's band hashes as columns), then P
+    band-pair shards by band hash. One full-data read; only (band_hash,
+    doc_id, arrival) triples go to the band partitions.
 
     ``sig``: "minhash" hashes ``text_col`` text (banded MinHash);
     "hyperplane" treats ``text_col`` as an embedding list column and
@@ -732,16 +801,7 @@ def _read_split_neardup(
     from .exchange import split_compact
     from .functions.dedup import band_hashes, embedding_band_hashes
 
-    tbls = []
-    off = arrival_base
-    for f in files:
-        t = pq.read_table(f, columns=columns)
-        t = t.append_column(
-            "arrival", pa.array(off + np.arange(t.num_rows), pa.int64())
-        )
-        off += t.num_rows
-        tbls.append(t)
-    tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
+    tbl = _read_with_arrival(path, columns, arrival_base)
     col = tbl[text_col]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -757,9 +817,8 @@ def _read_split_neardup(
     with np.errstate(over="ignore"):
         doc_code = (
             ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        ) % np.uint64(doc_P)
-    payload_shards = split_compact(tbl, doc_code.astype(np.int64), doc_P)
-    n = tbl.num_rows
+        ) % np.uint64(P)
+    payload_shards = split_compact(tbl, doc_code.astype(np.int64), P)
     pairs = pa.table(
         {
             "band_hash": pa.array(bh.T.reshape(-1), pa.int64()),
@@ -774,10 +833,43 @@ def _read_split_neardup(
     )
     band_code = (
         pairs["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        % np.uint64(band_P)
+        % np.uint64(P)
     ).astype(np.int64)
-    band_shards = split_compact(pairs, band_code, band_P)
+    band_shards = split_compact(pairs, band_code, P)
     return payload_shards + band_shards
+
+
+def _neardup_step(actors, epoch: int, shards, part, delta) -> list[dict]:
+    """One near-dedup epoch over the P band partitions (``actors[:P]``) and
+    the P payload partitions (``actors[P:]``): the band partitions' check()
+    verdicts go straight to the payload partitions, which write the kept
+    rows and send the kept docs' band hashes back for record()."""
+    P = len(actors) // 2
+    band, payload = actors[:P], actors[P:]
+    verdicts = [
+        band[p].check.options(num_returns=P).remote(
+            epoch, *[s[P + p] for s in shards]
+        )
+        for p in range(P)
+    ]
+    decisions = [
+        payload[p].decide.options(num_returns=2 + P).remote(
+            part(p),
+            len(shards),
+            *[s[p] for s in shards],
+            *[verdicts[bp][p] for bp in range(P)],
+        )
+        for p in range(P)
+    ]
+    kept = ray.get([d[0] for d in decisions])
+    dropped = ray.get([d[1] for d in decisions])
+    ray.get([
+        band[bp].record.remote(
+            epoch, delta(bp), *[decisions[p][2 + bp] for p in range(P)]
+        )
+        for bp in range(P)
+    ])
+    return [{"kept": k, "dropped": d} for k, d in zip(kept, dropped)]
 
 
 def run_neardup_stream(
@@ -794,7 +886,7 @@ def run_neardup_stream(
     seed: int = 7,
     resume: bool = False,
     fail_after_epoch: int | None = None,
-    compact_every: int = 8,
+    compact_every: int = COMPACT_EVERY,
     ttl_epochs: int | None = None,
     sig: str = "minhash",
 ) -> DedupStreamResult:
@@ -803,193 +895,32 @@ def run_neardup_stream(
     an earlier arrival in the same epoch) — the crawl-feed near-dedup
     shape: conservative cluster-head-keeps semantics, no pairwise verify.
 
-    Per epoch: one fused read+band+double-split task; band partitions
-    answer check() (read-only — crash-re-runnable) with matched doc ids
-    split straight to the payload partitions; payload partitions write kept
-    rows actor-direct and return the kept docs' band hashes split back to
-    the band partitions for record(). Nothing but ids/hashes ever reaches
-    the driver. Exactly-once exactly as run_dedup_stream (manifest sink ->
-    epoch marker; band-state deltas + periodic full snapshots)."""
-    root = Path(out_root)
-    ck = root / "ckpt"
-    ck.mkdir(parents=True, exist_ok=True)
-    _complete_dedup_rescale(ck)  # finish any half-swapped rescale first
-    sink = ManifestSink(out_root, "neardeduped")
+    Per epoch: one fused read+band+double-split task per file; band
+    partitions answer check() (read-only — crash-re-runnable) with matched
+    doc ids split straight to the payload partitions; payload partitions
+    write kept rows actor-direct and return the kept docs' band hashes
+    split back to the band partitions for record(). Nothing but ids/hashes
+    ever reaches the driver. Exactly-once exactly as run_dedup_stream
+    (manifest sink -> epoch marker; band-state deltas + periodic full
+    snapshots); a resume must use the same signature parameters."""
+    P = num_partitions
     if columns is None:
         columns = [id_col, text_col]
-
-    meta_path = ck / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        if meta["partitions"] != num_partitions:
-            if resume:
-                raise ValueError(
-                    f"checkpoint has {meta['partitions']} partitions, "
-                    f"got {num_partitions}"
-                )
-        if resume:
-            # The restored seen-state is band hashes computed under these
-            # parameters; resuming with different MinHash params would
-            # silently compare incompatible hashes.
-            for name, val in (("bands", bands), ("num_perm", num_perm),
-                              ("k", k), ("seed", seed), ("sig", sig)):
-                # a pre-"sig" checkpoint is implicitly minhash — a missing
-                # key must NOT skip the check (resuming minhash state under
-                # sig="hyperplane" would silently compare garbage hashes)
-                mval = meta.get(name, "minhash" if name == "sig" else None)
-                if mval != val:
-                    raise ValueError(
-                        f"checkpoint was written with {name}={mval}, "
-                        f"got {name}={val}; resume requires identical "
-                        f"signature parameters"
-                    )
-    if not resume:
-        import shutil
-
-        for f in ck.glob("epoch-*.json"):
-            f.unlink()
-        for f in ck.glob("full-*.json"):
-            f.unlink()
-        for f in list(ck.glob("delta-*")) + list(ck.glob("full-*")):
-            shutil.rmtree(f, ignore_errors=True)
-        sink.reset()
-    meta_path.write_text(
-        json.dumps({"partitions": num_partitions, "bands": bands,
-                    "num_perm": num_perm, "k": k, "seed": seed, "sig": sig})
+    sink, run, skipped, totals = _run_marker_stream(
+        files, out_root, "neardeduped",
+        {"bands": bands, "num_perm": num_perm, "k": k, "seed": seed, "sig": sig},
+        make_actors=lambda: (
+            [BandPartition.remote(p, P, ttl_epochs) for p in range(P)]
+            + [NearDupPayloadPartition.remote(p, P, bands, id_col) for p in range(P)]
+        ),
+        read=lambda f, base: _read_split_neardup.options(num_returns=2 * P).remote(
+            f, id_col, text_col, P, bands, num_perm, k, seed, base, columns, sig
+        ),
+        step=_neardup_step,
+        num_partitions=P, files_per_epoch=files_per_epoch, resume=resume,
+        fail_after_epoch=fail_after_epoch, compact_every=compact_every,
     )
-
-    P = num_partitions
-    band_workers = [BandPartition.remote(p, P, ttl_epochs) for p in range(P)]
-    payload_workers = [
-        NearDupPayloadPartition.remote(p, P, bands, id_col) for p in range(P)
-    ]
-
-    def delta_dir(epoch: int) -> Path:
-        return ck / f"delta-{epoch:05d}"
-
-    def full_dir(epoch: int) -> Path:
-        return ck / f"full-{epoch:05d}"
-
-    def marker(epoch: int) -> Path:
-        return ck / f"epoch-{epoch:05d}.json"
-
-    groups = [
-        files[i : i + files_per_epoch]
-        for i in range(0, len(files), files_per_epoch)
-    ]
-    bases, acc = [], 0
-    for g in groups:
-        bases.append(acc)
-        acc += sum(pq.read_metadata(f).num_rows for f in g)
-
-    done = {
-        int(f.stem.split("-")[1]) for f in ck.glob("epoch-*.json")
-    } if resume else set()
-    if done:
-        fulls = sorted(
-            e for f in ck.glob("full-*.json")
-            for e in [int(f.stem.split("-")[1])]
-            if e in done
-        )
-        base_full = fulls[-1] if fulls else None
-        tail = sorted(e for e in done if base_full is None or e > base_full)
-        restore_files = [
-            ([str(full_dir(base_full) / f"part-{p:05d}.parquet")]
-             if base_full is not None else [])
-            + [str(delta_dir(e) / f"part-{p:05d}.parquet") for e in tail]
-            for p in range(P)
-        ]
-        ray.get(
-            [
-                w.restore.remote(restore_files[p])
-                for p, w in enumerate(band_workers)
-            ]
-        )
-
-    epochs_run = epochs_skipped = 0
-    kept_total = dropped_total = 0
-    for e, g in enumerate(groups):
-        if e in done:
-            epochs_skipped += 1
-            continue
-        # file-parallel read+band+split: the MinHash signature loop is the
-        # dominant epoch cost and must not serialize into one task
-        f_bases, fb = [], bases[e]
-        for f in g:
-            f_bases.append(fb)
-            fb += pq.read_metadata(f).num_rows
-        shard_groups = [
-            _read_split_neardup.options(num_returns=2 * P).remote(
-                [f], id_col, text_col, P, P, bands, num_perm, k, seed,
-                f_bases[i], columns, sig,
-            )
-            for i, f in enumerate(g)
-        ]
-        verdicts = [
-            band_workers[p].check.options(num_returns=P).remote(
-                e, *[sg[P + p] for sg in shard_groups]
-            )
-            for p in range(P)
-        ]
-        dd = delta_dir(e)
-        dd.mkdir(parents=True, exist_ok=True)
-        decisions = [
-            payload_workers[p].decide.options(num_returns=2 + P).remote(
-                sink.part_path(e, p),
-                len(shard_groups),
-                *[sg[p] for sg in shard_groups],
-                *[verdicts[bp][p] for bp in range(P)],
-            )
-            for p in range(P)
-        ]
-        kept = ray.get([d[0] for d in decisions])
-        dropped = ray.get([d[1] for d in decisions])
-        ray.get(
-            [
-                band_workers[bp].record.remote(
-                    e,
-                    str(dd / f"part-{bp:05d}.parquet"),
-                    *[decisions[p][2 + bp] for p in range(P)],
-                )
-                for bp in range(P)
-            ]
-        )
-        sink.commit_epoch(e, {p: kp for p, kp in enumerate(kept)})
-        marker(e).write_text(
-            json.dumps(
-                {"epoch": e, "kept": int(sum(kept)),
-                 "dropped": int(sum(dropped)), "committed_at": time.time()}
-            )
-        )
-        kept_total += sum(kept)
-        dropped_total += sum(dropped)
-        epochs_run += 1
-        if compact_every and (e + 1) % compact_every == 0:
-            fd = full_dir(e)
-            fd.mkdir(parents=True, exist_ok=True)
-            sizes = ray.get(
-                [
-                    band_workers[p].write_full.remote(
-                        str(fd / f"part-{p:05d}.parquet")
-                    )
-                    for p in range(P)
-                ]
-            )
-            (ck / f"full-{e:05d}.json").write_text(
-                json.dumps({"epoch": e, "band_hashes": int(sum(sizes))})
-            )
-            import shutil as _sh
-
-            for old in sorted(ck.glob("delta-*")):
-                if int(old.name.split("-")[1]) <= e:
-                    _sh.rmtree(old, ignore_errors=True)
-        if fail_after_epoch is not None and e >= fail_after_epoch:
-            raise RuntimeError("injected failure (neardup stream)")
-    for w in band_workers + payload_workers:
-        ray.kill(w)
-    return DedupStreamResult(
-        sink, epochs_run, epochs_skipped, kept_total, dropped_total
-    )
+    return DedupStreamResult(sink, run, skipped, totals["kept"], totals["dropped"])
 
 
 def run_embdedup_stream(
@@ -1070,13 +1001,14 @@ def run_dedup_stream_continuous(
 def rescale_dedup_checkpoint(out_root: str, new_partitions: int, near: bool = False):
     """Migrate a dedup-stream checkpoint to a new partition count at a
     consistent cut (parity with rescale.rescale_checkpoint for the ordered
-    engine): fold every partition's current seen-state (latest full
-    snapshot + trailing deltas), re-route it under the new partition count
-    (fp_hi % P for the exact stream, band_hash % P for the near stream),
-    and write it as a compacted full snapshot at the last committed epoch.
-    A subsequent resume with ``num_partitions=new_partitions`` restores
-    from that snapshot; the old layout is removed."""
-    import shutil
+    engine): fold every partition's current seen-state (the restore plan:
+    latest full snapshot + trailing deltas), re-route it under the new
+    partition count (fp_hi % P for the exact stream, band_hash % P for the
+    near stream), and write it as a compacted full snapshot at the last
+    committed epoch. A subsequent resume with
+    ``num_partitions=new_partitions`` restores from that snapshot; the old
+    layout is removed."""
+    from .exchange import split_compact
 
     ck = Path(out_root) / "ckpt"
     meta_path = ck / "meta.json"
@@ -1084,106 +1016,65 @@ def rescale_dedup_checkpoint(out_root: str, new_partitions: int, near: bool = Fa
         raise FileNotFoundError(f"no checkpoint under {out_root}")
     meta = json.loads(meta_path.read_text())
     old_P = meta["partitions"]
-    done = sorted(int(f.stem.split("-")[1]) for f in ck.glob("epoch-*.json"))
+    done = _committed_epochs(ck)
     if not done:
         meta["partitions"] = new_partitions
-        meta_path.write_text(json.dumps(meta))
+        write_json_atomic(meta_path, meta)
         return
-    last = done[-1]
-    fulls = sorted(
-        int(f.stem.split("-")[1])
-        for f in ck.glob("full-*.json")
-        if int(f.stem.split("-")[1]) in set(done)
+    plan = _restore_plan(ck, done)
+    merged = pa.concat_tables(
+        [_read_seen(_part(d, p)) for p in range(old_P) for d in plan],
+        promote_options="none",
     )
-    base_full = fulls[-1] if fulls else None
-    tail = [e for e in done if base_full is None or e > base_full]
-    cols = ["band_hash"] if near else ["fp_hi", "fp_lo"]
-
-    def part_files(p_old: int) -> list[str]:
-        out = []
-        if base_full is not None:
-            out.append(str(ck / f"full-{base_full:05d}" / f"part-{p_old:05d}.parquet"))
-        out += [
-            str(ck / f"delta-{e:05d}" / f"part-{p_old:05d}.parquet")
-            for e in tail
-        ]
-        return out
-
-    tbls = []
-    for p in range(old_P):
-        for f in part_files(p):
-            sch = pq.read_schema(f)
-            use = cols + (["ep"] if "ep" in sch.names else [])
-            t = pq.read_table(f, columns=use)
-            if "ep" not in t.column_names:  # legacy files: epoch unknown
-                t = t.append_column(
-                    "ep", pa.array(np.zeros(t.num_rows, np.int64))
-                )
-            tbls.append(t)
-    merged = pa.concat_tables(tbls, promote_options="none")
-    if near:
-        key = merged["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    else:
-        key = merged["fp_hi"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    codes = (key % np.uint64(new_partitions)).astype(np.int64)
-    from .exchange import split_compact
-
+    key = merged["band_hash" if near else "fp_hi"]
+    codes = (
+        key.to_numpy(zero_copy_only=False).astype(np.uint64) % np.uint64(new_partitions)
+    ).astype(np.int64)
     new_parts = split_compact(merged, codes, new_partitions)
 
     # two-phase staged swap (same pattern as rescale.rescale_checkpoint):
     # stage the complete new snapshot + a sentinel, THEN swap; the runners
     # complete a half-finished swap on startup, so no crash window leaves
     # the checkpoint readable-but-wrong
-    fd = ck / "_rescale_stage"
-    shutil.rmtree(fd, ignore_errors=True)
-    fd.mkdir(parents=True)
+    stage = ck / "_rescale_stage"
+    shutil.rmtree(stage, ignore_errors=True)
     for p, t in enumerate(new_parts):
-        write_part_atomic(t, str(fd / f"part-{p:05d}.parquet"))
-    sentinel = ck / "_RESCALE.json"
-    tmp = sentinel.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps({"epoch": last, "new_partitions": new_partitions,
-                    "old_partitions": old_P, "rows": int(merged.num_rows)})
+        write_part_atomic(t, _part(stage, p))
+    # sentinel commit: the stage is complete
+    write_json_atomic(
+        ck / "_RESCALE.json",
+        {"epoch": max(done), "new_partitions": new_partitions,
+         "old_partitions": old_P, "rows": int(merged.num_rows)},
     )
-    import os as _os
-
-    _os.replace(tmp, sentinel)  # sentinel commit: stage is complete
     _complete_dedup_rescale(ck)
 
 
 def _complete_dedup_rescale(ck: Path) -> None:
     """Finish (or re-finish, idempotently) a staged dedup rescale: called
     by rescale_dedup_checkpoint and by the stream runners on startup."""
-    import shutil
-
     sentinel = ck / "_RESCALE.json"
     if not sentinel.exists():
         return
     info = json.loads(sentinel.read_text())
     stage = ck / "_rescale_stage"
     last = info["epoch"]
-    final = ck / f"full-{last:05d}"
     if stage.exists():
         # destroy the OLD layout (it routes under the old partition count)
         for old in list(ck.glob("delta-*")) + [
-            d for d in ck.glob("full-*") if d.is_dir() and d != stage
+            d for d in ck.glob("full-*") if d.is_dir()
         ]:
             shutil.rmtree(old, ignore_errors=True)
         for f in ck.glob("full-*.json"):
             f.unlink()
-        stage.replace(final)
+        stage.replace(ck / f"full-{last:05d}")
     # stage already swapped (crash after replace): just finish the markers
-    (ck / f"full-{last:05d}.json").write_text(
-        json.dumps({"epoch": last,
-                    "rescaled_from": info["old_partitions"],
-                    "rows": info["rows"]})
+    write_json_atomic(
+        ck / f"full-{last:05d}.json",
+        {"epoch": last, "rescaled_from": info["old_partitions"],
+         "rows": info["rows"]},
     )
     meta_path = ck / "meta.json"
     meta = json.loads(meta_path.read_text())
     meta["partitions"] = info["new_partitions"]
-    tmp = meta_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(meta))
-    import os as _os
-
-    _os.replace(tmp, meta_path)
+    write_json_atomic(meta_path, meta)
     sentinel.unlink()

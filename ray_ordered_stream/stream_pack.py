@@ -11,16 +11,17 @@ layout real loaders consume (a global sequential pack id on an unbounded
 stream would serialize the world).
 
 Exactly-once: routing (doc-id hash) and within-partition order (arrival
-index) are deterministic, the carry + pack_seq checkpoint per epoch with
-staged atomic writes, commit order sink-manifest -> epoch marker, so a
-crashed epoch re-runs against the pre-epoch carry and overwrites its parts
-byte-identically.
+index) are deterministic, and the epoch loop and checkpoint layout are the
+dedup streams' (stream_dedup._run_marker_stream): each epoch's delta is
+the partition's whole carry + pack_seq after it, committed after the sink
+manifest, so a crashed epoch re-runs against the pre-epoch carry and
+overwrites its parts byte-identically. Every ``COMPACT_EVERY`` epochs the
+carry is also written as the full snapshot and the older deltas go.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,26 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .sink import ManifestSink, write_part_atomic
+from .checkpoint import write_json_atomic
+from .sink import write_part_atomic
 from .source import run_landing_batches
+from .stream_dedup import (
+    COMPACT_EVERY,
+    _committed_epochs,
+    _part,
+    _process_step,
+    _read_with_arrival,
+    _restore_plan,
+    _run_marker_stream,
+)
+
+
+def _carry_table(carry: np.ndarray, pack_seq: int) -> pa.Table:
+    """A partition's checkpoint: its carry, with the next pack_seq in the
+    schema metadata."""
+    return pa.table({"carry": pa.array(carry, pa.int64())}).replace_schema_metadata(
+        {"pack_seq": str(pack_seq)}
+    )
 
 
 @ray.remote(num_cpus=0)
@@ -42,11 +61,17 @@ class PackPartition:
         self.carry = np.empty(0, dtype=np.int64)
         self.pack_seq = 0
 
-    def restore(self, ckpt_file: str) -> int:
-        t = pq.read_table(ckpt_file)
+    def restore(self, files: list[str]) -> int:
+        """Every checkpoint file holds the whole carry, so the newest (the
+        last of the restore plan) is the state."""
+        t = pq.read_table(files[-1])
         self.carry = t["carry"].to_numpy(zero_copy_only=False).astype(np.int64)
         self.pack_seq = int(t.schema.metadata[b"pack_seq"].decode())
         return len(self.carry)
+
+    def write_full(self, path: str) -> dict:
+        write_part_atomic(_carry_table(self.carry, self.pack_seq), path)
+        return {"carry": len(self.carry)}
 
     def process_epoch(
         self, epoch: int, part_path: str, ckpt_path: str, *shards: pa.Table
@@ -87,10 +112,7 @@ class PackPartition:
         )
         write_part_atomic(out, part_path)
         carry = buf[n_full * B :]
-        ck = pa.table({"carry": pa.array(carry, pa.int64())}).replace_schema_metadata(
-            {"pack_seq": str(self.pack_seq + n_full)}
-        )
-        write_part_atomic(ck, ckpt_path)
+        write_part_atomic(_carry_table(carry, self.pack_seq + n_full), ckpt_path)
         # mutate only after both files are durable (re-run safe)
         self.carry = carry
         self.pack_seq += n_full
@@ -99,25 +121,16 @@ class PackPartition:
 
 @ray.remote
 def _read_tokenize_split(
-    files: list[str], id_col: str, text_col: str, P: int,
+    path: str, id_col: str, text_col: str, P: int,
     vocab_size: int, arrival_base: int, columns: list[str] | None,
 ) -> list[pa.Table]:
-    """Fused read + tokenize + route for one epoch: only (doc_id, arrival,
-    token_ids) rows cross the exchange, routed by the doc-id hash."""
+    """Fused read + tokenize + route of one file: only (arrival, token_ids)
+    rows cross the exchange, routed by the doc-id hash."""
     from .exchange import split_compact
     from .functions.chunk import _tokenize_flat
     from .functions.pack import _token_ids
 
-    tbls = []
-    off = arrival_base
-    for f in files:
-        t = pq.read_table(f, columns=columns)
-        t = t.append_column(
-            "arrival", pa.array(off + np.arange(t.num_rows), pa.int64())
-        )
-        off += t.num_rows
-        tbls.append(t)
-    tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
+    tbl = _read_with_arrival(path, columns, arrival_base)
     flat, offsets = _tokenize_flat(tbl[text_col])
     tk = _token_ids(flat, vocab_size) if len(flat) else np.empty(0, np.int64)
     ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -149,117 +162,22 @@ def run_pack_stream(
     fail_after_epoch: int | None = None,
 ):
     """Drive the feed through the pack partitions epoch by epoch; returns
-    (sink, epochs_run, epochs_skipped, total_packs)."""
-    root = Path(out_root)
-    ck = root / "ckpt"
-    ck.mkdir(parents=True, exist_ok=True)
-    sink = ManifestSink(out_root, "packed")
+    (sink, epochs_run, epochs_skipped, total_packs). A resume must use the
+    same ``budget``: committed epochs' packs were cut at it."""
+    P = num_partitions
     if columns is None:
         columns = [id_col, text_col]
-
-    meta_path = ck / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        if meta["partitions"] != num_partitions:
-            if resume:
-                raise ValueError(
-                    f"checkpoint has {meta['partitions']} partitions, "
-                    f"got {num_partitions}"
-                )
-        if resume and meta.get("budget", budget) != budget:
-            # A committed epoch's packs were cut at the old budget; a
-            # different budget would break byte-identical re-runs.
-            raise ValueError(
-                f"checkpoint was written with budget={meta['budget']}, "
-                f"got budget={budget}; resume requires the same pack budget"
-            )
-    if not resume:
-        import shutil
-
-        for f in ck.glob("epoch-*.json"):
-            f.unlink()
-        for d in ck.glob("carry-*"):
-            shutil.rmtree(d, ignore_errors=True)
-        sink.reset()
-    meta_path.write_text(json.dumps({"partitions": num_partitions,
-                                     "budget": budget}))
-
-    P = num_partitions
-    workers = [PackPartition.remote(p, budget) for p in range(P)]
-
-    def carry_dir(epoch: int) -> Path:
-        return ck / f"carry-{epoch:05d}"
-
-    def marker(epoch: int) -> Path:
-        return ck / f"epoch-{epoch:05d}.json"
-
-    groups = [
-        files[i : i + files_per_epoch]
-        for i in range(0, len(files), files_per_epoch)
-    ]
-    bases, acc = [], 0
-    for g in groups:
-        bases.append(acc)
-        acc += sum(pq.read_metadata(f).num_rows for f in g)
-
-    done = {
-        int(f.stem.split("-")[1]) for f in ck.glob("epoch-*.json")
-    } if resume else set()
-    if done:
-        last = max(done)
-        ray.get(
-            [
-                w.restore.remote(
-                    str(carry_dir(last) / f"part-{p:05d}.parquet")
-                )
-                for p, w in enumerate(workers)
-            ]
-        )
-
-    epochs_run = epochs_skipped = packs_total = 0
-    for e, g in enumerate(groups):
-        if e in done:
-            epochs_skipped += 1
-            continue
-        f_bases, fb = [], bases[e]
-        for f in g:
-            f_bases.append(fb)
-            fb += pq.read_metadata(f).num_rows
-        shard_groups = [
-            _read_tokenize_split.options(num_returns=P).remote(
-                [f], id_col, text_col, P, vocab_size, f_bases[i], columns
-            )
-            for i, f in enumerate(g)
-        ]
-        cd = carry_dir(e)
-        cd.mkdir(parents=True, exist_ok=True)
-        stats = ray.get(
-            [
-                workers[p].process_epoch.remote(
-                    e,
-                    sink.part_path(e, p),
-                    str(cd / f"part-{p:05d}.parquet"),
-                    *[sg[p] for sg in shard_groups],
-                )
-                for p in range(P)
-            ]
-        )
-        sink.commit_epoch(e, {p: s["packs"] for p, s in enumerate(stats)})
-        marker(e).write_text(
-            json.dumps(
-                {
-                    "epoch": e,
-                    "packs": sum(s["packs"] for s in stats),
-                    "carry": sum(s["carry"] for s in stats),
-                    "committed_at": time.time(),
-                }
-            )
-        )
-        packs_total += sum(s["packs"] for s in stats)
-        epochs_run += 1
-        if fail_after_epoch is not None and e >= fail_after_epoch:
-            raise RuntimeError(f"injected failure after epoch {e}")
-    return sink, epochs_run, epochs_skipped, packs_total
+    sink, run, skipped, totals = _run_marker_stream(
+        files, out_root, "packed", {"budget": budget},
+        make_actors=lambda: [PackPartition.remote(p, budget) for p in range(P)],
+        read=lambda f, base: _read_tokenize_split.options(num_returns=P).remote(
+            f, id_col, text_col, P, vocab_size, base, columns
+        ),
+        step=_process_step,
+        num_partitions=P, files_per_epoch=files_per_epoch, resume=resume,
+        fail_after_epoch=fail_after_epoch, compact_every=COMPACT_EVERY,
+    )
+    return sink, run, skipped, totals["packs"]
 
 
 def run_pack_stream_continuous(
@@ -291,8 +209,8 @@ def rescale_pack_checkpoint(out_root: str, new_partitions: int) -> None:
     (their partial packs have no legal owner under the new routing).
 
     Crash-safe by write order: the new shards' empty carry files land in
-    the latest committed carry dir FIRST, meta.json flips LAST (a crash
-    in between leaves the old meta and harmless extra files)."""
+    the restore plan's newest directory FIRST, meta.json flips LAST (a
+    crash in between leaves the old meta and harmless extra files)."""
     ck = Path(out_root) / "ckpt"
     meta_path = ck / "meta.json"
     if not meta_path.exists():
@@ -306,17 +224,10 @@ def rescale_pack_checkpoint(out_root: str, new_partitions: int) -> None:
         )
     if new_partitions == old_P:
         return
-    done = sorted(int(f.stem.split("-")[1]) for f in ck.glob("epoch-*.json"))
-    if done:
-        last_dir = ck / f"carry-{done[-1]:05d}"
-        empty = pa.table(
-            {"carry": pa.array([], pa.int64())}
-        ).replace_schema_metadata({"pack_seq": "0"})
+    plan = _restore_plan(ck, _committed_epochs(ck))
+    if plan:
+        empty = _carry_table(np.empty(0, np.int64), 0)
         for p in range(old_P, new_partitions):
-            write_part_atomic(empty, str(last_dir / f"part-{p:05d}.parquet"))
+            write_part_atomic(empty, _part(plan[-1], p))
     meta["partitions"] = new_partitions
-    tmp = meta_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(meta))
-    import os
-
-    os.replace(tmp, meta_path)
+    write_json_atomic(meta_path, meta)

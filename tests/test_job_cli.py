@@ -226,3 +226,77 @@ def test_job_cli_publish_then_queue_consumer(tmp_path):
             ORDER BY conv_id, turn_idx"""
     ).df()
     assert got["text"].tolist() == exp["text"].tolist()
+
+
+def test_job_cli_pack_continuous_polls(tmp_path):
+    """--pipeline pack --continuous started on an empty landing dir polls
+    it: files landed while it runs, then _STOP, are packed exactly as a
+    bounded run over the same feed packs them."""
+    import hashlib
+    import os
+    import shutil
+    import time
+
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    from ray_ordered_stream.sink import ManifestSink
+
+    rng = np.random.default_rng(8)
+    words = ["alpha", "beta", "gamma", "delta"]
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(4):
+        rows = [(i * 8 + j, " ".join(rng.choice(words, size=int(rng.integers(3, 20)))))
+                for j in range(8)]
+        pq.write_table(
+            pa.Table.from_pandas(pd.DataFrame(rows, columns=["doc_id", "text"]),
+                                 preserve_index=False),
+            src / f"feed-{i:05d}.parquet",
+        )
+    base = ["--pipeline", "pack", "--files-per-epoch", "1", "--partitions", "2",
+            "--pack-budget", "16", "--address", "local"]
+    _run(["--input", str(src), "--out", str(tmp_path / "bounded"), *base])
+
+    land = tmp_path / "land"
+    land.mkdir()
+
+    def land_files(names):
+        for f in names:  # write, then rename: the landing-dir convention
+            shutil.copy(src / f, land / f"{f}.tmp")
+            os.replace(land / f"{f}.tmp", land / f)
+
+    out = tmp_path / "cont"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ray_ordered_stream.job", "--input", str(land),
+         "--out", str(out), "--continuous", "--idle-timeout", "120", *base],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd="/tmp",
+        env={"PYTHONPATH": REPO, "PATH": "/usr/bin:/bin",
+             "HOME": os.environ["HOME"], "RAY_ADDRESS": "local"},
+    )
+    try:
+        names = sorted(f.name for f in src.glob("*.parquet"))
+        land_files(names[:2])
+        first = out / "packed" / "_manifests" / "epoch-00000.json"
+        deadline = time.monotonic() + 180
+        while not first.exists():  # the CLI has packed the first files
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline
+            time.sleep(0.2)
+        land_files(names[2:])
+        (land / "_STOP").write_text("")
+        _stdout, stderr = proc.communicate(timeout=240)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == 0, stderr[-2000:]
+
+    def parts(root):
+        s = ManifestSink(str(root), "packed")
+        return {Path(f).relative_to(s.root).as_posix():
+                hashlib.sha256(Path(f).read_bytes()).hexdigest()
+                for f in s.committed_files()}
+
+    assert parts(out) == parts(tmp_path / "bounded")
+    assert len(ManifestSink(str(out), "packed").committed_epochs()) == 4

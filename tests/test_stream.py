@@ -203,6 +203,41 @@ def test_partition_count_must_match_checkpoint(stream_files, tmp_path):
     assert res2.epochs_run == 0
 
 
+@pytest.mark.parametrize("feed", ["bounded", "continuous"])
+def test_fresh_run_over_a_longer_earlier_run(stream_files, tmp_path, feed):
+    """resume=False over a root that holds a longer earlier run (A: 6
+    one-file epochs, B: the first 3 files): nothing of A's later epochs
+    survives, neither committed manifests, checkpoints nor (continuous)
+    epoch records, and the sink holds exactly B's parts."""
+    from ray_ordered_stream.checkpoint import committed_epoch
+    from ray_ordered_stream.epochs import run_stream_continuous
+
+    t, files = stream_files
+
+    def run(fs, out, resume):
+        if feed == "bounded":
+            return run_stream(fs, out, num_partitions=2, files_per_epoch=1,
+                              resume=resume)
+        land = tmp_path / f"land-{Path(out).name}-{len(fs)}"
+        land.mkdir()
+        for f in fs:
+            (land / Path(f).name).symlink_to(f)
+        (land / "_STOP").write_text("")
+        return run_stream_continuous(str(land), out, num_partitions=2,
+                                     files_per_epoch=1, poll_interval_s=0.05,
+                                     resume=resume)
+
+    out = str(tmp_path / "out")
+    run(files[:6], out, True)
+    res = run(files[:3], out, False)
+    sink = res.sinks["ordered"]
+    assert sink.committed_epochs() == [0, 1, 2]
+    assert [committed_epoch(out, p) for p in range(2)] == [2, 2]
+    fresh = run(files[:3], str(tmp_path / "fresh"), False)
+    assert part_digests(sink) == part_digests(fresh.sinks["ordered"])
+    assert sink.total_committed_rows() == res.total_emitted > 0
+
+
 def test_checkpoint_overwrite_clears_stale_buffer(tmp_path):
     # ADVICE r1: re-writing an epoch checkpoint whose previous write had a
     # non-empty buffer must not restore the stale buffered rows.

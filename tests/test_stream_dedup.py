@@ -1,6 +1,8 @@
 """Streaming content-dedup pipeline: keep-first semantics, exactly-once
 across crash-resume, serial-oracle equality."""
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -36,6 +38,18 @@ def _write_feed(df, land, n_files):
         )
         files.append(str(f))
     return files
+
+
+def _ckpt_dirs(ck):
+    """(full snapshot dirs, delta dirs) under a marker stream's ckpt/."""
+    return (sorted(d.name for d in ck.glob("full-*") if d.is_dir()),
+            sorted(d.name for d in ck.glob("delta-*")))
+
+
+def _part_bytes(sink):
+    """Every committed part file of a sink, by its path under the sink."""
+    return {Path(f).relative_to(sink.root).as_posix(): Path(f).read_bytes()
+            for f in sink.committed_files()}
 
 
 def test_dedup_stream_keep_first(ray_session, tmp_path):
@@ -103,21 +117,19 @@ def test_dedup_stream_compaction_bounds_restore(ray_session, tmp_path):
                          files_per_epoch=1, compact_every=2,
                          fail_after_epoch=4)
     ck = tmp_path / "crash" / "ckpt"
-    # epochs 0..4 committed; fulls at 1 and 3; deltas <= 3 folded away
+    # epochs 0..4 committed; fulls at 1 and 3: only the newest snapshot and
+    # the delta after it are kept
     assert (ck / "full-00003.json").exists()
-    assert not (ck / "delta-00002").exists()
-    assert (ck / "delta-00004").exists()
+    assert _ckpt_dirs(ck) == (["full-00003"], ["delta-00004"])
 
     res = run_dedup_stream(files, str(tmp_path / "crash"), num_partitions=3,
                            files_per_epoch=1, compact_every=2, resume=True)
     assert res.epochs_skipped == 5
-    a = (full.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (res.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
+    assert _part_bytes(res.sink) == _part_bytes(full.sink)
     exp = _oracle_keep(df)
     assert res.sink.total_committed_rows() == len(exp)
+    # 8 epochs, fulls at 1, 3, 5 and 7: one snapshot, no delta left
+    assert _ckpt_dirs(ck) == (["full-00007"], [])
 
 
 def test_neardup_stream_drops_copies(ray_session, tmp_path):
@@ -479,3 +491,37 @@ def test_embdedup_stream_crash_resume_and_param_guard(ray_session, tmp_path):
                            columns=["vec_id", "embedding"],
                            bands=4, num_perm=192, k=0, seed=13,
                            num_partitions=2, files_per_epoch=2, resume=True)
+
+
+@pytest.mark.parametrize("layout", ["delta_without_ep", "pack_carry"])
+def test_old_checkpoint_layout_fails_loudly(ray_session, tmp_path, layout):
+    """A dedup delta without its keep-epoch column, or the pack stream's
+    former carry-<e> directories, cannot be resumed (the deltas' epochs are
+    unknown; the carry would restore as empty): resume raises ValueError
+    naming the path and resume=False, and so does a dedup rescale."""
+    import re
+
+    from ray_ordered_stream.stream_dedup import rescale_dedup_checkpoint
+    from ray_ordered_stream.stream_pack import run_pack_stream
+
+    df = _corpus(n=120, seed=23)
+    files = _write_feed(df, tmp_path / "feed", 4)
+    out = tmp_path / "out"
+    ck = out / "ckpt"
+    if layout == "delta_without_ep":
+        run = run_dedup_stream
+        run(files[:2], str(out), num_partitions=2, files_per_epoch=1)
+        bad = ck / "delta-00001" / "part-00000.parquet"
+        pq.write_table(pq.read_table(bad).drop_columns(["ep"]), bad)
+    else:
+        run = run_pack_stream
+        run(files[:2], str(out), num_partitions=2, files_per_epoch=1)
+        for d in ck.glob("delta-*"):
+            d.rename(ck / d.name.replace("delta-", "carry-"))
+        bad = ck / "carry-00000"
+    msg = f"{re.escape(str(bad))}.*resume=False"
+    with pytest.raises(ValueError, match=msg):
+        run(files, str(out), num_partitions=2, files_per_epoch=1, resume=True)
+    if layout == "delta_without_ep":
+        with pytest.raises(ValueError, match=msg):
+            rescale_dedup_checkpoint(str(out), 3)

@@ -246,7 +246,7 @@ def test_pack_stream_resume_budget_mismatch_raises(tmp_path, ray_session):
     files, df = _feed(tmp_path)
     run_pack_stream(files, str(tmp_path / "out"), budget=B, vocab_size=V,
                     num_partitions=2, files_per_epoch=2)
-    with pytest.raises(ValueError, match="same pack budget"):
+    with pytest.raises(ValueError, match=f"budget={B}, got budget={B + 16}; resume requires"):
         run_pack_stream(files, str(tmp_path / "out"), budget=B + 16,
                         vocab_size=V, num_partitions=2, files_per_epoch=2,
                         resume=True)
@@ -263,3 +263,34 @@ def test_pack_stream_fresh_rerun_wipes_phantom_epochs(tmp_path, ray_session):
                                 vocab_size=V, num_partitions=2,
                                 files_per_epoch=2)
     assert sink2.committed_epochs() == [0]
+
+
+def test_pack_stream_checkpoint_stays_bounded(tmp_path, ray_session):
+    """Over more than 2 x COMPACT_EVERY epochs the checkpoint keeps one full
+    carry snapshot and fewer than COMPACT_EVERY deltas, and a crash after a
+    compaction resumes to byte-identical packs."""
+    from ray_ordered_stream.stream_dedup import COMPACT_EVERY
+
+    n = 2 * COMPACT_EVERY + 2
+    files, _df = _feed(tmp_path, n_files=n)
+    kw = dict(budget=B, vocab_size=V, num_partitions=2, files_per_epoch=1)
+    sink, *_ = run_pack_stream(files, str(tmp_path / "full"), **kw)
+    ck = tmp_path / "full" / "ckpt"
+    fulls = [d.name for d in ck.glob("full-*") if d.is_dir()]
+    deltas = list(ck.glob("delta-*"))
+    assert fulls == [f"full-{2 * COMPACT_EVERY - 1:05d}"]
+    assert len(deltas) < COMPACT_EVERY
+
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_pack_stream(files, str(tmp_path / "crash"),
+                        fail_after_epoch=COMPACT_EVERY + 1, **kw)
+    sink2, run2, skip2, _ = run_pack_stream(
+        files, str(tmp_path / "crash"), resume=True, **kw
+    )
+    assert skip2 == COMPACT_EVERY + 2 and run2 == n - skip2
+
+    def parts(s):
+        return {Path(f).relative_to(s.root).as_posix(): Path(f).read_bytes()
+                for f in s.committed_files()}
+
+    assert parts(sink2) == parts(sink)
