@@ -263,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             text_col=args.dedup_text_col,
             num_partitions=args.partitions,
             files_per_epoch=args.files_per_epoch,
+            resume=not args.no_resume,
         )
         if args.continuous:
             sink, epochs_run, epochs_skipped, packs = run_pack_stream_continuous(
@@ -274,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps({"error": f"no parquet files in {args.input}"}))
                 return 2
             sink, epochs_run, epochs_skipped, packs = run_pack_stream(
-                files, args.out, resume=not args.no_resume, **common,
+                files, args.out, **common,
             )
         print(json.dumps({
             "pipeline": "pack", "epochs_run": epochs_run,
@@ -296,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             num_partitions=args.partitions,
             files_per_epoch=args.files_per_epoch,
             compact_every=args.checkpoint_full_every,
+            resume=not args.no_resume,
         )
         if args.pipeline == "embdedup":
             # the hyperplane stream rides the shared neardup machinery
@@ -320,9 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                 runner = run_neardup_stream  # common carries sig/planes
             else:
                 runner = run_dedup_stream
-            res = runner(
-                files, args.out, resume=not args.no_resume, **common,
-            )
+            res = runner(files, args.out, **common)
         print(
             json.dumps(
                 {

@@ -205,26 +205,6 @@ class FileLeaseQueue:
         return self.is_closed() and c["available"] == 0 and c["leased"] == 0
 
 
-def committed_landing_files(out_root: str) -> set[str]:
-    """Landing filenames fully covered by the consumer's durable frontier:
-    epochs recorded in <out_root>/epochs whose 'ordered' manifest committed
-    (contiguous prefix — the same rule epochs._resume_point uses).
-
-    Full rescan — O(total epochs). The stateless ``pump()`` uses it;
-    long-running loops should use ``Pump``, whose frontier cursor makes
-    each poll O(newly committed epochs)."""
-    from .epochs import _committed_prefix, _load_epoch_records
-    from .sink import ManifestSink
-
-    prefix = _committed_prefix(ManifestSink(out_root, "ordered"))
-    files: set[str] = set()
-    for e, group in enumerate(_load_epoch_records(out_root)):
-        if e > prefix:
-            break
-        files.update(Path(f).name for f in group)
-    return files
-
-
 def run_landing_batches(
     landing_dir: str,
     out_root: str,
@@ -236,14 +216,17 @@ def run_landing_batches(
 ):
     """Continuous mode for a resumable bounded stream runner: poll an
     arrival-ordered landing directory and call ``runner(files, out_root,
-    resume=True, **kwargs)`` on the landed prefix whenever it grows. The
-    runner's durable epoch markers make each call process only new files,
-    exactly-once across polls AND crashes.
+    resume=..., **kwargs)`` on the landed prefix whenever it grows. The
+    first call takes the caller's ``resume`` (default True; False starts
+    fresh), every later one resumes: the runner's durable epoch markers make
+    each call process only new files, exactly-once across polls AND
+    crashes.
 
     Only complete ``files_per_epoch`` groups run mid-stream, so epoch
     boundaries never shift as files arrive; the trailing partial group runs
     once ``<landing_dir>/<stop_file>`` exists. The loop also ends after
     ``idle_timeout_s`` without new files. Returns the last runner result."""
+    resume = kwargs.pop("resume", True)
     fpe = kwargs.get("files_per_epoch", 2)
     land = Path(landing_dir)
     last_new = time.monotonic()
@@ -254,7 +237,8 @@ def run_landing_batches(
         files = sorted(str(f) for f in land.glob("*.parquet"))
         usable = files if stop else files[: (len(files) // fpe) * fpe]
         if len(usable) > processed:
-            res = runner(usable, out_root, resume=True, **kwargs)
+            res = runner(usable, out_root, resume=resume, **kwargs)
+            resume = True
             processed = len(usable)
             last_new = time.monotonic()
         if stop and processed == len(files):
@@ -263,18 +247,20 @@ def run_landing_batches(
             break
         time.sleep(poll_interval_s)
     if res is None:
-        res = runner(files, out_root, resume=True, **kwargs)
+        res = runner(files, out_root, resume=resume, **kwargs)
     return res
 
 
 class Pump:
     """Stateful delivery/ack loop body — one instance per consumer run.
 
-    Unlike the stateless ``pump()`` (which rescans every epoch record and
-    manifest each call), a Pump keeps a commit-frontier CURSOR: each step
-    probes only ``epoch-(cursor+1)`` manifests, so a poll is O(newly
-    committed epochs) — constant work when idle, regardless of how many
-    million epochs the stream has run. It also tracks per-message
+    Each ``step()`` expires stale leases, delivers freshly leased files into
+    the landing dir (hardlink named by message id — redelivery is
+    idempotent), and acks every message whose delivery the consumer's
+    committed manifest frontier now covers. A Pump keeps a commit-frontier
+    CURSOR: each step probes only ``epoch-(cursor+1)`` manifests, so a poll
+    is O(newly committed epochs) — constant work when idle, regardless of
+    how many million epochs the stream has run. It also tracks per-message
     delivery->ack latency (≙ the reference simulator's publish-side
     StatsTracker quantiles) over a bounded sample window."""
 
@@ -428,37 +414,3 @@ def run_pump_loop(
         time.sleep(interval_s)
     return p.stats()
 
-
-def pump(
-    queue: FileLeaseQueue,
-    landing_dir: str,
-    out_root: str,
-    max_n: int = 16,
-    lease_s: float = 30.0,
-) -> dict:
-    """One non-blocking delivery/ack step (call in a loop beside the
-    consumer): expire stale leases, deliver freshly leased files into the
-    landing dir (hardlink named by message id — redelivery is idempotent),
-    and ack every leased message whose delivery the consumer's committed
-    manifest frontier now covers."""
-    land = Path(landing_dir)
-    land.mkdir(parents=True, exist_ok=True)
-    redelivered = queue.expire()
-
-    _, msgs = queue.lease(max_n, lease_s)
-    for m in msgs:
-        _deliver(land, m)
-
-    done = committed_landing_files(out_root)
-    ackable = [
-        json.loads(p.read_text())["id"]
-        for p in (queue.root / "leased").glob("msg-*.json")
-        if f"{p.stem}.parquet" in done
-    ]
-    n_acked = len(queue.ack(ackable))
-    return {
-        "delivered": len(msgs),
-        "acked_now": n_acked,
-        "redelivered": len(redelivered),
-        **queue.counts(),
-    }

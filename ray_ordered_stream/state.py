@@ -150,12 +150,76 @@ class OrderedConfig:
                 "of them"
             )
 
-class KeyCounters:
-    """The per-key counters of one partition, columnar: a key -> code intern
-    dict (codes in first-seen order) and one numpy array per counter,
-    indexed by code. Every array attribute is a view of length ``len(self)``
-    into a buffer grown by doubling, so interning new keys is amortized
-    O(new keys) and a counter update is one fancy-index assignment.
+class KeyedArrays:
+    """Per-key state as arrays: a key -> code dict (codes in first-seen
+    order), the keys as Arrow chunks in code order, and one numpy array per
+    field, indexed by code. Every field attribute is a view of length
+    ``len(self)`` into a buffer grown by doubling, so interning new keys is
+    amortized O(new keys) and an update is one fancy-index assignment."""
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)   # (name, dtype) pairs
+        self.code: dict[str, int] = {}
+        self._names: list[pa.Array] = []   # chunks, in code order
+        self._buf = {f: np.zeros(0, dt) for f, dt in self.fields}
+        self._bind(0)
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def _bind(self, n: int) -> None:
+        for f, _dt in self.fields:
+            setattr(self, f, self._buf[f][:n])
+
+    def intern(self, keys: pa.Array) -> np.ndarray:
+        """Codes of the distinct ``keys`` (a dictionary encode's
+        dictionary), interning the keys not seen before, in their order,
+        with zero fields."""
+        code = self.code
+        n0 = len(code)
+        values = keys.to_numpy(zero_copy_only=False)
+        g = np.fromiter(
+            map(code.get, values, itertools.repeat(-1)), np.int64, len(values)
+        )
+        new = np.flatnonzero(g < 0)
+        if len(new):
+            n = n0 + len(new)
+            g[new] = np.arange(n0, n)
+            code.update(zip(values[new].tolist(), range(n0, n)))
+            self._names.append(keys.take(pa.array(new)).cast(pa.string()))
+            cap = len(self._buf[self.fields[0][0]])
+            if n > cap:
+                cap = max(n, 2 * cap, 64)
+                for f, dt in self.fields:
+                    grown = np.zeros(cap, dt)
+                    grown[:n0] = self._buf[f][:n0]
+                    self._buf[f] = grown
+            self._bind(n)
+        return g
+
+    def names(self) -> pa.Array:
+        """The keys in code order."""
+        if len(self._names) != 1:
+            self._names = [
+                pa.concat_arrays(self._names) if self._names else pa.array([], pa.string())
+            ]
+        return self._names[0]
+
+    def keep(self, idx: np.ndarray) -> None:
+        """Keep only the keys of the ascending codes ``idx``; they take the
+        codes 0..len(idx)-1 in the same order, so arrays sorted by code stay
+        sorted after a ``(np.cumsum(mask) - 1)[codes]`` remap."""
+        names = self.names().take(pa.array(idx, pa.int64()))
+        self._names = [names]
+        self.code = dict(zip(names.to_numpy(zero_copy_only=False).tolist(),
+                             range(len(idx))))
+        self._buf = {f: self._buf[f][idx] for f, _dt in self.fields}
+        self._bind(len(idx))
+
+
+class KeyCounters(KeyedArrays):
+    """The per-key counters of one partition, one ``KeyedArrays`` field per
+    counter.
 
     ``dirty`` marks keys mutated since the last checkpoint; ``buffered``,
     ``buf_lo`` and ``buf_hi`` are each key's out-of-order buffer row count
@@ -175,51 +239,7 @@ class KeyCounters:
     )
 
     def __init__(self):
-        self.code: dict[str, int] = {}
-        self._names: list[pa.Array] = []   # chunks, in code order
-        self._buf = {f: np.zeros(0, dt) for f, dt in self.FIELDS}
-        self._bind(0)
-
-    def __len__(self) -> int:
-        return len(self.code)
-
-    def _bind(self, n: int) -> None:
-        for f, _dt in self.FIELDS:
-            setattr(self, f, self._buf[f][:n])
-
-    def intern(self, keys: pa.Array) -> np.ndarray:
-        """Codes of the distinct ``keys`` (a dictionary encode's
-        dictionary), interning the keys not seen before, in their order,
-        with zero counters."""
-        code = self.code
-        n0 = len(code)
-        values = keys.to_numpy(zero_copy_only=False)
-        g = np.fromiter(
-            map(code.get, values, itertools.repeat(-1)), np.int64, len(values)
-        )
-        new = np.flatnonzero(g < 0)
-        if len(new):
-            n = n0 + len(new)
-            g[new] = np.arange(n0, n)
-            code.update(zip(values[new].tolist(), range(n0, n)))
-            self._names.append(keys.take(pa.array(new)).cast(pa.string()))
-            cap = len(self._buf["received"])
-            if n > cap:
-                cap = max(n, 2 * cap, 64)
-                for f, dt in self.FIELDS:
-                    grown = np.zeros(cap, dt)
-                    grown[:n0] = self._buf[f][:n0]
-                    self._buf[f] = grown
-            self._bind(n)
-        return g
-
-    def names(self) -> pa.Array:
-        """The keys in code order."""
-        if len(self._names) != 1:
-            self._names = [
-                pa.concat_arrays(self._names) if self._names else pa.array([], pa.string())
-            ]
-        return self._names[0]
+        super().__init__(self.FIELDS)
 
     def table(self, codes: np.ndarray | None = None) -> pa.Table:
         """The counters of ``codes`` (default: every key) as a

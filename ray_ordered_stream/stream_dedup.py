@@ -70,106 +70,78 @@ def _md5_connection():
     return _MD5_CON
 
 
-def _fingerprints(texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) uint64 pairs of md5(text) per row — bit-identical to
-    hashlib's digest split big-endian, so checkpoints stay compatible
-    across paths. Primary path: DuckDB's vectorized C++ md5 over the Arrow
-    column (single-threaded inside the already-file-parallel read task;
-    measured ~2.2x over the Python loop, which was the dedup streams'
-    dominant ingest cost — VERDICT r2 #6). Fallback: raw UTF-8 buffer
-    slices through hashlib (no per-row string decode)."""
+def _duckdb_md5(texts: pa.Array, select: str) -> pa.Table | None:
+    """The one md5 routing: ``select`` (DuckDB md5 expressions over the
+    column ``t``) over ``texts``, or None where hashlib is the faster
+    kernel or DuckDB fails. DuckDB's vectorized C++ md5 runs
+    single-threaded inside the already file-parallel read task (measured
+    ~2.2x over the hashlib loop, which was the dedup streams' dominant
+    ingest cost — VERDICT r2 #6). Measured crossover (BASELINE.md): DuckDB
+    wins on SHORT rows (1.6x at 128 B, where per-call Python overhead
+    dominates); OpenSSL via hashlib wins on LONG rows (1.3-1.5x at >= 1 KB,
+    raw digest throughput). Routed by mean row length."""
+    if texts.nbytes / max(1, len(texts)) >= 640:
+        return None
+    try:
+        tbl = pa.table({"t": texts})  # zero-copy view
+        return _md5_connection().execute(f"SELECT {select} FROM tbl").arrow()
+    except Exception:
+        return None
+
+
+def _hashlib_md5(texts: pa.Array) -> list:
+    """hashlib md5 objects per row (nulls hash as ''), over raw UTF-8
+    buffer slices when there is no null (no per-row string decode)."""
     import hashlib
 
+    md5 = hashlib.md5
+    if texts.null_count == 0 and isinstance(texts, pa.StringArray):
+        bufs = texts.buffers()
+        off = np.frombuffer(bufs[1], dtype=np.int32)[
+            texts.offset : texts.offset + len(texts) + 1
+        ]
+        data = memoryview(bufs[2])
+        return [md5(data[off[i] : off[i + 1]]) for i in range(len(texts))]
+    return [md5((s or "").encode()) for s in texts.to_pylist()]
+
+
+def _fingerprints(texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 pairs of md5(text) per row: the digest split
+    big-endian, the same from either kernel, so checkpoints stay compatible
+    across paths. Nulls hash as ''."""
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    n = len(texts)
-    hi = np.empty(n, dtype=np.uint64)
-    lo = np.empty(n, dtype=np.uint64)
-    if n == 0:
-        return hi, lo
-    try:
-        import os
-
-        if os.environ.get("ROS_NO_DUCKDB_MD5"):  # A/B + safety valve
-            raise ImportError
-        # Measured crossover (BASELINE.md): DuckDB's vectorized md5 wins on
-        # SHORT rows (1.6x at 128 B, where per-call Python overhead
-        # dominates); OpenSSL via hashlib wins on LONG rows (1.3-1.5x at
-        # >= 1 KB, raw digest throughput). Route by mean row length.
-        if texts.nbytes / max(1, n) >= 640:
-            raise ImportError
-        con = _md5_connection()
-        tbl = pa.table({"t": texts})  # zero-copy view
-        res = con.execute(
-            "SELECT md5_number_upper(coalesce(t,'')) AS hi,"
-            "       md5_number_lower(coalesce(t,'')) AS lo FROM tbl"
-        ).arrow()
+    if len(texts) == 0:
+        return np.empty(0, np.uint64), np.empty(0, np.uint64)
+    res = _duckdb_md5(
+        texts,
+        "md5_number_upper(coalesce(t,'')) AS hi,"
+        " md5_number_lower(coalesce(t,'')) AS lo",
+    )
+    if res is not None:
         # DuckDB returns each half little-endian; byteswap restores the
         # big-endian ints the hashlib path (and old checkpoints) use
         return (
             res["hi"].to_numpy().astype(np.uint64).byteswap(),
             res["lo"].to_numpy().astype(np.uint64).byteswap(),
         )
-    except Exception:
-        pass
-    if texts.null_count == 0 and isinstance(texts, pa.StringArray):
-        bufs = texts.buffers()
-        off = np.frombuffer(bufs[1], dtype=np.int32)[
-            texts.offset : texts.offset + n + 1
-        ]
-        data = memoryview(bufs[2])
-        md5 = hashlib.md5
-        for i in range(n):
-            d = md5(data[off[i] : off[i + 1]]).digest()
-            hi[i] = int.from_bytes(d[:8], "big")
-            lo[i] = int.from_bytes(d[8:], "big")
-        return hi, lo
-    for i, s in enumerate(texts.to_pylist()):  # nulls / large_string
-        d = hashlib.md5((s or "").encode()).digest()
-        hi[i] = int.from_bytes(d[:8], "big")
-        lo[i] = int.from_bytes(d[8:], "big")
-    return hi, lo
+    d = b"".join(h.digest() for h in _hashlib_md5(texts))
+    words = np.frombuffer(d, dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    return words[:, 0].copy(), words[:, 1].copy()
 
 
 def md5_hex(texts: pa.Array) -> pa.Array:
-    """Hex md5 per row, same DuckDB-vs-hashlib routing as _fingerprints
+    """Hex md5 per row, through the same routing as ``_fingerprints``
     (shared by the batch Fingerprinter in functions/textstats.py — one md5
     kernel for the whole repo). Nulls hash as ''."""
-    import hashlib
-
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    n = len(texts)
-    if n == 0:
+    if len(texts) == 0:
         return pa.array([], pa.string())
-    try:
-        import os
-
-        if os.environ.get("ROS_NO_DUCKDB_MD5"):
-            raise ImportError
-        if texts.nbytes / max(1, n) >= 640:
-            raise ImportError
-        con = _md5_connection()
-        tbl = pa.table({"t": texts})  # zero-copy view
-        res = con.execute("SELECT md5(coalesce(t,'')) AS h FROM tbl").arrow()
+    res = _duckdb_md5(texts, "md5(coalesce(t,'')) AS h")
+    if res is not None:
         return res["h"].combine_chunks()
-    except Exception:
-        pass
-    md5 = hashlib.md5
-    if texts.null_count == 0 and isinstance(texts, pa.StringArray):
-        bufs = texts.buffers()
-        off = np.frombuffer(bufs[1], dtype=np.int32)[
-            texts.offset : texts.offset + n + 1
-        ]
-        data = memoryview(bufs[2])
-        return pa.array(
-            [md5(data[off[i] : off[i + 1]]).hexdigest() for i in range(n)],
-            pa.string(),
-        )
-    return pa.array(
-        [md5((s or "").encode()).hexdigest() for s in texts.to_pylist()],
-        pa.string(),
-    )
+    return pa.array([h.hexdigest() for h in _hashlib_md5(texts)], pa.string())
 
 
 def _member(
@@ -243,6 +215,19 @@ def _prune(ck: Path, epoch: int) -> None:
             shutil.rmtree(f)
         else:
             f.unlink()
+
+
+def _refs(refs) -> list:
+    """The refs of a call with ``num_returns=n`` as a list of n. Ray
+    returns one bare ``ObjectRef`` when n is 1; the callee then returns its
+    one value bare too (``_returns``)."""
+    return [refs] if isinstance(refs, ray.ObjectRef) else refs
+
+
+def _returns(values: list):
+    """What a callee submitted with ``num_returns=len(values)`` returns:
+    Ray stores a one-value return as one object, so that is the value."""
+    return values[0] if len(values) == 1 else values
 
 
 def _summed(stats: list[dict]) -> dict:
@@ -350,7 +335,7 @@ def _run_marker_stream(
             # the epoch's dominant cost and must run file-parallel (measured
             # 3x the whole wall when serialized)
             shards = [
-                read(files[j], bases[j])
+                _refs(read(files[j], bases[j]))
                 for j in range(i, min(i + files_per_epoch, len(files)))
             ]
             delta = ck / f"delta-{e:05d}"
@@ -548,7 +533,7 @@ def _read_split(
     tbl = tbl.append_column("fp_hi", pa.array(hi, pa.uint64()))
     tbl = tbl.append_column("fp_lo", pa.array(lo, pa.uint64()))
     parts = (hi % np.uint64(P)).astype(np.int64)
-    return split_compact(tbl, parts, P)
+    return _returns(split_compact(tbl, parts, P))
 
 
 class DedupStreamResult:
@@ -648,7 +633,7 @@ class BandPartition:
         verdicts never touch the driver)."""
         real = [t for t in shards if t.num_rows]
         if not real:
-            return [np.empty(0, dtype=np.int64)] * self.doc_P
+            return _returns([np.empty(0, dtype=np.int64)] * self.doc_P)
         tbl = (
             pa.concat_tables(real, promote_options="none")
             if len(real) > 1
@@ -679,7 +664,7 @@ class BandPartition:
         intra[order[~first]] = True
         bad_ids = np.unique(ids[matched | intra])
         code = (bad_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(self.doc_P)
-        return [bad_ids[code == p] for p in range(self.doc_P)]
+        return _returns([bad_ids[code == p] for p in range(self.doc_P)])
 
     def record(self, epoch: int, delta_path: str,
                *kept_band_shards: pa.Table) -> int:
@@ -847,9 +832,9 @@ def _neardup_step(actors, epoch: int, shards, part, delta) -> list[dict]:
     P = len(actors) // 2
     band, payload = actors[:P], actors[P:]
     verdicts = [
-        band[p].check.options(num_returns=P).remote(
+        _refs(band[p].check.options(num_returns=P).remote(
             epoch, *[s[P + p] for s in shards]
-        )
+        ))
         for p in range(P)
     ]
     decisions = [

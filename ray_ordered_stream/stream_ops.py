@@ -24,11 +24,17 @@ Both sit in the state actor's hot path, so ``update`` is vectorized like the
 ordered drain (group-boundary detection over lexsorted key codes + reduceat
 / searchsorted). No Ray imports.
 
+Windows and sessions share one base, ``_OpenIntervals``: per-key state in
+a ``state.KeyedArrays`` (the container of the drain's counters), open
+intervals as code-sorted arrays, and one prologue, ``gc``, ``snapshot`` and
+``restore``; each keeps only its own interval math.
+
 Checkpoint form (shared with cep.py): ``snapshot()`` returns a flat dict of
 JSON scalars (``watermark``) and Arrow tables that carry the operator's
-string key column; checkpoint.py writes each table as Parquet and rescale.py
-routes each table's rows by that column. A table named ``keys`` is an
-intern table: one row per key in code order, open state as list columns.
+string key column; checkpoint.py packs each table as one ``list<struct>``
+column of the partition-epoch's ``state.arrow``, and rescale.py routes each
+table's rows by that column. A table named ``keys`` is an intern table: one
+row per key in code order, open state as list columns.
 
 ``OPERATOR_KINDS``, at the end, is the one table of what a partition actor
 runs over its emission: these three, CEP (cep.py), the order book (book.py)
@@ -46,43 +52,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .schema import KEY, SEQ
-from .state import last_event_mask
+from .state import KeyedArrays, last_event_mask
 
 _US = 1_000_000
 
 
-def _late_table(emitted: pa.Table, key: str, ts: str, operator: str,
-                rows_idx: np.ndarray, dropped: np.ndarray) -> pa.Table:
-    """Side-output rows for late data: the offending input rows with which
-    operator dropped them and how many window assignments expired."""
-    key_col = emitted[key]
-    if isinstance(key_col, pa.ChunkedArray):
-        key_col = key_col.combine_chunks()
-    ts_col = emitted[ts].cast(pa.timestamp("us"))
-    if isinstance(ts_col, pa.ChunkedArray):
-        ts_col = ts_col.combine_chunks()
-    idx = pa.array(rows_idx)
-    return pa.table(
-        {
-            key: key_col.take(idx),
-            "ts": ts_col.take(idx),
-            "operator": pa.array([operator] * len(rows_idx), pa.string()),
-            "dropped_windows": pa.array(dropped, pa.int64()),
-        }
-    )
-
-
-def _dict_codes(col) -> tuple[np.ndarray, list]:
+def _dict_codes(col) -> tuple[np.ndarray, pa.Array]:
+    """A dictionary encode of ``col``: (the rows' codes as int64, the
+    distinct values in first-seen order)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     enc = pc.dictionary_encode(col)
     if isinstance(enc, pa.ChunkedArray):
         enc = enc.combine_chunks()
-    # to_numpy + tolist: an order of magnitude faster than to_pylist
-    return (
-        np.asarray(enc.indices).astype(np.int64),
-        enc.dictionary.to_numpy(zero_copy_only=False).tolist(),
-    )
+    return np.asarray(enc.indices).astype(np.int64), enc.dictionary
 
 
 def _i64(col) -> np.ndarray:
@@ -93,38 +76,154 @@ def _i64(col) -> np.ndarray:
     return np.array(col.to_numpy(zero_copy_only=False), dtype=np.int64)
 
 
-def _keys_table(key: str, names: list[str], per_key: dict, kc: np.ndarray,
-                per_item: dict) -> pa.Table:
-    """Intern table of a code-sorted operator state: one row per key in code
-    order (the intern order decides the sinks' byte order, so it must
-    survive a resume), its per-key arrays, and its open items as list
-    columns sliced by the sorted codes."""
-    offsets = pa.array(np.searchsorted(kc, np.arange(len(names) + 1)), pa.int32())
-    cols = {key: pa.array(names, pa.string())}
-    cols.update({c: pa.array(v, pa.int64()) for c, v in per_key.items()})
-    cols.update({
-        c: pa.ListArray.from_arrays(offsets, pa.array(v, pa.int64()))
-        for c, v in per_item.items()
-    })
-    return pa.table(cols)
+class _OpenIntervals:
+    """What the window and session accumulators share: keyed open
+    intervals released by an event-time watermark.
+
+    Per-key state is a ``state.KeyedArrays`` (``keys``) with one int64
+    field per ``PER_KEY`` name, ``last`` (the key's last event time) among
+    them. A key's code is the order of its first emission this operator
+    saw, and the release order follows it. The open intervals are parallel
+    int64 arrays, ``_kc`` (the key code) and one per ``ITEMS`` name, sorted
+    by (code, start). A subclass adds the interval math: ``_merge`` (one
+    batch into the open intervals), ``_closed`` (what a horizon releases)
+    and ``_rows`` (the released intervals' ``COLUMNS``).
+
+    ``snapshot()`` is the watermark and one ``keys`` table: one row per key
+    in code order (the code order decides the sinks' byte order, so it
+    must survive a resume, also for keys with nothing open), its
+    ``PER_KEY`` fields, and its open intervals as list columns."""
+
+    NAME: str       # the operator, as the late side output names it
+    PER_KEY: tuple  # per-key int64 fields, in snapshot column order
+    ITEMS: tuple    # per-interval int64 arrays besides _kc, likewise
+    COLUMNS: tuple  # the output's (name, type) pairs after the key
+
+    def __init__(self, key: str, ts: str, allowed_lateness_s: float,
+                 late_data: str):
+        if late_data not in ("merge", "drop"):
+            raise ValueError("late_data must be 'merge' or 'drop'")
+        self.key = key
+        self.ts = ts
+        self.lateness = int(allowed_lateness_s * _US)
+        self.late_data = late_data
+        self.watermark: int | None = None
+        self.keys = KeyedArrays((f, np.int64) for f in self.PER_KEY)
+        self._set_open([np.zeros(0, np.int64)] * (1 + len(self.ITEMS)))
+
+    def _open(self) -> list[np.ndarray]:
+        return [self._kc, *(getattr(self, "_" + f) for f in self.ITEMS)]
+
+    def _set_open(self, arrays) -> None:
+        for f, a in zip(("kc", *self.ITEMS), arrays):
+            setattr(self, "_" + f, a)
+
+    def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table | None:
+        """Merge a batch of in-sequence emitted rows; with
+        ``late_data="drop"`` returns the late side-output rows (or None)."""
+        if emitted.num_rows == 0 or self.ts not in emitted.column_names:
+            return None
+        tsi = emitted[self.ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        # callers co-located with the drain can pass the key encode through
+        codes, dictionary = codes_kv or _dict_codes(emitted[self.key])
+        kc = self.keys.intern(dictionary)[codes]
+        np.maximum.at(self.keys.last, kc, tsi)
+        if "role" in emitted.column_names:
+            is_user = np.asarray(pc.equal(emitted["role"], "user"))
+            is_asst = np.asarray(pc.equal(emitted["role"], "assistant"))
+        else:
+            is_user = is_asst = np.zeros(len(codes), dtype=bool)
+        late = self._merge(emitted, tsi, kc, is_user, is_asst)
+        mx = int(tsi.max())
+        self.watermark = mx if self.watermark is None else max(self.watermark, mx)
+        return late
+
+    def _late(self, emitted: pa.Table, dropped: np.ndarray) -> pa.Table:
+        """Side-output rows for late data: the input rows with ``dropped``
+        > 0, the operator that dropped them and how many of their window
+        assignments expired."""
+        rows = pa.array(np.flatnonzero(dropped))
+        ts_col = emitted[self.ts].cast(pa.timestamp("us"))
+        return pa.table({
+            self.key: emitted[self.key].take(rows).combine_chunks(),
+            "ts": ts_col.take(rows).combine_chunks(),
+            "operator": pa.array([self.NAME] * len(rows), pa.string()),
+            "dropped_windows": pa.array(dropped[dropped > 0], pa.int64()),
+        })
+
+    def take_closed(self, final: bool = False) -> pa.Table:
+        """Release the intervals the watermark closed (or everything on
+        final flush), in (key code, start) order."""
+        if self.watermark is None or not len(self._kc):
+            return self._empty()
+        closed = (
+            np.ones(len(self._kc), dtype=bool)
+            if final
+            else self._closed(self.watermark - self.lateness)
+        )
+        if not closed.any():
+            return self._empty()
+        open_ = self._open()
+        self._set_open([a[~closed] for a in open_])
+        kc, *items = (a[closed] for a in open_)
+        return pa.table(
+            [self.keys.names().take(pa.array(kc)), *self._rows(kc, *items)],
+            schema=self._schema(),
+        )
+
+    def gc(self, ttl_us: int) -> int:
+        """Evict keys idle past the event-time TTL and with no open interval
+        (≙ Beam/Flink keyed-state GC on window expiry — without it the keyed
+        state grows with every key ever seen on an unbounded keyspace).
+        Codes compact monotonically, so the open intervals stay sorted.
+        Deterministic given (state, watermark): called at epoch boundaries
+        before the checkpoint, a crash-resume replays the same evictions.
+        Returns the number of evicted keys."""
+        if self.watermark is None or not len(self.keys):
+            return 0
+        keep = self.keys.last >= self.watermark - ttl_us
+        keep[self._kc] = True  # open intervals pin their key
+        if keep.all():
+            return 0
+        self._kc = (np.cumsum(keep) - 1)[self._kc]
+        idx = np.flatnonzero(keep)
+        self.keys.keep(idx)
+        return int(len(keep) - len(idx))
+
+    def state_size(self) -> dict:
+        return {"keys": len(self.keys), "open": int(len(self._kc))}
+
+    def _schema(self) -> pa.Schema:
+        return pa.schema([(self.key, pa.string()), *self.COLUMNS])
+
+    def _empty(self) -> pa.Table:
+        return self._schema().empty_table()
+
+    def snapshot(self) -> dict:
+        kc, *items = self._open()
+        offsets = pa.array(np.searchsorted(kc, np.arange(len(self.keys) + 1)), pa.int32())
+        cols = {self.key: self.keys.names()}
+        cols.update((f, pa.array(getattr(self.keys, f), pa.int64())) for f in self.PER_KEY)
+        cols.update(
+            (f, pa.ListArray.from_arrays(offsets, pa.array(v, pa.int64())))
+            for f, v in zip(self.ITEMS, items)
+        )
+        return {"watermark": self.watermark, "keys": pa.table(cols)}
+
+    def restore(self, snap: dict) -> None:
+        t = snap["keys"]
+        self.watermark = snap["watermark"]
+        self.keys = KeyedArrays(self.keys.fields)
+        self.keys.intern(t[self.key].combine_chunks())
+        for f in self.PER_KEY:
+            getattr(self.keys, f)[:] = t[f].to_numpy()
+        lists = [t[f].combine_chunks() for f in self.ITEMS]
+        lengths = _i64(pc.list_value_length(lists[0]))
+        kc = np.repeat(np.arange(len(t), dtype=np.int64), lengths)
+        self._set_open([kc, *(_i64(v.flatten()) for v in lists)])
 
 
-def _from_keys_table(t: pa.Table, key: str, per_key: tuple, per_item: tuple):
-    """Inverse of ``_keys_table``: (names, per-key arrays, item codes,
-    per-item arrays); codes follow row order."""
-    names = t[key].to_pylist()
-    lists = {c: t[c].combine_chunks() for c in per_item}
-    lengths = _i64(pc.list_value_length(lists[per_item[0]]))
-    kc = np.repeat(np.arange(len(names), dtype=np.int64), lengths)
-    return (
-        names,
-        {c: _i64(t[c]) for c in per_key},
-        kc,
-        {c: _i64(v.flatten()) for c, v in lists.items()},
-    )
-
-
-class WindowAccumulator:
+class WindowAccumulator(_OpenIntervals):
     """Tumbling/sliding event-time windows with watermark-gated emission.
 
     ``step_s`` defaults to the window size (tumbling); a smaller step gives
@@ -136,8 +235,14 @@ class WindowAccumulator:
     (key_code, window_start), merged with each batch's per-group partial
     aggregates by one lexsort + reduceat. Per-row / per-group Python is
     avoided entirely (worst case — every turn its own window — degenerates
-    to a vectorized array merge, not a million dict operations); Python
-    touches only newly-seen KEYS (string interning)."""
+    to a vectorized array merge, not a million dict operations)."""
+
+    NAME = "windows"
+    PER_KEY = ("last",)
+    ITEMS = ("ws", "cnt", "nu", "na")
+    COLUMNS = (("window_start", pa.timestamp("us")), ("window_end", pa.timestamp("us")),
+               ("turn_count", pa.int64()), ("n_user", pa.int64()),
+               ("n_assistant", pa.int64()))
 
     def __init__(self, size_s: float, key: str = KEY, ts: str = "ts",
                  allowed_lateness_s: float = 0.0, step_s: float | None = None,
@@ -146,58 +251,15 @@ class WindowAccumulator:
         self.step = int(step_s * _US) if step_s else self.size
         if not (0 < self.step <= self.size):
             raise ValueError("window step must be in (0, size]")
-        if late_data not in ("merge", "drop"):
-            raise ValueError("late_data must be 'merge' or 'drop'")
-        self.key = key
-        self.ts = ts
-        self.lateness = int(allowed_lateness_s * _US)
         # "merge": a contribution to an already-released window re-opens it
         #   and re-fires a partial row (downstream must aggregate; today's
         #   default). "drop": expired (row, window) contributions are routed
         #   to a late side output instead — Flink's allowedLateness +
         #   sideOutputLateData semantics; each (key, window) fires at most
         #   once.
-        self.late_data = late_data
-        self.watermark: int | None = None
-        self._intern: dict[str, int] = {}   # key -> global code
-        self._names: list[str] = []         # global code -> key
-        z = np.zeros(0, dtype=np.int64)
-        # sorted by (kc, ws)
-        self._kc, self._ws = z, z.copy()
-        self._cnt, self._nu, self._na = z.copy(), z.copy(), z.copy()
-        self._key_last = z.copy()           # per code: last activity (event time)
+        super().__init__(key, ts, allowed_lateness_s, late_data)
 
-    def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table | None:
-        """Merge a batch of in-sequence emitted rows; with
-        ``late_data="drop"`` returns the late side-output rows (or None)."""
-        if emitted.num_rows == 0 or self.ts not in emitted.column_names:
-            return None
-        tsi = emitted[self.ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        # callers co-located with the drain can pass the key encode through
-        codes, key_values = codes_kv or _dict_codes(emitted[self.key])
-        if "role" in emitted.column_names:
-            is_user = np.asarray(pc.equal(emitted["role"], "user"))
-            is_asst = np.asarray(pc.equal(emitted["role"], "assistant"))
-        else:
-            is_user = is_asst = np.zeros(len(codes), dtype=bool)
-
-        # local dictionary codes -> stable global codes (intern new keys)
-        intern, names = self._intern, self._names
-        glob = np.empty(len(key_values), dtype=np.int64)
-        for i, kv in enumerate(key_values):
-            g = intern.get(kv)
-            if g is None:
-                g = len(names)
-                intern[kv] = g
-                names.append(kv)
-            glob[i] = g
-        if len(names) > len(self._key_last):
-            grown = np.zeros(len(names), dtype=np.int64)
-            grown[: len(self._key_last)] = self._key_last
-            self._key_last = grown
-        gc = glob[codes]
-        np.maximum.at(self._key_last, gc, tsi)
-
+    def _merge(self, emitted, tsi, kc, is_user, is_asst) -> pa.Table | None:
         if self.step == self.size:  # tumbling: one window per row
             ws = (tsi // self.size) * self.size
             rep = None  # (row, window) pairs are exactly the rows
@@ -211,8 +273,8 @@ class WindowAccumulator:
             valid = ((wm + self.size) > tsi[:, None]) & (wm >= 0)
             flat = valid.ravel()
             ws = wm.ravel()[flat]
-            rep = np.repeat(np.arange(len(gc)), n_w)[flat]
-            gc, is_user, is_asst = gc[rep], is_user[rep], is_asst[rep]
+            rep = np.repeat(np.arange(len(kc)), n_w)[flat]
+            kc, is_user, is_asst = kc[rep], is_user[rep], is_asst[rep]
 
         # late-data drop: a (row, window) contribution whose window already
         # released (take_closed's criterion, against the watermark BEFORE
@@ -222,25 +284,17 @@ class WindowAccumulator:
         if self.late_data == "drop" and self.watermark is not None:
             lp = ws + self.size <= self.watermark - self.lateness
             if lp.any():
-                dropped = (
-                    lp.astype(np.int64)
-                    if rep is None
-                    else np.bincount(rep[lp], minlength=len(tsi))
-                )
-                rl = np.flatnonzero(dropped)
-                late = _late_table(
-                    emitted, self.key, self.ts, "windows", rl, dropped[rl]
-                )
+                late = self._late(emitted, lp.astype(np.int64) if rep is None
+                                  else np.bincount(rep[lp], minlength=len(tsi)))
                 keep = ~lp
-                ws, gc = ws[keep], gc[keep]
+                ws, kc = ws[keep], kc[keep]
                 is_user, is_asst = is_user[keep], is_asst[keep]
                 if not len(ws):
-                    self.watermark = max(self.watermark, int(tsi.max()))
                     return late
 
         # per-(key, window) partial aggregates: lexsort + boundary + reduceat
-        order = np.lexsort((ws, gc))
-        c_s, w_s = gc[order], ws[order]
+        order = np.lexsort((ws, kc))
+        c_s, w_s = kc[order], ws[order]
         boundary = np.empty(len(c_s), dtype=bool)
         boundary[0] = True
         boundary[1:] = (c_s[1:] != c_s[:-1]) | (w_s[1:] != w_s[:-1])
@@ -251,126 +305,27 @@ class WindowAccumulator:
 
         # merge into the open-window arrays (both sides sorted): concat,
         # lexsort, collapse duplicate (kc, ws) pairs by reduceat
-        kc = np.concatenate([self._kc, c_s[starts]])
-        wv = np.concatenate([self._ws, w_s[starts]])
-        cnt = np.concatenate([self._cnt, counts])
-        nuv = np.concatenate([self._nu, nu])
-        nav = np.concatenate([self._na, na])
+        kc, wv, cnt, nuv, nav = (
+            np.concatenate(p)
+            for p in zip(self._open(), (c_s[starts], w_s[starts], counts, nu, na))
+        )
         m = np.lexsort((wv, kc))
         kc, wv, cnt, nuv, nav = kc[m], wv[m], cnt[m], nuv[m], nav[m]
-        if len(kc):
-            b2 = np.empty(len(kc), dtype=bool)
-            b2[0] = True
-            b2[1:] = (kc[1:] != kc[:-1]) | (wv[1:] != wv[:-1])
-            s2 = np.flatnonzero(b2)
-            self._kc, self._ws = kc[s2], wv[s2]
-            self._cnt = np.add.reduceat(cnt, s2)
-            self._nu = np.add.reduceat(nuv, s2)
-            self._na = np.add.reduceat(nav, s2)
-        mx = int(tsi.max())
-        self.watermark = mx if self.watermark is None else max(self.watermark, mx)
+        b2 = np.empty(len(kc), dtype=bool)
+        b2[0] = True
+        b2[1:] = (kc[1:] != kc[:-1]) | (wv[1:] != wv[:-1])
+        s2 = np.flatnonzero(b2)
+        self._set_open([kc[s2], wv[s2], *(np.add.reduceat(v, s2) for v in (cnt, nuv, nav))])
         return late
 
-    def take_closed(self, final: bool = False) -> pa.Table:
-        """Release windows whose end precedes the watermark (or everything on
-        final flush)."""
-        if self.watermark is None or not len(self._kc):
-            return self._empty()
-        horizon = self.watermark - self.lateness
-        closed = (
-            np.ones(len(self._kc), dtype=bool)
-            if final
-            else self._ws + self.size <= horizon
-        )
-        if not closed.any():
-            return self._empty()
-        keep = ~closed
-        kc, ws_arr = self._kc[closed], self._ws[closed]
-        out = pa.table(
-            {
-                self.key: pc.take(
-                    pa.array(self._names, pa.string()), pa.array(kc)
-                ),
-                "window_start": pa.array(ws_arr, pa.int64()).cast(pa.timestamp("us")),
-                "window_end": pa.array(ws_arr + self.size, pa.int64()).cast(
-                    pa.timestamp("us")
-                ),
-                "turn_count": pa.array(self._cnt[closed], pa.int64()),
-                "n_user": pa.array(self._nu[closed], pa.int64()),
-                "n_assistant": pa.array(self._na[closed], pa.int64()),
-            }
-        )
-        self._kc, self._ws = self._kc[keep], self._ws[keep]
-        self._cnt, self._nu, self._na = (
-            self._cnt[keep], self._nu[keep], self._na[keep],
-        )
-        return out
+    def _closed(self, horizon: int) -> np.ndarray:
+        return self._ws + self.size <= horizon
 
-    def gc(self, ttl_us: int) -> int:
-        """Evict keys idle past the event-time TTL and with no open window
-        (≙ Beam/Flink keyed-state GC on window expiry — without it the
-        intern table grows with every key ever seen on an unbounded
-        keyspace). Codes compact monotonically, so the open-window arrays
-        stay sorted. Deterministic given (state, watermark): called at
-        epoch boundaries before the checkpoint, a crash-resume replays the
-        same evictions. Returns the number of evicted keys."""
-        if self.watermark is None or not len(self._names):
-            return 0
-        horizon = self.watermark - ttl_us
-        keep_mask = self._key_last >= horizon
-        keep_mask[self._kc] = True  # open windows pin their key
-        if keep_mask.all():
-            return 0
-        new_codes = np.cumsum(keep_mask) - 1
-        keep_idx = np.flatnonzero(keep_mask)
-        self._names = [self._names[i] for i in keep_idx]
-        self._intern = {k: i for i, k in enumerate(self._names)}
-        self._key_last = self._key_last[keep_idx]
-        self._kc = new_codes[self._kc]
-        return int(len(keep_mask) - len(keep_idx))
-
-    def state_size(self) -> dict:
-        return {"keys": len(self._names), "open": int(len(self._kc))}
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                self.key: pa.array([], pa.string()),
-                "window_start": pa.array([], pa.timestamp("us")),
-                "window_end": pa.array([], pa.timestamp("us")),
-                "turn_count": pa.array([], pa.int64()),
-                "n_user": pa.array([], pa.int64()),
-                "n_assistant": pa.array([], pa.int64()),
-            }
-        )
-
-    def snapshot(self) -> dict:
-        # the FULL intern table rides along: emission order in take_closed
-        # follows key codes, so codes must survive resume even for keys
-        # whose windows all closed before the checkpoint — else a re-run
-        # epoch's part file is not byte-identical to the committed one
-        return {
-            "watermark": self.watermark,
-            "keys": _keys_table(
-                self.key, self._names, {"last": self._key_last}, self._kc,
-                {"ws": self._ws, "cnt": self._cnt, "nu": self._nu,
-                 "na": self._na},
-            ),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.watermark = snap["watermark"]
-        names, per_key, kc, items = _from_keys_table(
-            snap["keys"], self.key, ("last",), ("ws", "cnt", "nu", "na")
-        )
-        self._names = names
-        self._intern = dict(zip(names, range(len(names))))
-        self._key_last = per_key["last"]
-        self._kc, self._ws = kc, items["ws"]
-        self._cnt, self._nu, self._na = items["cnt"], items["nu"], items["na"]
+    def _rows(self, kc, ws, cnt, nu, na) -> list:
+        return [ws, ws + self.size, cnt, nu, na]
 
 
-class SessionAccumulator:
+class SessionAccumulator(_OpenIntervals):
     """Streaming session windows: per-key gap merge with watermark-gated
     release (the in-actor counterpart of ``windows.session_windows``).
 
@@ -386,66 +341,30 @@ class SessionAccumulator:
     than the allowed lateness opens a NEW session even if its ts precedes an
     already-released one, so its session_id reflects release order, not
     global start order — size ``allowed_lateness_s`` to the source's real
-    disorder when batch/stream equality matters."""
+    disorder when batch/stream equality matters. A key evicted by ``gc``
+    takes its ``next_sid`` with it: if it returns after the TTL its
+    session_id restarts at 0 (the standard keyed-state-TTL trade-off; Flink
+    state TTL behaves the same)."""
+
+    NAME = "sessions"
+    PER_KEY = ("next_sid", "last")  # next_sid: the next session_id to emit
+    ITEMS = ("start", "end", "cnt", "nu", "na")
+    COLUMNS = (("session_id", pa.int64()), ("session_start", pa.timestamp("us")),
+               ("session_end", pa.timestamp("us")), ("turn_count", pa.int64()),
+               ("n_user", pa.int64()), ("n_assistant", pa.int64()))
 
     def __init__(self, gap_s: float, key: str = KEY, ts: str = "ts",
                  allowed_lateness_s: float = 0.0, late_data: str = "merge"):
         self.gap = int(gap_s * _US)
-        self.key = key
-        self.ts = ts
-        self.lateness = int(allowed_lateness_s * _US)
-        if late_data not in ("merge", "drop"):
-            raise ValueError("late_data must be 'merge' or 'drop'")
         # "drop": an event whose singleton session [ts, ts] would already be
         # releasable (ts + gap behind the watermark horizon) goes to the
         # late side output instead of opening a new out-of-order session —
         # Flink's session-window lateness rule (the element's initial
         # window is late => drop), which also removes the session_id
-        # release-order caveat below for late events.
-        self.late_data = late_data
-        self.watermark: int | None = None
-        self._intern: dict[str, int] = {}
-        self._names: list[str] = []
-        z = np.zeros(0, dtype=np.int64)
-        # open sessions, sorted by (kc, start)
-        self._kc, self._start, self._end = z, z.copy(), z.copy()
-        self._cnt, self._nu, self._na = z.copy(), z.copy(), z.copy()
-        self._next_sid = z.copy()   # per key code: next session_id to emit
-        self._key_last = z.copy()   # per code: last activity (event time)
+        # release-order caveat above for late events.
+        super().__init__(key, ts, allowed_lateness_s, late_data)
 
-    def update(self, emitted: pa.Table, codes_kv=None) -> pa.Table | None:
-        """Merge a batch of in-sequence emitted rows; with
-        ``late_data="drop"`` returns the late side-output rows (or None)."""
-        if emitted.num_rows == 0 or self.ts not in emitted.column_names:
-            return None
-        tsi = emitted[self.ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        codes, key_values = codes_kv or _dict_codes(emitted[self.key])
-        if "role" in emitted.column_names:
-            is_user = np.asarray(pc.equal(emitted["role"], "user"))
-            is_asst = np.asarray(pc.equal(emitted["role"], "assistant"))
-        else:
-            is_user = is_asst = np.zeros(len(codes), dtype=bool)
-
-        intern, names = self._intern, self._names
-        glob = np.empty(len(key_values), dtype=np.int64)
-        for i, kv in enumerate(key_values):
-            g = intern.get(kv)
-            if g is None:
-                g = len(names)
-                intern[kv] = g
-                names.append(kv)
-            glob[i] = g
-        if len(names) > len(self._next_sid):
-            grown = np.zeros(len(names), dtype=np.int64)
-            grown[: len(self._next_sid)] = self._next_sid
-            self._next_sid = grown
-        if len(names) > len(self._key_last):
-            grown = np.zeros(len(names), dtype=np.int64)
-            grown[: len(self._key_last)] = self._key_last
-            self._key_last = grown
-        gc = glob[codes]
-        np.maximum.at(self._key_last, gc, tsi)
-
+    def _merge(self, emitted, tsi, gc, is_user, is_asst) -> pa.Table | None:
         # late-data drop (Flink session-lateness rule): assign the event its
         # singleton window [ts, ts+gap); if it MERGES with a still-open
         # session of its key the merged window is live and the event is
@@ -481,11 +400,7 @@ class SessionAccumulator:
                     merge_ok[m] = ok
                 lp[cand[merge_ok]] = False
             if lp.any():
-                rl = np.flatnonzero(lp)
-                late = _late_table(
-                    emitted, self.key, self.ts, "sessions", rl,
-                    np.ones(len(rl), dtype=np.int64),
-                )
+                late = self._late(emitted, lp.astype(np.int64))
                 keep = ~lp
                 tsi, gc = tsi[keep], gc[keep]
                 is_user, is_asst = is_user[keep], is_asst[keep]
@@ -500,12 +415,15 @@ class SessionAccumulator:
         new_sess[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap)
         starts = np.flatnonzero(new_sess)
         ends_idx = np.append(starts[1:], len(c_s)) - 1
-        kc = np.concatenate([self._kc, c_s[starts]])
-        sv = np.concatenate([self._start, t_s[starts]])
-        ev = np.concatenate([self._end, t_s[ends_idx]])
-        cnt = np.concatenate([self._cnt, np.diff(np.append(starts, len(c_s)))])
-        nu = np.concatenate([self._nu, np.add.reduceat(is_user[order], starts)])
-        na = np.concatenate([self._na, np.add.reduceat(is_asst[order], starts)])
+        kc, sv, ev, cnt, nu, na = (
+            np.concatenate(p)
+            for p in zip(self._open(), (
+                c_s[starts], t_s[starts], t_s[ends_idx],
+                np.diff(np.append(starts, len(c_s))),
+                np.add.reduceat(is_user[order], starts),
+                np.add.reduceat(is_asst[order], starts),
+            ))
+        )
 
         # merge open + batch sessions per key: textbook single-pass interval
         # merge — sorted by (key, start), a session chains onto the group iff
@@ -529,113 +447,24 @@ class SessionAccumulator:
             cnt = np.add.reduceat(cnt, s2)
             nu = np.add.reduceat(nu, s2)
             na = np.add.reduceat(na, s2)
-        self._kc, self._start, self._end = kc, sv, ev
-        self._cnt, self._nu, self._na = cnt, nu, na
-        mx = int(tsi.max())
-        self.watermark = mx if self.watermark is None else max(self.watermark, mx)
+        self._set_open([kc, sv, ev, cnt, nu, na])
         return late
 
-    def take_closed(self, final: bool = False) -> pa.Table:
-        if self.watermark is None or not len(self._kc):
-            return self._empty()
-        horizon = self.watermark - self.lateness
-        closed = (
-            np.ones(len(self._kc), dtype=bool)
-            if final
-            else self._end + self.gap < horizon
-        )
-        if not closed.any():
-            return self._empty()
-        keep = ~closed
-        kc, sv, ev = self._kc[closed], self._start[closed], self._end[closed]
-        cnt, nu, na = self._cnt[closed], self._nu[closed], self._na[closed]
+    def _closed(self, horizon: int) -> np.ndarray:
+        return self._end + self.gap < horizon
+
+    def _rows(self, kc, sv, ev, cnt, nu, na) -> list:
         # per-key session ids continue from the last released session; the
         # closed subset is (kc, start)-sorted, so rank-within-key + offset
         b = np.empty(len(kc), dtype=bool)
         b[0] = True
         b[1:] = kc[1:] != kc[:-1]
         firsts = np.flatnonzero(b)
-        key_first = np.repeat(firsts, np.diff(np.append(firsts, len(kc))))
-        rank = np.arange(len(kc)) - key_first
-        sid = self._next_sid[kc] + rank
-        self._next_sid[kc[firsts]] += np.diff(np.append(firsts, len(kc)))
-        out = pa.table(
-            {
-                self.key: pc.take(pa.array(self._names, pa.string()), pa.array(kc)),
-                "session_id": pa.array(sid, pa.int64()),
-                "session_start": pa.array(sv, pa.int64()).cast(pa.timestamp("us")),
-                "session_end": pa.array(ev, pa.int64()).cast(pa.timestamp("us")),
-                "turn_count": pa.array(cnt, pa.int64()),
-                "n_user": pa.array(nu, pa.int64()),
-                "n_assistant": pa.array(na, pa.int64()),
-            }
-        )
-        self._kc, self._start, self._end = self._kc[keep], self._start[keep], self._end[keep]
-        self._cnt, self._nu, self._na = self._cnt[keep], self._nu[keep], self._na[keep]
-        return out
-
-    def gc(self, ttl_us: int) -> int:
-        """Evict keys idle past the event-time TTL and with no open
-        session. An evicted key's ``next_sid`` is dropped with it — if the
-        key returns after the TTL its session_id restarts at 0 (the
-        standard keyed-state-TTL trade-off; Flink state TTL behaves the
-        same). Deterministic given (state, watermark) — see
-        WindowAccumulator.gc. Returns the number of evicted keys."""
-        if self.watermark is None or not len(self._names):
-            return 0
-        horizon = self.watermark - ttl_us
-        keep_mask = self._key_last >= horizon
-        keep_mask[self._kc] = True  # open sessions pin their key
-        if keep_mask.all():
-            return 0
-        new_codes = np.cumsum(keep_mask) - 1
-        keep_idx = np.flatnonzero(keep_mask)
-        self._names = [self._names[i] for i in keep_idx]
-        self._intern = {k: i for i, k in enumerate(self._names)}
-        self._key_last = self._key_last[keep_idx]
-        self._next_sid = self._next_sid[keep_idx]
-        self._kc = new_codes[self._kc]
-        return int(len(keep_mask) - len(keep_idx))
-
-    def state_size(self) -> dict:
-        return {"keys": len(self._names), "open": int(len(self._kc))}
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                self.key: pa.array([], pa.string()),
-                "session_id": pa.array([], pa.int64()),
-                "session_start": pa.array([], pa.timestamp("us")),
-                "session_end": pa.array([], pa.timestamp("us")),
-                "turn_count": pa.array([], pa.int64()),
-                "n_user": pa.array([], pa.int64()),
-                "n_assistant": pa.array([], pa.int64()),
-            }
-        )
-
-    def snapshot(self) -> dict:
-        return {
-            "watermark": self.watermark,
-            "keys": _keys_table(
-                self.key, self._names,
-                {"next_sid": self._next_sid, "last": self._key_last},
-                self._kc,
-                {"start": self._start, "end": self._end, "cnt": self._cnt,
-                 "nu": self._nu, "na": self._na},
-            ),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.watermark = snap["watermark"]
-        names, per_key, kc, items = _from_keys_table(
-            snap["keys"], self.key, ("next_sid", "last"),
-            ("start", "end", "cnt", "nu", "na"),
-        )
-        self._names = names
-        self._intern = dict(zip(names, range(len(names))))
-        self._next_sid, self._key_last = per_key["next_sid"], per_key["last"]
-        self._kc, self._start, self._end = kc, items["start"], items["end"]
-        self._cnt, self._nu, self._na = items["cnt"], items["nu"], items["na"]
+        sizes = np.diff(np.append(firsts, len(kc)))
+        rank = np.arange(len(kc)) - np.repeat(firsts, sizes)
+        sid = self.keys.next_sid[kc] + rank
+        self.keys.next_sid[kc[firsts]] += sizes
+        return [sid, sv, ev, cnt, nu, na]
 
 
 class StreamJoiner:
@@ -672,7 +501,7 @@ class StreamJoiner:
         cols = emitted.column_names
         if emitted.num_rows == 0 or "role" not in cols:
             return self._empty()
-        codes, key_values = codes_kv or _dict_codes(emitted[self.key])
+        codes, dictionary = codes_kv or _dict_codes(emitted[self.key])
         seqs = emitted[self.seq].to_numpy(zero_copy_only=False).astype(np.int64)
         has_text = "text" in cols
         has_ts = "ts" in cols
@@ -745,12 +574,10 @@ class StreamJoiner:
             r_first_mask[0] = True
             r_first_mask[1:] = c[ridx[1:]] != c[ridx[:-1]]
             first_r = ridx[r_first_mask]
-            first_of = np.full(len(key_values), -1, dtype=np.int64)
+            first_of = np.full(len(dictionary), -1, dtype=np.int64)
             first_of[c[first_r]] = first_r
             pcode = _i64(
-                pc.index_in(
-                    pend[self.key], value_set=pa.array(key_values, pa.string())
-                ).fill_null(-1)
+                pc.index_in(pend[self.key], value_set=dictionary).fill_null(-1)
             )
             rp = np.where(pcode >= 0, first_of[pcode], -1)
             hit = rp >= 0

@@ -39,6 +39,7 @@ from .stream_dedup import (
     _process_step,
     _read_with_arrival,
     _restore_plan,
+    _returns,
     _run_marker_stream,
 )
 
@@ -145,7 +146,7 @@ def _read_tokenize_split(
     )
     with np.errstate(over="ignore"):
         code = ((ids * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(P)).astype(np.int64)
-    return split_compact(proj, code, P)
+    return _returns(split_compact(proj, code, P))
 
 
 def run_pack_stream(

@@ -115,7 +115,7 @@ def main() -> int:
     ap.add_argument("--source", choices=("landing", "queue"),
                     default="landing",
                     help="'queue' routes the producer through the lease/ack "
-                         "push-source shim (source.FileLeaseQueue + pump): "
+                         "push-source shim (source.FileLeaseQueue + Pump): "
                          "the SIGKILL then also exercises lease expiry -> "
                          "redelivery while output stays exactly-once")
     ap.add_argument("--lease-s", type=float, default=20.0)
@@ -169,11 +169,11 @@ def main() -> int:
     stop_pumping = threading.Event()
 
     def pumper():
-        from ray_ordered_stream.source import pump
+        from ray_ordered_stream.source import Pump
 
+        p = Pump(queue, str(land), str(out), max_n=8, lease_s=args.lease_s)
         while not stop_pumping.is_set():
-            st = pump(queue, str(land), str(out), max_n=8,
-                      lease_s=args.lease_s)
+            st = p.step()
             pump_stats["redelivered"] += st["redelivered"]
             pump_stats["acked"] += st["acked_now"]
             if (stop_producing.is_set() and st["available"] == 0

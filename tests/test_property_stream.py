@@ -3,7 +3,8 @@ accumulators, the stream joiner and the CEP matcher: for ANY key/timestamp
 layout and ANY chunking of the (per-key
 ordered) emission, the streamed output equals the batch oracle — and a run
 cut at ANY chunk boundary, checkpointed and restored into a fresh operator,
-emits exactly the uncut run's tables."""
+emits exactly the uncut run's tables — also with a TTL ``gc`` between the
+chunks of the session and sliding-window runs."""
 
 import tempfile
 
@@ -71,6 +72,19 @@ def _chunks(tbl: pa.Table, n_chunks: int) -> list[pa.Table]:
             if (c := tbl.slice(i * step, step)).num_rows]
 
 
+def _feed(ttl_s):
+    """One step of a window or session run: update, take what closed (all
+    on the last chunk), then evict keys idle past ``ttl_s`` (None: no gc),
+    as a partition actor does at each epoch end."""
+    def feed(acc, chunk, final):
+        acc.update(chunk)
+        out = [acc.take_closed()] + ([acc.take_closed(final=True)] if final else [])
+        if ttl_s is not None:
+            acc.gc(int(ttl_s * US))
+        return out
+    return feed
+
+
 def _session_oracle(df: pd.DataFrame, gap_s: float) -> pd.DataFrame:
     rows = []
     for k, g in df.sort_values([KEY, "ts"]).groupby(KEY, sort=True):
@@ -100,14 +114,18 @@ def _session_oracle(df: pd.DataFrame, gap_s: float) -> pd.DataFrame:
     seed=st.integers(0, 10_000),
     n_chunks=st.integers(1, 9),
     cut=st.integers(0, 9),
+    ttl_s=st.sampled_from([None, 0.0, 20.0]),
 )
-@example(n_keys=3, n_events=30, seed=7, n_chunks=6, cut=0)  # empty state
-@example(n_keys=1, n_events=25, seed=3, n_chunks=5, cut=2)  # one key
+@example(n_keys=3, n_events=30, seed=7, n_chunks=6, cut=0, ttl_s=None)  # empty state
+@example(n_keys=1, n_events=25, seed=3, n_chunks=5, cut=2, ttl_s=None)  # one key
 # at the cut a key has no open session but its intern code and session_id
 # counter still decide later rows
-@example(n_keys=3, n_events=30, seed=1, n_chunks=6, cut=3)
+@example(n_keys=3, n_events=30, seed=1, n_chunks=6, cut=3, ttl_s=None)
+# gc evicts idle keys between chunks; an evicted key comes back with a new
+# code after the keys still held
+@example(n_keys=3, n_events=30, seed=1, n_chunks=6, cut=3, ttl_s=0.0)
 def test_session_accumulator_any_layout_any_chunking(
-    n_keys, n_events, seed, n_chunks, cut
+    n_keys, n_events, seed, n_chunks, cut, ttl_s
 ):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, n_events)
@@ -120,11 +138,8 @@ def test_session_accumulator_any_layout_any_chunking(
         drop=True
     )
 
-    def feed(acc, chunk, final):
-        acc.update(chunk)
-        return [acc.take_closed()] + ([acc.take_closed(final=True)] if final else [])
-
     chunks = _chunks(tbl, n_chunks)
+    feed = _feed(ttl_s)
     uncut = _run_cut(lambda: SessionAccumulator(GAP_S), "sessions", chunks,
                      len(chunks), feed)
     assert _run_cut(lambda: SessionAccumulator(GAP_S), "sessions", chunks,
@@ -132,11 +147,16 @@ def test_session_accumulator_any_layout_any_chunking(
     got = (
         uncut
         .to_pandas()
-        .sort_values([KEY, "session_id"])
+        .sort_values([KEY, "session_start"])  # == session_id order without gc
         .reset_index(drop=True)
     )
     assert got[KEY].tolist() == exp[KEY].tolist()
-    assert got["session_id"].tolist() == exp["session_id"].tolist()
+    if ttl_s is None:
+        assert got["session_id"].tolist() == exp["session_id"].tolist()
+    else:
+        # an evicted key's session ids restart at 0 when it returns
+        assert all(s == 0 or s == p + 1 for k, g in got.groupby(KEY)
+                   for p, s in zip([-1, *g["session_id"][:-1]], g["session_id"]))
     assert got["turn_count"].tolist() == exp["turn_count"].tolist()
     assert (
         got["session_start"].astype("datetime64[us]").astype("int64").tolist()
@@ -213,17 +233,21 @@ def test_pattern_matcher_any_roles_any_chunking(
     size_s=st.integers(2, 30),
     step_frac=st.integers(1, 4),
     cut=st.integers(0, 8),
+    ttl_s=st.sampled_from([None, 0.0, 20.0]),
 )
 @example(n_keys=3, n_events=40, seed=1, n_chunks=4, size_s=10, step_frac=2,
-         cut=0)  # empty state
+         cut=0, ttl_s=None)  # empty state
 @example(n_keys=1, n_events=30, seed=2, n_chunks=6, size_s=8, step_frac=4,
-         cut=3)  # one key
+         cut=3, ttl_s=None)  # one key
 # at the cut a key has all its windows closed; its intern code still
 # decides the order of later releases
 @example(n_keys=3, n_events=40, seed=1, n_chunks=4, size_s=10, step_frac=2,
-         cut=2)
+         cut=2, ttl_s=None)
+# gc evicts idle keys between chunks
+@example(n_keys=3, n_events=40, seed=1, n_chunks=4, size_s=10, step_frac=2,
+         cut=2, ttl_s=0.0)
 def test_sliding_accumulator_any_layout_any_chunking(
-    n_keys, n_events, seed, n_chunks, size_s, step_frac, cut
+    n_keys, n_events, seed, n_chunks, size_s, step_frac, cut, ttl_s
 ):
     step_s = max(1, size_s // step_frac)
     rng = np.random.default_rng(seed)
@@ -246,11 +270,8 @@ def test_sliding_accumulator_any_layout_any_chunking(
     def make():
         return WindowAccumulator(float(size_s), step_s=float(step_s))
 
-    def feed(acc, chunk, final):
-        acc.update(chunk)
-        return [acc.take_closed()] + ([acc.take_closed(final=True)] if final else [])
-
     chunks = _chunks(tbl, n_chunks)
+    feed = _feed(ttl_s)
     uncut = _run_cut(make, "windows", chunks, len(chunks), feed)
     assert _run_cut(make, "windows", chunks, min(cut, len(chunks) - 1),
                     feed).equals(uncut)

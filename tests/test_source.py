@@ -1,4 +1,4 @@
-"""Push-source shim tests: lease/ack delivery (FileLeaseQueue + pump)
+"""Push-source shim tests: lease/ack delivery (FileLeaseQueue + Pump)
 bridging a message bus to the landing-dir consumer — at-least-once delivery
 with redelivery on lease expiry, exactly-once engine output."""
 
@@ -11,7 +11,7 @@ import pyarrow.parquet as pq
 from ray_ordered_stream.epochs import run_stream_continuous
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
 from ray_ordered_stream.schema import KEY, SEQ
-from ray_ordered_stream.source import FileLeaseQueue, Pump, pump
+from ray_ordered_stream.source import FileLeaseQueue, Pump
 from ray_ordered_stream.state import OrderedConfig
 
 
@@ -34,9 +34,8 @@ def _publish_fixture(tmp_path, n_files=8, seed=31):
 
 
 def test_lease_pump_delivers_acks_exactly_once(tmp_path, ray_session):
-    """Uses the stateful Pump (incremental commit-frontier cursor) — the
-    long-running form; the redelivery test below covers the stateless
-    pump()."""
+    """The Pump (incremental commit-frontier cursor) delivers, and acks
+    exactly through the committed frontier."""
     t, q = _publish_fixture(tmp_path)
     land, out = str(tmp_path / "landing"), str(tmp_path / "out")
     stop = threading.Event()
@@ -87,10 +86,10 @@ def test_lease_expiry_redelivers_and_output_stays_exactly_once(
     land, out = str(tmp_path / "landing"), str(tmp_path / "out")
 
     # consumer is down: pump leases+delivers, nothing commits, leases expire
-    st1 = pump(q, land, out, max_n=4, lease_s=0.05)
+    st1 = Pump(q, land, out, max_n=4, lease_s=0.05).step()
     assert st1["delivered"] == 4 and st1["acked_now"] == 0
     time.sleep(0.1)
-    st2 = pump(q, land, out, max_n=0, lease_s=0.05)
+    st2 = Pump(q, land, out, max_n=0, lease_s=0.05).step()
     assert st2["redelivered"] == 4          # back to available
     assert q.counts()["available"] == 8     # 4 never leased + 4 returned
     # redelivery increments the per-message delivery count
@@ -100,10 +99,11 @@ def test_lease_expiry_redelivers_and_output_stays_exactly_once(
     q.expire(now=time.time() + 1e6)
 
     stop = threading.Event()
+    p = Pump(q, land, out, max_n=8, lease_s=30.0)
 
     def pumper():
         while not stop.is_set():
-            st = pump(q, land, out, max_n=8, lease_s=30.0)
+            st = p.step()
             if st["available"] == 0 and st["leased"] == 0:
                 (tmp_path / "landing" / "_STOP").write_text("")
                 return

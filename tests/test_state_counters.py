@@ -2,8 +2,9 @@
 per-key model of the same contract: status rows (every column), dirty
 snapshots and emitted order, over random arrival orders with duplicates,
 buffer carry-over, ``max_emit_per_round`` and a restore mid-stream; the
-packed-key sort against its ``lexsort`` fallback; and a checkpoint written
-in format 4 (tests/data/ckpt_v4)."""
+packed-key sort against its ``lexsort`` fallback; a checkpoint written
+in format 4 (tests/data/ckpt_v4); and the ``KeyedArrays`` container under
+the counters against a plain dict + list."""
 
 from datetime import datetime
 from pathlib import Path
@@ -19,6 +20,7 @@ from ray_ordered_stream.checkpoint import (
 )
 from ray_ordered_stream.schema import COUNTERS_SCHEMA, KEY, SEQ, STATUS_SCHEMA
 from ray_ordered_stream.state import (
+    KeyedArrays,
     OrderedConfig,
     OrderedPartitionState,
     _key_seq_order,
@@ -255,3 +257,41 @@ def test_counters_written_by_previous_version_restore_unchanged(tmp_path):
     for part, v in full["windows"].items():
         assert again["windows"][part].equals(v) if isinstance(v, pa.Table) \
             else again["windows"][part] == v
+
+
+def test_keyed_arrays_match_a_dict_and_list_model():
+    """Intern order, codes, field values through growth past several
+    doublings (64 -> 128 -> 256 -> 512 -> 1024), ``keep`` compaction and
+    ``names()`` after ``keep``, against a key list and a value dict."""
+    rng = np.random.default_rng(3)
+    ka = KeyedArrays([("n", np.int64), ("flag", np.bool_)])
+    order: list[str] = []          # the model: keys in first-seen order
+    n: dict[str, int] = {}
+    flag: dict[str, bool] = {}
+    for step in range(40):
+        batch = [f"k{i}" for i in rng.integers(0, 900, rng.integers(1, 80))]
+        uniq = list(dict.fromkeys(batch))  # a dictionary encode's order
+        codes = ka.intern(pa.array(uniq, pa.string()))
+        for k in uniq:
+            if k not in n:
+                order.append(k)
+                n[k], flag[k] = 0, False
+        assert codes.tolist() == [order.index(k) for k in uniq]
+        ka.n[codes] += 1
+        ka.flag[codes[::2]] = True
+        for k in uniq:
+            n[k] += 1
+        for k in uniq[::2]:
+            flag[k] = True
+        if step % 9 == 8:  # evict about a third of the keys
+            keep = np.flatnonzero(rng.random(len(ka)) > 0.35)
+            ka.keep(keep)
+            order = [order[i] for i in keep]
+            n = {k: n[k] for k in order}
+            flag = {k: flag[k] for k in order}
+        assert len(ka) == len(order)
+        assert ka.names().to_pylist() == order
+        assert ka.code == {k: i for i, k in enumerate(order)}
+        assert ka.n.tolist() == [n[k] for k in order]
+        assert ka.flag.tolist() == [flag[k] for k in order]
+    assert len(ka._buf["n"]) >= 512  # grew past several doublings

@@ -69,28 +69,35 @@ def test_dedup_stream_keep_first(ray_session, tmp_path):
     )
     assert res.total_kept == len(exp)
     assert res.total_dropped == len(df) - len(exp)
+    # one partition (Ray returns a bare ref for num_returns=1) keeps the
+    # same documents
+    one = run_dedup_stream(files, str(tmp_path / "out1"), num_partitions=1,
+                           files_per_epoch=3)
+    assert set(one.sink.read().to_pandas()["doc_id"]) == set(got["doc_id"])
 
 
 def test_dedup_stream_crash_resume_exactly_once(ray_session, tmp_path):
     df = _corpus(seed=5)
     files = _write_feed(df, tmp_path / "feed", 8)
 
-    full = run_dedup_stream(files, str(tmp_path / "full"), num_partitions=3,
-                            files_per_epoch=2)
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_dedup_stream(files, str(tmp_path / "crash"), num_partitions=3,
-                         files_per_epoch=2, fail_after_epoch=1)
-    res = run_dedup_stream(files, str(tmp_path / "crash"), num_partitions=3,
-                           files_per_epoch=2, resume=True)
-    assert res.epochs_skipped == 2
-    a = (full.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (res.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
-    # a duplicate whose source arrived BEFORE the crash is still dropped
-    # after resume (seen-state restored from the deltas)
-    assert res.sink.total_committed_rows() == len(_oracle_keep(df))
+    for P in (3, 1):
+        full = run_dedup_stream(files, str(tmp_path / f"full{P}"),
+                                num_partitions=P, files_per_epoch=2)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_dedup_stream(files, str(tmp_path / f"crash{P}"), num_partitions=P,
+                             files_per_epoch=2, fail_after_epoch=1)
+        res = run_dedup_stream(files, str(tmp_path / f"crash{P}"), num_partitions=P,
+                               files_per_epoch=2, resume=True)
+        assert res.epochs_skipped == 2
+        a = (full.sink.read().select_columns(["doc_id", "text"])
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        b = (res.sink.read().select_columns(["doc_id", "text"])
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        pd.testing.assert_frame_equal(a, b)
+        assert _part_bytes(res.sink) == _part_bytes(full.sink)
+        # a duplicate whose source arrived BEFORE the crash is still dropped
+        # after resume (seen-state restored from the deltas)
+        assert res.sink.total_committed_rows() == len(_oracle_keep(df))
 
 
 def test_dedup_stream_partition_guard(ray_session, tmp_path):
@@ -151,18 +158,19 @@ def test_neardup_stream_drops_copies(ray_session, tmp_path):
     feed = pd.concat([df, copies], ignore_index=True)
     files = _write_feed(feed, tmp_path / "feed", 5)  # 50/file
 
-    res = run_neardup_stream(files, str(tmp_path / "out"), num_partitions=3,
-                             files_per_epoch=2)
-    got = (
-        res.sink.read().select_columns(["doc_id", "text"]).to_pandas()
-    )
-    kept_ids = set(got["doc_id"])
-    # every copy dropped
-    assert kept_ids.isdisjoint(set(range(n, n + 50)))
-    # near-complete survival of distinct docs (banding false positives are
-    # possible in principle; none expected on this corpus)
-    assert len(kept_ids) >= n - 2
-    assert res.total_dropped >= 50
+    for P in (3, 1):
+        res = run_neardup_stream(files, str(tmp_path / f"out{P}"),
+                                 num_partitions=P, files_per_epoch=2)
+        got = (
+            res.sink.read().select_columns(["doc_id", "text"]).to_pandas()
+        )
+        kept_ids = set(got["doc_id"])
+        # every copy dropped
+        assert kept_ids.isdisjoint(set(range(n, n + 50)))
+        # near-complete survival of distinct docs (banding false positives
+        # are possible in principle; none expected on this corpus)
+        assert len(kept_ids) >= n - 2
+        assert res.total_dropped >= 50
 
 
 def test_neardup_stream_crash_resume(ray_session, tmp_path):
@@ -177,20 +185,21 @@ def test_neardup_stream_crash_resume(ray_session, tmp_path):
     df = pd.DataFrame({"doc_id": np.arange(n, dtype="int64"), "text": texts})
     files = _write_feed(df, tmp_path / "feed", 8)
 
-    full = run_neardup_stream(files, str(tmp_path / "full"), num_partitions=3,
-                              files_per_epoch=2, compact_every=1)
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_neardup_stream(files, str(tmp_path / "crash"), num_partitions=3,
-                           files_per_epoch=2, compact_every=1,
-                           fail_after_epoch=1)
-    res = run_neardup_stream(files, str(tmp_path / "crash"), num_partitions=3,
-                             files_per_epoch=2, compact_every=1, resume=True)
-    assert res.epochs_skipped == 2
-    a = (full.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (res.sink.read().select_columns(["doc_id", "text"])
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
+    for P in (3, 1):
+        kw = dict(num_partitions=P, files_per_epoch=2, compact_every=1)
+        full = run_neardup_stream(files, str(tmp_path / f"full{P}"), **kw)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_neardup_stream(files, str(tmp_path / f"crash{P}"), **kw,
+                               fail_after_epoch=1)
+        res = run_neardup_stream(files, str(tmp_path / f"crash{P}"), **kw,
+                                 resume=True)
+        assert res.epochs_skipped == 2
+        a = (full.sink.read().select_columns(["doc_id", "text"])
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        b = (res.sink.read().select_columns(["doc_id", "text"])
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        pd.testing.assert_frame_equal(a, b)
+        assert _part_bytes(res.sink) == _part_bytes(full.sink)
 
 
 def test_dedup_stream_continuous_midrun_files(ray_session, tmp_path):
@@ -432,6 +441,39 @@ def test_dedup_stream_fresh_rerun_wipes_phantom_epochs(ray_session, tmp_path):
     assert short.sink.committed_epochs() == [0]
 
 
+
+@pytest.mark.parametrize("stream", ["dedup", "pack"])
+def test_continuous_fresh_start_over_a_longer_run(ray_session, tmp_path, stream):
+    """resume=False reaches the continuous runner's first call: over a root
+    holding a longer earlier run it commits exactly what a fresh bounded
+    run over the landed files commits."""
+    import shutil
+
+    from ray_ordered_stream.sink import ManifestSink
+    from ray_ordered_stream.stream_dedup import run_dedup_stream_continuous
+    from ray_ordered_stream.stream_pack import (
+        run_pack_stream,
+        run_pack_stream_continuous,
+    )
+
+    bounded, continuous, sink = {
+        "dedup": (run_dedup_stream, run_dedup_stream_continuous, "deduped"),
+        "pack": (run_pack_stream, run_pack_stream_continuous, "packed"),
+    }[stream]
+    files = _write_feed(_corpus(n=160, seed=21), tmp_path / "feed", 8)
+    kw = dict(num_partitions=2, files_per_epoch=2)
+    out, fresh, land = tmp_path / "out", tmp_path / "fresh", tmp_path / "land"
+    bounded(files, str(out), **kw)  # four epochs
+    land.mkdir()
+    for f in files[:4]:
+        shutil.copy(f, land)
+    (land / "_STOP").write_text("")
+    continuous(str(land), str(out), poll_interval_s=0.05, resume=False, **kw)
+    bounded(files[:4], str(fresh), **kw)
+    assert ManifestSink(str(out), sink).committed_epochs() == [0, 1]
+    assert _part_bytes(ManifestSink(str(out), sink)) == _part_bytes(
+        ManifestSink(str(fresh), sink))
+
 def _emb_feed(n=160, d=32, n_copies=40, seed=21):
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((n, d)).astype(np.float32)
@@ -525,3 +567,26 @@ def test_old_checkpoint_layout_fails_loudly(ray_session, tmp_path, layout):
     if layout == "delta_without_ep":
         with pytest.raises(ValueError, match=msg):
             rescale_dedup_checkpoint(str(out), 3)
+
+
+def test_md5_kernels_equal_hashlib():
+    """Both md5 kernels equal hashlib.md5 (a null hashes as '') on short
+    rows (DuckDB's path) and on rows of >= 640 B mean length (hashlib's),
+    each with a null."""
+    import hashlib
+
+    from ray_ordered_stream.stream_dedup import _fingerprints, md5_hex
+
+    for rows in (["a", "bb", None, "ccc dd"], ["x" * 700, None, "y" * 1500]):
+        exp = [hashlib.md5((r or "").encode()).digest() for r in rows]
+        hi, lo = _fingerprints(pa.array(rows, pa.string()))
+        assert [int(h).to_bytes(8, "big") + int(v).to_bytes(8, "big")
+                for h, v in zip(hi, lo)] == exp
+        assert md5_hex(pa.array(rows, pa.string())).to_pylist() == [
+            d.hex() for d in exp]
+    # the hashlib path's no-null form: raw buffer slices of a sliced array
+    rows = pa.array(["skip", "z" * 800, "w" * 900], pa.string()).slice(1)
+    exp = [hashlib.md5(r.encode()).hexdigest() for r in rows.to_pylist()]
+    assert md5_hex(rows).to_pylist() == exp
+    hi, _ = _fingerprints(rows)
+    assert [int(h).to_bytes(8, "big").hex() for h in hi] == [e[:16] for e in exp]

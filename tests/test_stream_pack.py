@@ -60,52 +60,50 @@ def _serial_oracle(df, P, files_per_epoch, docs_per_file=7):
 
 def test_pack_stream_matches_serial_oracle_and_resumes(tmp_path, ray_session):
     files, df = _feed(tmp_path)
-    P = 3
-    sink, run_, skip, total = run_pack_stream(
-        files, str(tmp_path / "out"), budget=B, vocab_size=V,
-        num_partitions=P, files_per_epoch=2,
-    )
-    got = sink.read().to_pandas().sort_values(["partition", "pack_seq"])
-    exp = _serial_oracle(df, P, 2)
-    assert total == sum(len(v) for v in exp.values()) == len(got)
-    for p, g in got.groupby("partition"):
-        assert g["pack_seq"].tolist() == list(range(len(exp[p])))
-        for seq, row in enumerate(g.itertuples(index=False)):
-            assert list(row.token_ids) == exp[p][seq], (p, seq)
-            assert row.n_tokens == B
-    # token conservation: packs + final carries == all tokens
-    n_tokens = sum(len(re.findall(r"\w+", t)) for t in df["text"])
-    carries = sum(
-        json.loads(f.read_text())["carry"]
-        for f in [sorted((tmp_path / "out" / "ckpt").glob("epoch-*.json"))[-1]]
-    )
-    assert total * B + carries == n_tokens
-
-    # crash-resume: byte-identical sink
-    import hashlib as hl
 
     def digest(root):
-        h = hl.md5()
+        h = hashlib.md5()
         for f in sorted(Path(root).rglob("*.parquet")):
             h.update(f.read_bytes())
         return h.hexdigest()
 
-    with pytest.raises(RuntimeError):
-        run_pack_stream(
-            files, str(tmp_path / "out2"), budget=B, vocab_size=V,
-            num_partitions=P, files_per_epoch=2, fail_after_epoch=0,
+    # P = 1: Ray returns a bare ref for num_returns=1
+    for P in (3, 1):
+        out, out2 = tmp_path / f"out{P}", tmp_path / f"out2_{P}"
+        sink, run_, skip, total = run_pack_stream(
+            files, str(out), budget=B, vocab_size=V,
+            num_partitions=P, files_per_epoch=2,
         )
-    sink2, run2, skip2, total2 = run_pack_stream(
-        files, str(tmp_path / "out2"), budget=B, vocab_size=V,
-        num_partitions=P, files_per_epoch=2, resume=True,
-    )
-    assert skip2 == 1 and total2 + json.loads(
-        sorted((tmp_path / "out2" / "ckpt").glob("epoch-00000.json"))[0]
-        .read_text()
-    )["packs"] == total
-    assert digest(tmp_path / "out2" / "packed") == digest(
-        tmp_path / "out" / "packed"
-    )
+        got = sink.read().to_pandas().sort_values(["partition", "pack_seq"])
+        exp = _serial_oracle(df, P, 2)
+        assert total == sum(len(v) for v in exp.values()) == len(got)
+        for p, g in got.groupby("partition"):
+            assert g["pack_seq"].tolist() == list(range(len(exp[p])))
+            for seq, row in enumerate(g.itertuples(index=False)):
+                assert list(row.token_ids) == exp[p][seq], (p, seq)
+                assert row.n_tokens == B
+        # token conservation: packs + final carries == all tokens
+        n_tokens = sum(len(re.findall(r"\w+", t)) for t in df["text"])
+        carries = sum(
+            json.loads(f.read_text())["carry"]
+            for f in [sorted((out / "ckpt").glob("epoch-*.json"))[-1]]
+        )
+        assert total * B + carries == n_tokens
+
+        # crash-resume: byte-identical sink
+        with pytest.raises(RuntimeError):
+            run_pack_stream(
+                files, str(out2), budget=B, vocab_size=V,
+                num_partitions=P, files_per_epoch=2, fail_after_epoch=0,
+            )
+        sink2, run2, skip2, total2 = run_pack_stream(
+            files, str(out2), budget=B, vocab_size=V,
+            num_partitions=P, files_per_epoch=2, resume=True,
+        )
+        assert skip2 == 1 and total2 + json.loads(
+            sorted((out2 / "ckpt").glob("epoch-00000.json"))[0].read_text()
+        )["packs"] == total
+        assert digest(out2 / "packed") == digest(out / "packed")
 
 
 def test_pack_stream_continuous_midrun_files(tmp_path, ray_session):
