@@ -47,6 +47,7 @@ from .metrics import StatsTracker
 from .ordered import OrderedProcessor
 from .rescale import rescale_checkpoint
 from .sink import ManifestSink
+from .source import LandingWatch
 from .state import OrderedConfig
 from .stream_ops import LATE_SINK, OPERATOR_KINDS, operator_kinds, operator_sinks
 
@@ -286,14 +287,15 @@ class _EpochDriver:
                 return
             self.commit_oldest()
 
-    def wait_oldest(self, timeout_s: float) -> None:
+    def wait_oldest(self, timeout_s: float, watch: LandingWatch) -> None:
         """Return once the oldest in-flight epoch has finished, or after
-        ``timeout_s``; with nothing in flight, sleep ``timeout_s``."""
+        ``timeout_s``; with nothing in flight, once a file lands in the
+        ``watch``ed directory, or after ``timeout_s``."""
         if self.pending:
             refs = self.pending[0][1]
             ray.wait(refs, num_returns=len(refs), timeout=timeout_s)
         else:
-            time.sleep(timeout_s)
+            watch.wait(timeout_s)
 
     def drain(self) -> None:
         """Commit every in-flight epoch: a consistent cut."""
@@ -442,16 +444,21 @@ def run_stream_continuous(
     reference's Pub/Sub subscription, OrderBookProcessingPipeline.java:103-105
     — the honest file-based equivalent of an unbounded source).
 
-    The directory is polled; newly landed Parquet files (producers must
-    write-then-rename, never write in place) are grouped into epochs of
-    ``files_per_epoch`` in name order. Each epoch's file group is durably
-    recorded under ``out_root/epochs/`` BEFORE it is fed, so crash + resume
-    re-forms byte-identical epochs and the run_stream exactly-once protocol
-    (checkpoint -> sink manifests, idempotent re-run) carries over unchanged.
-    Every finished epoch commits at the next poll, and a poll comes as soon
-    as the oldest in-flight epoch finishes or ``poll_interval_s`` passes.
-    The loop ends when ``<landing_dir>/<stop_file>`` exists and every landed
-    file has been processed, or after ``idle_timeout_s`` without new files.
+    The directory is polled (created if missing); newly landed Parquet files
+    (producers must write-then-rename, never write in place) are grouped
+    into epochs of ``files_per_epoch`` in name order. Each epoch's file
+    group is durably recorded under ``out_root/epochs/`` BEFORE it is fed,
+    so crash + resume re-forms byte-identical epochs and the run_stream
+    exactly-once protocol (checkpoint -> sink manifests, idempotent re-run)
+    carries over unchanged. Every finished epoch commits at the next poll.
+    A poll comes as soon as the oldest in-flight epoch finishes, or, with
+    none in flight, as soon as a file lands (``source.LandingWatch``, Linux
+    inotify), and at the latest after ``poll_interval_s``. Where the
+    directory cannot be watched every wait lasts ``poll_interval_s``;
+    ``metrics["landing_wake"]`` of the result says which (``"inotify"`` or
+    ``"poll"``). The loop ends when ``<landing_dir>/<stop_file>`` exists and
+    every landed file has been processed, or after ``idle_timeout_s``
+    without new files.
 
     ``autoscale_backlog_epochs`` enables backlog-driven AUTO-RESCALE (the
     micro-batch analogue of Dataflow autoscaling, reference
@@ -495,184 +502,189 @@ def run_stream_continuous(
         if meta0 is not None and meta0.get("partitions"):
             num_partitions = int(meta0["partitions"])
 
-    groups = _load_epoch_records(out_root)
-    # salting samples the head of the stream: recorded epochs first (their
-    # composition is durable), else whatever has already landed
-    sample_files = (
-        [f for g in groups[:2] for f in g]
-        or [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
-    )
-    if salt_hot_keys and not sample_files and read_lineage_meta(out_root) is None:
-        # consumer started before any producer wrote: wait (bounded by the
-        # idle timeout) for the first files — salting against an empty dir
-        # would permanently record a pin-free lineage
-        t_wait = time.monotonic()
-        while (
-            not sample_files
-            and not (land / stop_file).exists()
-            and time.monotonic() - t_wait < idle_timeout_s
-        ):
-            time.sleep(poll_interval_s)
-            sample_files = [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
-    if not groups and read_lineage_meta(out_root) is None:
-        # a fresh run over files already landed: record the first full group
-        # now, so the driver reads and splits it while the actors boot
-        head = [str(f) for f in sorted(land.glob("*.parquet"))[:files_per_epoch]]
-        if len(head) == files_per_epoch:
-            _record_epoch(out_root, 0, head)
-            groups = [head]
-    drv = _EpochDriver(
-        out_root, cfg, num_partitions, groups, resume, salt_hot_keys,
-        sample_files, checkpoint_full_every, max_inflight=3,
-        fail_after_epoch=fail_after_epoch,
-    )
-    rescales: list[dict] = []  # autoscale events (observability)
-    last_rescale_epoch = -(10**9)  # cooldown anchor (no rescale yet)
+    with LandingWatch(landing_dir) as watch:
+        groups = _load_epoch_records(out_root)
+        # salting samples the head of the stream: recorded epochs first (their
+        # composition is durable), else whatever has already landed
+        sample_files = (
+            [f for g in groups[:2] for f in g]
+            or [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
+        )
+        if salt_hot_keys and not sample_files and read_lineage_meta(out_root) is None:
+            # consumer started before any producer wrote: wait (bounded by the
+            # idle timeout) for the first files — salting against an empty dir
+            # would permanently record a pin-free lineage
+            t_wait = time.monotonic()
+            while (
+                not sample_files
+                and not (land / stop_file).exists()
+                and time.monotonic() - t_wait < idle_timeout_s
+            ):
+                watch.wait(poll_interval_s)
+                sample_files = [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
+        if not groups and read_lineage_meta(out_root) is None:
+            # a fresh run over files already landed: record the first full group
+            # now, so the driver reads and splits it while the actors boot
+            head = [str(f) for f in sorted(land.glob("*.parquet"))[:files_per_epoch]]
+            if len(head) == files_per_epoch:
+                _record_epoch(out_root, 0, head)
+                groups = [head]
+        drv = _EpochDriver(
+            out_root, cfg, num_partitions, groups, resume, salt_hot_keys,
+            sample_files, checkpoint_full_every, max_inflight=3,
+            fail_after_epoch=fail_after_epoch,
+        )
+        rescales: list[dict] = []  # autoscale events (observability)
+        last_rescale_epoch = -(10**9)  # cooldown anchor (no rescale yet)
 
-    def rescale_to(new_P: int, kind: str) -> None:
-        """Shared grow/shrink body: drain in-flight epochs to a consistent
-        cut, write the durable intent marker, migrate every partition's
-        keyed state (crash-safe two-phase rescale_checkpoint), lease new_P
-        actors (the old ones go back to the pool first, so a grow reuses
-        them), restore from the cut."""
-        nonlocal last_rescale_epoch
-        drv.drain()
-        cut = next_epoch - 1
-        old_P = drv.proc.P
-        drv.proc.shutdown()
-        # durable intent marker: a crash mid-rescale is finished by
-        # _complete_autoscale on the next resume
-        marker = Path(out_root) / "ckpt" / "_autoscale.json"
-        write_json_atomic(marker, {"epoch": cut, "from": old_P, "to": new_P})
-        rescale_checkpoint(out_root, cut, old_P, new_P, key=cfg.key)
-        marker.unlink()
-        overrides_r = (read_lineage_meta(out_root) or {}).get("overrides") or None
-        drv.proc = OrderedProcessor(cfg, new_P, overrides_r)
-        drv.proc.wait_ready(out_root, cut)
-        rescales.append({"epoch": cut, "from": old_P, "to": drv.proc.P, "kind": kind})
-        last_rescale_epoch = next_epoch
+        def rescale_to(new_P: int, kind: str) -> None:
+            """Shared grow/shrink body: drain in-flight epochs to a consistent
+            cut, write the durable intent marker, migrate every partition's
+            keyed state (crash-safe two-phase rescale_checkpoint), lease new_P
+            actors (the old ones go back to the pool first, so a grow reuses
+            them), restore from the cut."""
+            nonlocal last_rescale_epoch
+            drv.drain()
+            cut = next_epoch - 1
+            old_P = drv.proc.P
+            drv.proc.shutdown()
+            # durable intent marker: a crash mid-rescale is finished by
+            # _complete_autoscale on the next resume
+            marker = Path(out_root) / "ckpt" / "_autoscale.json"
+            write_json_atomic(marker, {"epoch": cut, "from": old_P, "to": new_P})
+            rescale_checkpoint(out_root, cut, old_P, new_P, key=cfg.key)
+            marker.unlink()
+            overrides_r = (read_lineage_meta(out_root) or {}).get("overrides") or None
+            drv.proc = OrderedProcessor(cfg, new_P, overrides_r)
+            drv.proc.wait_ready(out_root, cut)
+            rescales.append({"epoch": cut, "from": old_P, "to": drv.proc.P, "kind": kind})
+            last_rescale_epoch = next_epoch
 
-    def probe_state(epoch: int) -> None:
-        """Append per-operator keyed-state sizes + driver RSS to
-        out_root/state_probe.jsonl (soak observability; cheap O(P) poll)."""
-        import resource
+        def probe_state(epoch: int) -> None:
+            """Append per-operator keyed-state sizes + driver RSS to
+            out_root/state_probe.jsonl (soak observability; cheap O(P) poll)."""
+            import resource
 
-        sizes = ray.get([w.state_sizes.remote() for w in drv.proc.workers])
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rec = {
-            "t": time.time(),
-            "epoch": epoch,
-            "P": drv.proc.P,
-            "driver_maxrss_kb": int(rss_kb),
-            "state": {
-                op: {
-                    k: int(sum(s.get(op, {}).get(k, 0) for s in sizes))
-                    for k in (sizes[0].get(op, {}) if sizes else {})
-                }
-                for op in (sizes[0] if sizes else {})
-            },
-        }
-        with open(Path(out_root) / "state_probe.jsonl", "a") as f:
-            f.write(json.dumps(rec) + "\n")
+            sizes = ray.get([w.state_sizes.remote() for w in drv.proc.workers])
+            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            rec = {
+                "t": time.time(),
+                "epoch": epoch,
+                "P": drv.proc.P,
+                "driver_maxrss_kb": int(rss_kb),
+                "state": {
+                    op: {
+                        k: int(sum(s.get(op, {}).get(k, 0) for s in sizes))
+                        for k in (sizes[0].get(op, {}) if sizes else {})
+                    }
+                    for op in (sizes[0] if sizes else {})
+                },
+            }
+            with open(Path(out_root) / "state_probe.jsonl", "a") as f:
+                f.write(json.dumps(rec) + "\n")
 
-    def feed(epoch: int, group: list[str]) -> None:
-        drv.feed(epoch, group)
-        if group and probe_state_every_epochs and epoch % probe_state_every_epochs == 0:
-            probe_state(epoch)
+        def feed(epoch: int, group: list[str]) -> None:
+            drv.feed(epoch, group)
+            if group and probe_state_every_epochs and epoch % probe_state_every_epochs == 0:
+                probe_state(epoch)
 
-    # 1. replay already-recorded epochs (deterministic composition); an
-    # empty recorded group is a flush epoch from a previous run
-    for epoch in range(drv.start, len(groups)):
-        feed(epoch, groups[epoch])
+        # 1. replay already-recorded epochs (deterministic composition); an
+        # empty recorded group is a flush epoch from a previous run
+        for epoch in range(drv.start, len(groups)):
+            feed(epoch, groups[epoch])
 
-    assigned = {f for g in groups for f in g}
-    known = set(assigned)  # every file ever OBSERVED (for the idle clock)
-    next_epoch = len(groups)
-    last_was_flush = bool(groups) and not groups[-1]
-    last_new = time.monotonic()
-    low_since = None  # continuous low-backlog clock (shrink trigger)
+        assigned = {f for g in groups for f in g}
+        known = set(assigned)  # every file ever OBSERVED (for the idle clock)
+        next_epoch = len(groups)
+        last_was_flush = bool(groups) and not groups[-1]
+        last_new = time.monotonic()
+        low_since = None  # continuous low-backlog clock (shrink trigger)
 
-    # 2. poll for newly landed files
-    while True:
-        stop = (land / stop_file).exists()
-        files_now = [str(f) for f in sorted(land.glob("*.parquet"))]
-        # the idle clock resets only on files NEWLY LANDED, not on files
-        # that merely remain unassigned (a partial trailing group would
-        # otherwise reset it every poll and the timeout could never fire)
-        fresh = [f for f in files_now if f not in known]
-        if fresh:
-            known.update(fresh)
-            last_new = time.monotonic()
-        new = [f for f in files_now if f not in assigned]
-        exiting = stop or (time.monotonic() - last_new > idle_timeout_s)
-        assigned_this_poll = 0
-        # full groups always; the partial remainder only when exiting
-        while len(new) >= files_per_epoch or (exiting and new):
-            group = new[:files_per_epoch]
-            new = new[files_per_epoch:]
-            _record_epoch(out_root, next_epoch, group)
-            assigned.update(group)
-            feed(next_epoch, group)
-            next_epoch += 1
-            assigned_this_poll += 1
-            last_was_flush = False
+        # 2. poll for newly landed files
+        while True:
+            stop = (land / stop_file).exists()
+            files_now = [str(f) for f in sorted(land.glob("*.parquet"))]
+            # the idle clock resets only on files NEWLY LANDED, not on files
+            # that merely remain unassigned (a partial trailing group would
+            # otherwise reset it every poll and the timeout could never fire)
+            fresh = [f for f in files_now if f not in known]
+            if fresh:
+                known.update(fresh)
+                last_new = time.monotonic()
+            new = [f for f in files_now if f not in assigned]
+            exiting = stop or (time.monotonic() - last_new > idle_timeout_s)
+            assigned_this_poll = 0
+            # full groups always; the partial remainder only when exiting
+            while len(new) >= files_per_epoch or (exiting and new):
+                group = new[:files_per_epoch]
+                new = new[files_per_epoch:]
+                _record_epoch(out_root, next_epoch, group)
+                assigned.update(group)
+                feed(next_epoch, group)
+                next_epoch += 1
+                assigned_this_poll += 1
+                last_was_flush = False
+                if (
+                    autoscale_backlog_epochs is not None
+                    and drv.proc.P < autoscale_max_partitions
+                    and len(new) >= autoscale_backlog_epochs * files_per_epoch
+                    # cooldown: let the grown pool chew through at least one
+                    # backlog window before growing again (no flapping straight
+                    # to max on one pre-landed burst)
+                    and next_epoch - last_rescale_epoch > autoscale_backlog_epochs
+                ):
+                    # backlog-driven grow: drain to a consistent cut, migrate
+                    # state, rebuild the pool at the larger P
+                    rescale_to(
+                        min(autoscale_max_partitions, drv.proc.P * autoscale_factor),
+                        "grow",
+                    )
+                    low_since = None
+            # commit every finished epoch now, not when max_inflight forces it:
+            # the commit frontier is what freshness, frontier readers and the
+            # lease-queue pump's acks (source.py) see. Non-blocking, so _STOP
+            # and new files are still seen every poll.
+            drv.commit_ready()
+            # idle-driven shrink: backlog has stayed under one epoch's worth
+            # of files continuously for autoscale_shrink_idle_s
             if (
-                autoscale_backlog_epochs is not None
-                and drv.proc.P < autoscale_max_partitions
-                and len(new) >= autoscale_backlog_epochs * files_per_epoch
-                # cooldown: let the grown pool chew through at least one
-                # backlog window before growing again (no flapping straight
-                # to max on one pre-landed burst)
-                and next_epoch - last_rescale_epoch > autoscale_backlog_epochs
+                autoscale_shrink_idle_s is not None
+                and next_epoch > 0
+                and not exiting
             ):
-                # backlog-driven grow: drain to a consistent cut, migrate
-                # state, rebuild the pool at the larger P
-                rescale_to(
-                    min(autoscale_max_partitions, drv.proc.P * autoscale_factor),
-                    "grow",
-                )
-                low_since = None
-        # commit every finished epoch now, not when max_inflight forces it:
-        # the commit frontier is what freshness, frontier readers and the
-        # lease-queue pump's acks (source.py) see. Non-blocking, so _STOP
-        # and new files are still seen every poll.
-        drv.commit_ready()
-        # idle-driven shrink: backlog has stayed under one epoch's worth
-        # of files continuously for autoscale_shrink_idle_s
-        if (
-            autoscale_shrink_idle_s is not None
-            and next_epoch > 0
-            and not exiting
-        ):
-            if assigned_this_poll:
-                # work flowed this poll — the stream is NOT idle (the
-                # assignment loop always drains `new` below one epoch's
-                # worth, so its length cannot tell)
-                low_since = None
-            elif low_since is None:
-                low_since = time.monotonic()
-            elif (
-                time.monotonic() - low_since >= autoscale_shrink_idle_s
-                and drv.proc.P > autoscale_min_partitions
-            ):
-                new_P = max(
-                    autoscale_min_partitions, max(1, drv.proc.P // autoscale_factor)
-                )
-                if new_P < drv.proc.P:
-                    rescale_to(new_P, "shrink")
-                low_since = None
-        if exiting:
-            break
-        # wake as soon as the oldest epoch finishes, so it commits at once
-        drv.wait_oldest(poll_interval_s)
+                if assigned_this_poll:
+                    # work flowed this poll — the stream is NOT idle (the
+                    # assignment loop always drains `new` below one epoch's
+                    # worth, so its length cannot tell)
+                    low_since = None
+                elif low_since is None:
+                    low_since = time.monotonic()
+                elif (
+                    time.monotonic() - low_since >= autoscale_shrink_idle_s
+                    and drv.proc.P > autoscale_min_partitions
+                ):
+                    new_P = max(
+                        autoscale_min_partitions, max(1, drv.proc.P // autoscale_factor)
+                    )
+                    if new_P < drv.proc.P:
+                        rescale_to(new_P, "shrink")
+                    low_since = None
+            if exiting:
+                break
+            # wake as soon as the oldest epoch finishes, so it commits at
+            # once, or, with none in flight, as soon as a file lands
+            drv.wait_oldest(poll_interval_s, watch)
 
-    # 3. final flush: open windows (and any terminal operator output) are
-    # released by run_stream's final=True epoch; here the exit usually races
-    # the stop sentinel past the last data epoch, so flush explicitly as one
-    # more recorded epoch (idempotent on re-run like any other epoch).
-    holds_open = any(k.holds_open for k in operator_kinds(cfg))
-    if holds_open and next_epoch and not last_was_flush:
-        _record_epoch(out_root, next_epoch, [])
-        feed(next_epoch, [])
-        next_epoch += 1
-    return drv.finish(next_epoch, collect_final_status, rescales=rescales)
+        # 3. final flush: open windows (and any terminal operator output) are
+        # released by run_stream's final=True epoch; here the exit usually races
+        # the stop sentinel past the last data epoch, so flush explicitly as one
+        # more recorded epoch (idempotent on re-run like any other epoch).
+        holds_open = any(k.holds_open for k in operator_kinds(cfg))
+        if holds_open and next_epoch and not last_was_flush:
+            _record_epoch(out_root, next_epoch, [])
+            feed(next_epoch, [])
+            next_epoch += 1
+        return drv.finish(
+            next_epoch, collect_final_status, rescales=rescales,
+            landing_wake=watch.kind,
+        )

@@ -69,7 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-inflight", type=int, default=3)
     ap.add_argument("--checkpoint-full-every", type=int, default=16)
     ap.add_argument("--continuous", action="store_true",
-                    help="poll --input for newly landed files (unbounded mode)")
+                    help="unbounded mode: process files as they land in --input "
+                         "(woken by inotify on Linux, else polled)")
     ap.add_argument("--idle-timeout", type=float, default=30.0)
     ap.add_argument("--no-resume", action="store_true")
     ap.add_argument("--window-size", type=float, default=0.0)

@@ -32,11 +32,19 @@ shard), never data; the pump hardlinks (no copy).
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import select
+import sys
 import time
 import uuid
 from pathlib import Path
+
+# <sys/inotify.h>: a file was renamed into, or closed after writing in, the
+# watched directory. IN_CREATE is left out: a created file may be mid-write.
+_IN_CLOSE_WRITE = 0x008
+_IN_MOVED_TO = 0x080
 
 
 class FileLeaseQueue:
@@ -205,6 +213,74 @@ class FileLeaseQueue:
         return self.is_closed() and c["available"] == 0 and c["leased"] == 0
 
 
+def _inotify_fd(path: str) -> int | None:
+    """A non-blocking inotify fd watching directory ``path`` for landed
+    files, or None where that is unavailable (not Linux, or the watch
+    failed)."""
+    if not sys.platform.startswith("linux"):
+        return None
+    libc = ctypes.CDLL(None)
+    init1, add_watch = libc.inotify_init1, libc.inotify_add_watch
+    init1.argtypes = [ctypes.c_int]
+    init1.restype = ctypes.c_int
+    add_watch.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32]
+    add_watch.restype = ctypes.c_int
+    fd = init1(os.O_NONBLOCK | os.O_CLOEXEC)
+    if fd < 0:
+        return None
+    if add_watch(fd, os.fsencode(path), _IN_CLOSE_WRITE | _IN_MOVED_TO) < 0:
+        os.close(fd)
+        return None
+    return fd
+
+
+class LandingWatch:
+    """The wait between two listings of a landing directory: it ends as
+    soon as a file is renamed into the directory or closed after writing
+    there (Linux inotify), else after the timeout.
+
+    The listing stays the only source of truth. An event only ends a wait
+    early, so a missed or extra event cannot change which files an epoch
+    gets. Arm the watch before the first listing: a file that lands between
+    a listing and the next ``wait`` still ends that wait, because its event
+    waits in the fd. Where inotify is unavailable, and for landings it does
+    not report (a network filesystem), ``wait`` sleeps out the timeout;
+    ``kind`` says which (``"inotify"`` or ``"poll"``). Creates the
+    directory, so a watch armed before the producer's first file holds."""
+
+    def __init__(self, landing_dir: str):
+        Path(landing_dir).mkdir(parents=True, exist_ok=True)
+        self._fd = _inotify_fd(landing_dir)
+        self.kind = "poll" if self._fd is None else "inotify"
+        self._poll = select.poll()  # select.select breaks on fds >= FD_SETSIZE
+        if self._fd is not None:
+            self._poll.register(self._fd, select.POLLIN)
+
+    def wait(self, timeout_s: float) -> None:
+        """Return once a file lands, or after ``timeout_s``."""
+        if self._fd is None:
+            time.sleep(timeout_s)
+            return
+        if self._poll.poll(timeout_s * 1000):
+            # drain every queued event, so that the next wait blocks again
+            try:
+                while os.read(self._fd, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __enter__(self) -> "LandingWatch":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def run_landing_batches(
     landing_dir: str,
     out_root: str,
@@ -214,17 +290,19 @@ def run_landing_batches(
     stop_file: str,
     **kwargs,
 ):
-    """Continuous mode for a resumable bounded stream runner: poll an
+    """Continuous mode for a resumable bounded stream runner: watch an
     arrival-ordered landing directory and call ``runner(files, out_root,
     resume=..., **kwargs)`` on the landed prefix whenever it grows. The
     first call takes the caller's ``resume`` (default True; False starts
     fresh), every later one resumes: the runner's durable epoch markers make
-    each call process only new files, exactly-once across polls AND
+    each call process only new files, exactly-once across listings AND
     crashes.
 
-    Only complete ``files_per_epoch`` groups run mid-stream, so epoch
-    boundaries never shift as files arrive; the trailing partial group runs
-    once ``<landing_dir>/<stop_file>`` exists. The loop also ends after
+    The directory is listed again as soon as a file lands in it
+    (``LandingWatch``), or after ``poll_interval_s`` where that cannot be
+    watched. Only complete ``files_per_epoch`` groups run mid-stream, so
+    epoch boundaries never shift as files arrive; the trailing partial group
+    runs once ``<landing_dir>/<stop_file>`` exists. The loop also ends after
     ``idle_timeout_s`` without new files. Returns the last runner result."""
     resume = kwargs.pop("resume", True)
     fpe = kwargs.get("files_per_epoch", 2)
@@ -232,20 +310,21 @@ def run_landing_batches(
     last_new = time.monotonic()
     processed = 0
     res = None
-    while True:
-        stop = (land / stop_file).exists()
-        files = sorted(str(f) for f in land.glob("*.parquet"))
-        usable = files if stop else files[: (len(files) // fpe) * fpe]
-        if len(usable) > processed:
-            res = runner(usable, out_root, resume=resume, **kwargs)
-            resume = True
-            processed = len(usable)
-            last_new = time.monotonic()
-        if stop and processed == len(files):
-            break
-        if time.monotonic() - last_new > idle_timeout_s:
-            break
-        time.sleep(poll_interval_s)
+    with LandingWatch(landing_dir) as watch:
+        while True:
+            stop = (land / stop_file).exists()
+            files = sorted(str(f) for f in land.glob("*.parquet"))
+            usable = files if stop else files[: (len(files) // fpe) * fpe]
+            if len(usable) > processed:
+                res = runner(usable, out_root, resume=resume, **kwargs)
+                resume = True
+                processed = len(usable)
+                last_new = time.monotonic()
+            if stop and processed == len(files):
+                break
+            if time.monotonic() - last_new > idle_timeout_s:
+                break
+            watch.wait(poll_interval_s)
     if res is None:
         res = runner(files, out_root, resume=resume, **kwargs)
     return res

@@ -969,9 +969,10 @@ def run_dedup_stream_continuous(
     every poll restores the seen-state and processes only new files,
     exactly-once across polls AND crashes.
 
-    Producers must write files whose names sort after all earlier files
-    (the landing-dir convention shared with epochs.run_stream_continuous);
-    the poll loop is ``source.run_landing_batches``.
+    Producers must write-then-rename files whose names sort after all
+    earlier files (the landing-dir convention shared with
+    epochs.run_stream_continuous); the loop is ``source.run_landing_batches``,
+    which lists the directory again as soon as a file lands.
 
     Trade-off (documented, not hidden): state actors are re-created and
     restored once per poll that has work — bounded by snapshot compaction,

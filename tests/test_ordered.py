@@ -3,12 +3,15 @@ oracle, multi-partition determinism (same output at P=2 and P=8), final
 status completion — the pipeline-level re-expression of
 OrderBookProcessingPipelineTest (reference, see SURVEY.md §5)."""
 
+import mmap
+import sys
+
 import pandas as pd
 import pyarrow as pa
 import pytest
 
 from ray_ordered_stream.fixtures import oracle_final_status, oracle_ordered, tiny_fixture
-from ray_ordered_stream.ordered import OrderedProcessor, ordered_process
+from ray_ordered_stream.ordered import OrderedProcessor, _shared_resident_kb, ordered_process
 from ray_ordered_stream.schema import KEY, SEQ
 from ray_ordered_stream.state import OrderedConfig
 
@@ -274,3 +277,16 @@ def test_exchange_shards_ship_o_rows_bytes(tmp_path):
     # the bound has teeth: a zero-copy slice of the same data fails it
     sliced = shards[4].slice(0, 50)
     assert _wire_bytes(sliced) > bound(sliced)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_shared_resident_kb_counts_touched_shared_pages():
+    # the read task's page drop runs only past _TASK_SHARED_KEEP_KB of this
+    # reading, so it must see shared pages as they are touched
+    before = _shared_resident_kb()
+    m = mmap.mmap(-1, 8 << 20)  # anonymous and MAP_SHARED: shmem pages
+    try:
+        m.write(b"x" * (8 << 20))
+        assert _shared_resident_kb() - before >= 7 * 1024
+    finally:
+        m.close()

@@ -2,6 +2,7 @@
 bridging a message bus to the landing-dir consumer — at-least-once delivery
 with redelivery on lease expiry, exactly-once engine output."""
 
+import os
 import threading
 import time
 
@@ -11,7 +12,7 @@ import pyarrow.parquet as pq
 from ray_ordered_stream.epochs import run_stream_continuous
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
 from ray_ordered_stream.schema import KEY, SEQ
-from ray_ordered_stream.source import FileLeaseQueue, Pump
+from ray_ordered_stream.source import FileLeaseQueue, LandingWatch, Pump
 from ray_ordered_stream.state import OrderedConfig
 
 
@@ -334,3 +335,50 @@ def test_publish_collision_is_loud_but_retry_is_idempotent(tmp_path):
     with pytest.raises(RuntimeError, match="collision"):
         racer.publish([str(b)])
     assert q.counts() == {"available": 1, "leased": 0, "acked": 0}
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_landing_watch_keeps_a_landing_from_before_the_wait(tmp_path):
+    """A file renamed in after the watch is armed but before ``wait`` is
+    called still ends that wait at once: its event waits in the fd."""
+    land = tmp_path / "landing"
+    with LandingWatch(str(land)) as w:
+        assert land.is_dir() and w.kind == "inotify"
+        (tmp_path / "f.tmp").write_bytes(b"x")
+        os.replace(tmp_path / "f.tmp", land / "f.parquet")
+        t0 = time.monotonic()
+        w.wait(5.0)
+        assert time.monotonic() - t0 < 1.0
+        # the wake drained the event: the next wait sleeps out its timeout
+        t0 = time.monotonic()
+        w.wait(0.2)
+        assert time.monotonic() - t0 >= 0.15
+
+
+def test_landing_watch_ignores_a_file_still_being_written(tmp_path):
+    """Creating and writing a file does not end a wait; closing it does."""
+    with LandingWatch(str(tmp_path)) as w:
+        with open(tmp_path / "f.parquet", "wb") as f:
+            f.write(b"x" * 1024)
+            f.flush()
+            t0 = time.monotonic()
+            w.wait(0.3)
+            assert time.monotonic() - t0 >= 0.25
+        t0 = time.monotonic()
+        w.wait(5.0)
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_landing_watch_close_releases_its_fd(tmp_path):
+    before = _fd_count()
+    w = LandingWatch(str(tmp_path))
+    assert w.kind == "inotify" and _fd_count() == before + 1
+    w.close()
+    assert _fd_count() == before
+    w.close()  # idempotent; a closed watch sleeps out its timeout
+    t0 = time.monotonic()
+    w.wait(0.1)
+    assert time.monotonic() - t0 >= 0.05

@@ -2,6 +2,7 @@
 in-actor streaming windows and join vs their batch/oracle counterparts
 (FIXTURES.md t_resume / t_windows / t_join)."""
 
+import os
 import shutil
 from pathlib import Path
 
@@ -463,7 +464,7 @@ def _write_files_atomic(tbl, d, n_files, start=0, total=None):
     return out
 
 
-def test_continuous_source_processes_midrun_files(tmp_path, ray_session):
+def _run_midrun_files(tmp_path):
     # files land WHILE the loop runs (producer thread, write+rename), then a
     # stop sentinel; every turn must be processed exactly once.
     import threading
@@ -518,6 +519,77 @@ def test_continuous_source_processes_midrun_files(tmp_path, ray_session):
             rs[i : i + 3] == ["user", "tool", "user"] for i in range(len(rs) - 2)
         )
     assert len(matches) == n_pat > 0
+    return res
+
+
+def test_continuous_source_processes_midrun_files(tmp_path, ray_session):
+    assert _run_midrun_files(tmp_path).metrics["landing_wake"] == "inotify"
+
+
+def test_continuous_source_without_inotify_polls(tmp_path, ray_session, monkeypatch):
+    # where the landing dir cannot be watched, every wait sleeps out the
+    # poll interval: the same turns, exactly once, and the result says so
+    from ray_ordered_stream import source
+
+    monkeypatch.setattr(source, "_inotify_fd", lambda path: None)
+    assert _run_midrun_files(tmp_path).metrics["landing_wake"] == "poll"
+
+
+def test_continuous_wakes_on_landing(tmp_path, ray_session):
+    # with no epoch in flight the loop waits on the landing dir, not on
+    # poll_interval_s: a file renamed in is recorded as an epoch, and the
+    # stop marker ends the run, well within one 5 s interval
+    import threading
+    import time
+
+    from ray_ordered_stream.epochs import run_stream_continuous
+
+    t = gen_transcripts(n_convs=6, min_turns=4, max_turns=10, seed=35)
+    land, out, src = tmp_path / "landing", tmp_path / "out", tmp_path / "src"
+    land.mkdir()
+    src.mkdir()
+    f = _write_files_atomic(t, src, 1)[0]
+    landed = {}
+
+    def wait_for(path):
+        deadline = time.monotonic() + 60
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def lander():
+        wait_for(out / "ckpt" / "meta.json")
+        time.sleep(0.5)  # the loop is in its first wait by now
+        os.replace(f, land / "part-00000.parquet")
+        landed["file"] = time.time()
+        wait_for(out / "epochs" / "epoch-00000.json")
+        (land / "_STOP.tmp").write_text("")
+        os.replace(land / "_STOP.tmp", land / "_STOP")
+        landed["stop"] = time.time()
+
+    th = threading.Thread(target=lander, daemon=True)
+    th.start()
+    res = run_stream_continuous(
+        str(land), str(out), OrderedConfig(), num_partitions=2,
+        files_per_epoch=1, poll_interval_s=5.0, idle_timeout_s=60.0,
+    )
+    t_end = time.time()
+    th.join(timeout=60)
+    assert not th.is_alive()
+    rec = out / "epochs" / "epoch-00000.json"
+    assert rec.stat().st_mtime - landed["file"] < 1.0
+    assert t_end - landed["stop"] < 2.0
+    assert res.metrics["landing_wake"] == "inotify"
+    assert res.total_emitted == len(oracle_ordered(t))
+
+
+def _inotify_fds() -> int:
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{fd}") == "anon_inode:inotify"
+        except OSError:
+            pass  # the fd of the listing itself, closed by now
+    return n
 
 
 def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
@@ -538,11 +610,13 @@ def test_continuous_crash_resume_exactly_once(tmp_path, ray_session):
     files = _write_files_atomic(t, land, 6, start=0, total=6)
 
     out = str(tmp_path / "out")
+    watches = _inotify_fds()
     with pytest.raises(RuntimeError, match="injected failure"):
         run_stream_continuous(
             str(land), out, num_partitions=3, files_per_epoch=2,
             poll_interval_s=0.05, fail_after_epoch=1,
         )
+    assert _inotify_fds() == watches  # the crash closed the landing watch
     # finished epochs commit eagerly, yet nothing past the injected failure
     # does, and every committed epoch has its file group recorded
     for name, sink in _open_sinks(out, OrderedConfig()).items():

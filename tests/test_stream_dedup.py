@@ -1,6 +1,7 @@
 """Streaming content-dedup pipeline: keep-first semantics, exactly-once
 across crash-resume, serial-oracle equality."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +217,14 @@ def test_dedup_stream_continuous_midrun_files(ray_session, tmp_path):
     land.mkdir()
     step = 30
     def write(i):
+        # write-then-rename: the loop may list the directory at any moment
+        tmp = land / f"feed-{i:05d}.parquet.tmp"
         pq.write_table(
             pa.Table.from_pandas(df.iloc[i * step : (i + 1) * step],
                                  preserve_index=False),
-            land / f"feed-{i:05d}.parquet",
+            tmp,
         )
+        os.replace(tmp, land / f"feed-{i:05d}.parquet")
     for i in range(4):
         write(i)
 
@@ -247,6 +251,52 @@ def test_dedup_stream_continuous_midrun_files(ray_session, tmp_path):
         got, exp.sort_values("doc_id").reset_index(drop=True)
     )
     assert res.sink.total_committed_rows() == len(exp)
+
+
+def test_dedup_stream_continuous_wakes_on_landing(ray_session, tmp_path):
+    """Between runner calls the loop waits on the landing directory, not on
+    ``poll_interval_s``: a file renamed in after the first call committed
+    starts the next call well within one 5 s interval of landing."""
+    import threading
+    import time as _t
+
+    from ray_ordered_stream.stream_dedup import run_dedup_stream_continuous
+
+    df = _corpus(n=120, seed=19)
+    land = tmp_path / "landing"
+    src = _write_feed(df, tmp_path / "src", 2)
+    land.mkdir()
+    os.replace(src[0], land / "feed-00000.parquet")
+    ck = tmp_path / "out" / "ckpt"
+    landed = {}
+
+    def wait_for(path):
+        deadline = _t.monotonic() + 60
+        while not path.exists() and _t.monotonic() < deadline:
+            _t.sleep(0.01)
+
+    def lander():
+        wait_for(ck / "epoch-00000.json")
+        _t.sleep(0.3)  # the loop is in its wait by now
+        os.replace(src[1], land / "feed-00001.parquet")
+        landed["t"] = _t.time()
+        wait_for(ck / "epoch-00001.json")
+        (land / "_STOP.tmp").write_text("")
+        os.replace(land / "_STOP.tmp", land / "_STOP")
+
+    th = threading.Thread(target=lander, daemon=True)
+    th.start()
+    res = run_dedup_stream_continuous(
+        str(land), str(tmp_path / "out"), poll_interval_s=5.0,
+        idle_timeout_s=60.0, num_partitions=2, files_per_epoch=1,
+    )
+    th.join(timeout=60)
+    assert not th.is_alive()
+    # every runner call first rewrites ckpt/meta.json: its mtime is when the
+    # loop woke (the call itself starts new actors, ~1 s)
+    assert (ck / "epoch-00001.json").exists()
+    assert (ck / "meta.json").stat().st_mtime - landed["t"] < 1.0
+    assert res.sink.total_committed_rows() == len(_oracle_keep(df))
 
 
 def test_dedup_rescale_checkpoint(ray_session, tmp_path):
