@@ -3,8 +3,8 @@ resume (SURVEY.md §7.0 — the micro-batch streaming shape).
 
 One epoch driver (``_EpochDriver``), two feeds of Parquet file groups in
 arrival order: bounded ``run_stream`` cuts a fixed file list, unbounded
-``run_stream_continuous`` polls a landing directory, records each group
-before feeding it and ends with a flush epoch (an empty group). Per epoch:
+``run_stream_continuous`` takes ``source.LandingSource``'s recorded groups
+and ends with a flush epoch (an empty group). Per epoch:
 
     fused read+split tasks (whole blocks never enter the object store)
       -> feed through the P state actors (ordered drain,
@@ -47,7 +47,7 @@ from .metrics import StatsTracker
 from .ordered import OrderedProcessor
 from .rescale import rescale_checkpoint
 from .sink import ManifestSink
-from .source import LandingWatch
+from .source import LandingSource
 from .state import OrderedConfig
 from .stream_ops import LATE_SINK, OPERATOR_KINDS, operator_kinds, operator_sinks
 
@@ -140,13 +140,13 @@ def _epoch_ts(epoch: int) -> pd.Timestamp:
     return pd.Timestamp("1970-01-01") + pd.Timedelta(seconds=epoch)
 
 
-def _reset_outputs(out_root: str, *dirs: str) -> None:
+def _reset_outputs(out_root: str) -> None:
     """``resume=False``: before anything reads them, delete every sink the
-    engine writes, the checkpoint lineage and ``dirs`` under ``out_root``.
-    An earlier, longer run's later manifests would otherwise stay committed
+    engine writes and the checkpoint lineage under ``out_root``. An
+    earlier, longer run's later manifests would otherwise stay committed
     and its later checkpoints would pass for the resume cut."""
     sinks = ("ordered", "status", "dlq", *(k.sink for k in OPERATOR_KINDS), LATE_SINK)
-    for d in (*sinks, "ckpt", *dirs):
+    for d in (*sinks, "ckpt"):
         shutil.rmtree(Path(out_root) / d, ignore_errors=True)
 
 
@@ -255,9 +255,15 @@ class _EpochDriver:
 
     def commit_oldest(self) -> None:
         """Commit the oldest in-flight epoch's manifests (blocks until its
-        partitions finish); the injected failure fires right after."""
+        partitions finish); the injected failure fires right after, and a
+        failed epoch ends the run the same way."""
         epoch, refs, t_submit = self.pending.pop(0)
-        rows_per_part = ray.get(refs)
+        try:
+            rows_per_part = ray.get(refs)
+        except ray.exceptions.RayError:
+            self.proc.broken = True
+            self.proc.shutdown()
+            raise
         e_rows = 0
         for name, s in self.sinks.items():
             rows = {p: r.get(name, 0) for p, r in enumerate(rows_per_part)}
@@ -287,15 +293,15 @@ class _EpochDriver:
                 return
             self.commit_oldest()
 
-    def wait_oldest(self, timeout_s: float, watch: LandingWatch) -> None:
+    def wait_oldest(self, timeout_s: float, source: LandingSource) -> None:
         """Return once the oldest in-flight epoch has finished, or after
         ``timeout_s``; with nothing in flight, once a file lands in the
-        ``watch``ed directory, or after ``timeout_s``."""
+        ``source``'s directory, or after ``timeout_s``."""
         if self.pending:
             refs = self.pending[0][1]
             ray.wait(refs, num_returns=len(refs), timeout=timeout_s)
         else:
-            watch.wait(timeout_s)
+            source.wait(timeout_s)
 
     def drain(self) -> None:
         """Commit every in-flight epoch: a consistent cut."""
@@ -365,38 +371,6 @@ def run_stream(
 # ---------------------------------------------------------------------------
 
 
-def _epoch_record_dir(out_root: str) -> Path:
-    return Path(out_root) / "epochs"
-
-
-def _record_epoch(out_root: str, epoch: int, files: list[str]) -> None:
-    """Durably pin an epoch's file group BEFORE feeding it, so a resumed run
-    re-forms identical epochs regardless of what has landed since."""
-    write_json_atomic(
-        _epoch_record_dir(out_root) / f"epoch-{epoch:05d}.json",
-        {"epoch": epoch, "files": files},
-    )
-
-
-def _load_epoch_records(out_root: str) -> list[list[str]]:
-    """The recorded file groups, epoch 0 first. A gap would renumber every
-    later group, and a resume would overwrite committed epochs with other
-    files' output, so a missing record raises."""
-    d = _epoch_record_dir(out_root)
-    if not d.exists():
-        return []
-    groups = []
-    for f in sorted(d.glob("epoch-*.json")):
-        rec = json.loads(f.read_text())
-        if rec["epoch"] != len(groups):
-            raise ValueError(
-                f"epoch records under {d} are not contiguous: the record of "
-                f"epoch {len(groups)} is missing (next is {f.name})"
-            )
-        groups.append(rec["files"])
-    return groups
-
-
 def _complete_autoscale(out_root: str, key: str) -> None:
     """Finish an autoscale rescale a crash interrupted. The durable marker
     (written BEFORE rescale_checkpoint starts) carries (epoch, from, to);
@@ -444,21 +418,21 @@ def run_stream_continuous(
     reference's Pub/Sub subscription, OrderBookProcessingPipeline.java:103-105
     — the honest file-based equivalent of an unbounded source).
 
-    The directory is polled (created if missing); newly landed Parquet files
-    (producers must write-then-rename, never write in place) are grouped
-    into epochs of ``files_per_epoch`` in name order. Each epoch's file
+    The files come from ``source.LandingSource``: newly landed Parquet
+    files (producers must write-then-rename, never write in place) are
+    grouped into epochs of ``files_per_epoch`` in name order, and each
     group is durably recorded under ``out_root/epochs/`` BEFORE it is fed,
     so crash + resume re-forms byte-identical epochs and the run_stream
     exactly-once protocol (checkpoint -> sink manifests, idempotent re-run)
     carries over unchanged. Every finished epoch commits at the next poll.
     A poll comes as soon as the oldest in-flight epoch finishes, or, with
-    none in flight, as soon as a file lands (``source.LandingWatch``, Linux
-    inotify), and at the latest after ``poll_interval_s``. Where the
-    directory cannot be watched every wait lasts ``poll_interval_s``;
-    ``metrics["landing_wake"]`` of the result says which (``"inotify"`` or
-    ``"poll"``). The loop ends when ``<landing_dir>/<stop_file>`` exists and
-    every landed file has been processed, or after ``idle_timeout_s``
-    without new files.
+    none in flight, as soon as a file lands (Linux inotify), and at the
+    latest after ``poll_interval_s``. Where the directory cannot be watched
+    every wait lasts ``poll_interval_s``; ``metrics["landing_wake"]`` of
+    the result says which (``"inotify"`` or ``"poll"``). The loop ends when
+    ``<landing_dir>/<stop_file>`` exists and every landed file has been
+    processed, or after ``idle_timeout_s`` without new files; the trailing
+    partial group runs then.
 
     ``autoscale_backlog_epochs`` enables backlog-driven AUTO-RESCALE (the
     micro-batch analogue of Dataflow autoscaling, reference
@@ -480,9 +454,8 @@ def run_stream_continuous(
     intent marker, so a crash mid-shrink is finished on resume too.
     """
     cfg = cfg or OrderedConfig()
-    land = Path(landing_dir)
     if not resume:
-        _reset_outputs(out_root, "epochs")
+        _reset_outputs(out_root)
     # NOTE on the stop marker: a PRE-EXISTING <landing>/<stop_file> is a
     # supported finite-replay pattern (callers land files then write the
     # marker), so it is NOT cleared here. Queue-mode runs instead clear a
@@ -502,14 +475,14 @@ def run_stream_continuous(
         if meta0 is not None and meta0.get("partitions"):
             num_partitions = int(meta0["partitions"])
 
-    with LandingWatch(landing_dir) as watch:
-        groups = _load_epoch_records(out_root)
+    with LandingSource(
+        landing_dir, out_root, files_per_epoch, poll_interval_s,
+        idle_timeout_s, stop_file, resume,
+    ) as src:
+        groups = src.recorded
         # salting samples the head of the stream: recorded epochs first (their
         # composition is durable), else whatever has already landed
-        sample_files = (
-            [f for g in groups[:2] for f in g]
-            or [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
-        )
+        sample_files = [f for g in groups[:2] for f in g] or src.listing()[:4]
         if salt_hot_keys and not sample_files and read_lineage_meta(out_root) is None:
             # consumer started before any producer wrote: wait (bounded by the
             # idle timeout) for the first files — salting against an empty dir
@@ -517,18 +490,17 @@ def run_stream_continuous(
             t_wait = time.monotonic()
             while (
                 not sample_files
-                and not (land / stop_file).exists()
+                and not src.stopped()
                 and time.monotonic() - t_wait < idle_timeout_s
             ):
-                watch.wait(poll_interval_s)
-                sample_files = [str(f) for f in sorted(land.glob("*.parquet"))[:4]]
+                src.wait(poll_interval_s)
+                sample_files = src.listing()[:4]
         if not groups and read_lineage_meta(out_root) is None:
             # a fresh run over files already landed: record the first full group
             # now, so the driver reads and splits it while the actors boot
-            head = [str(f) for f in sorted(land.glob("*.parquet"))[:files_per_epoch]]
+            head = src.listing()[:files_per_epoch]
             if len(head) == files_per_epoch:
-                _record_epoch(out_root, 0, head)
-                groups = [head]
+                src.record(head)
         drv = _EpochDriver(
             out_root, cfg, num_partitions, groups, resume, salt_hot_keys,
             sample_files, checkpoint_full_every, max_inflight=3,
@@ -545,7 +517,7 @@ def run_stream_continuous(
             them), restore from the cut."""
             nonlocal last_rescale_epoch
             drv.drain()
-            cut = next_epoch - 1
+            cut = src.next_epoch - 1
             old_P = drv.proc.P
             drv.proc.shutdown()
             # durable intent marker: a crash mid-rescale is finished by
@@ -558,7 +530,7 @@ def run_stream_continuous(
             drv.proc = OrderedProcessor(cfg, new_P, overrides_r)
             drv.proc.wait_ready(out_root, cut)
             rescales.append({"epoch": cut, "from": old_P, "to": drv.proc.P, "kind": kind})
-            last_rescale_epoch = next_epoch
+            last_rescale_epoch = src.next_epoch
 
         def probe_state(epoch: int) -> None:
             """Append per-operator keyed-state sizes + driver RSS to
@@ -592,46 +564,22 @@ def run_stream_continuous(
         # empty recorded group is a flush epoch from a previous run
         for epoch in range(drv.start, len(groups)):
             feed(epoch, groups[epoch])
-
-        assigned = {f for g in groups for f in g}
-        known = set(assigned)  # every file ever OBSERVED (for the idle clock)
-        next_epoch = len(groups)
-        last_was_flush = bool(groups) and not groups[-1]
-        last_new = time.monotonic()
         low_since = None  # continuous low-backlog clock (shrink trigger)
 
-        # 2. poll for newly landed files
+        # 2. feed each group as the source cuts it
         while True:
-            stop = (land / stop_file).exists()
-            files_now = [str(f) for f in sorted(land.glob("*.parquet"))]
-            # the idle clock resets only on files NEWLY LANDED, not on files
-            # that merely remain unassigned (a partial trailing group would
-            # otherwise reset it every poll and the timeout could never fire)
-            fresh = [f for f in files_now if f not in known]
-            if fresh:
-                known.update(fresh)
-                last_new = time.monotonic()
-            new = [f for f in files_now if f not in assigned]
-            exiting = stop or (time.monotonic() - last_new > idle_timeout_s)
             assigned_this_poll = 0
-            # full groups always; the partial remainder only when exiting
-            while len(new) >= files_per_epoch or (exiting and new):
-                group = new[:files_per_epoch]
-                new = new[files_per_epoch:]
-                _record_epoch(out_root, next_epoch, group)
-                assigned.update(group)
-                feed(next_epoch, group)
-                next_epoch += 1
+            for epoch, group in src.poll():
+                feed(epoch, group)
                 assigned_this_poll += 1
-                last_was_flush = False
                 if (
                     autoscale_backlog_epochs is not None
                     and drv.proc.P < autoscale_max_partitions
-                    and len(new) >= autoscale_backlog_epochs * files_per_epoch
+                    and src.backlog >= autoscale_backlog_epochs * files_per_epoch
                     # cooldown: let the grown pool chew through at least one
                     # backlog window before growing again (no flapping straight
                     # to max on one pre-landed burst)
-                    and next_epoch - last_rescale_epoch > autoscale_backlog_epochs
+                    and src.next_epoch - last_rescale_epoch > autoscale_backlog_epochs
                 ):
                     # backlog-driven grow: drain to a consistent cut, migrate
                     # state, rebuild the pool at the larger P
@@ -649,13 +597,13 @@ def run_stream_continuous(
             # of files continuously for autoscale_shrink_idle_s
             if (
                 autoscale_shrink_idle_s is not None
-                and next_epoch > 0
-                and not exiting
+                and src.next_epoch > 0
+                and not src.exiting
             ):
                 if assigned_this_poll:
                     # work flowed this poll — the stream is NOT idle (the
-                    # assignment loop always drains `new` below one epoch's
-                    # worth, so its length cannot tell)
+                    # source always cuts the backlog below one epoch's worth
+                    # of files, so its length cannot tell)
                     low_since = None
                 elif low_since is None:
                     low_since = time.monotonic()
@@ -669,22 +617,19 @@ def run_stream_continuous(
                     if new_P < drv.proc.P:
                         rescale_to(new_P, "shrink")
                     low_since = None
-            if exiting:
+            if src.exiting:
                 break
             # wake as soon as the oldest epoch finishes, so it commits at
             # once, or, with none in flight, as soon as a file lands
-            drv.wait_oldest(poll_interval_s, watch)
+            drv.wait_oldest(poll_interval_s, src)
 
         # 3. final flush: open windows (and any terminal operator output) are
         # released by run_stream's final=True epoch; here the exit usually races
         # the stop sentinel past the last data epoch, so flush explicitly as one
         # more recorded epoch (idempotent on re-run like any other epoch).
-        holds_open = any(k.holds_open for k in operator_kinds(cfg))
-        if holds_open and next_epoch and not last_was_flush:
-            _record_epoch(out_root, next_epoch, [])
-            feed(next_epoch, [])
-            next_epoch += 1
+        if any(k.holds_open for k in operator_kinds(cfg)) and src.recorded and src.recorded[-1]:
+            feed(src.record([]), [])
         return drv.finish(
-            next_epoch, collect_final_status, rescales=rescales,
-            landing_wake=watch.kind,
+            src.next_epoch, collect_final_status, rescales=rescales,
+            landing_wake=src.wake,
         )

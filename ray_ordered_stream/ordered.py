@@ -28,9 +28,9 @@ its own actors and never touches the pool.
 The exchange is block-ref based: shards travel through the object store
 and are fetched by the owning actor (zero-copy on the same node), which is
 how a multi-node shuffle moves data; nothing is materialized on the driver.
-Each shard is one compact ``pa.RecordBatch``, the input schema reaches the
-actor as a ``pa.Schema`` and the status timestamp as a stdlib ``datetime``:
-all three pickle natively, so a streaming actor never runs Ray's
+Each shard is one compact ``pa.RecordBatch`` that carries the input schema
+(empty ones too), and the status timestamp reaches the actor as a stdlib
+``datetime``: both pickle natively, so a streaming actor never runs Ray's
 ``pa.Table`` reducer (which imports ``ray.data``) nor unpickles a pandas
 object. ``ray.data`` is imported only by the driver-side Dataset helpers.
 Ray Data's ``map_batches(cls, concurrency=N)`` is NOT used for the state
@@ -92,12 +92,13 @@ def _concat_shards(*tbls: pa.Table) -> pa.RecordBatch:
 
 
 @ray.remote
-def _read_and_split_parts(key: str, P: int, overrides, range_bounds, paths: list[str]):
-    """Fused source + map side of the exchange: decode Parquet file(s) and
-    split straight into P compact shards (returned alone for P == 1, else
-    as a tuple). The whole block never enters the object store — only the
-    shards do — which cuts the full-data plasma crossings per epoch from 3
-    (read put, split put, concat put) to 1. At 32 cores on one node the
+def _read_and_split_parts(key: str, seq: str, P: int, overrides, range_bounds, paths: list[str]):
+    """Fused source + map side of the exchange: decode Parquet file(s),
+    check their ``key`` and ``seq`` columns, and split straight into P
+    compact shards (returned alone for P == 1, else as a tuple). The whole
+    block never enters the object store — only the shards do — which cuts
+    the full-data plasma crossings per epoch from 3 (read put, split put,
+    concat put) to 1. At 32 cores on one node the
     exchange is store-bandwidth bound, so this is the main scaling lever
     (BASELINE.md round-1 analysis)."""
     import pyarrow.parquet as pq
@@ -114,6 +115,8 @@ def _read_and_split_parts(key: str, P: int, overrides, range_bounds, paths: list
     pa.set_cpu_count(1)
     pa.set_io_thread_count(1)
     tbls = [pq.read_table(p) for p in paths]
+    for t in tbls:
+        _check_names(t.column_names, key, seq)
     tbl = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 else tbls[0]
     sel = [_as_batch(t) for t in split_table(tbl, key, P, overrides, range_bounds)]
     return sel[0] if P == 1 else tuple(sel)
@@ -201,10 +204,10 @@ class OrderedWorker:
             scratch.process(dummy, _EPOCH)
         return True
 
-    def process_epoch(self, status_ts: datetime, schema: pa.Schema, *parts: pa.RecordBatch):
+    def process_epoch(self, status_ts: datetime, *parts: pa.RecordBatch):
         """Feed this partition's shards for one epoch (in arrival order);
-        returns (emitted, status) Arrow tables. ``schema`` is the input
-        schema, so empty partitions still emit schema-correct tables.
+        returns (emitted, status) Arrow tables. Every shard carries the
+        input schema, so empty partitions still emit schema-correct tables.
 
         Rows with a null key or sequence are quarantined to the partition's
         DLQ (≙ FailedBigQueryInsertProcessor, reference
@@ -213,7 +216,7 @@ class OrderedWorker:
         batches = [b for b in parts if b.num_rows]
         if not batches:
             return (
-                self.state._empty_emitted(schema.empty_table()),
+                self.state._empty_emitted(parts[0].schema.empty_table()),
                 _empty_status(),
             )
         batch = pa.Table.from_batches(batches)
@@ -237,7 +240,7 @@ class OrderedWorker:
         return emitted, status
 
     def process_epoch_to_sink(
-        self, status_ts: datetime, schema: pa.Schema, sink_paths: dict,
+        self, status_ts: datetime, sink_paths: dict,
         final: bool, ckpt: tuple | None,
         *parts: pa.RecordBatch,
     ) -> dict:
@@ -256,7 +259,7 @@ class OrderedWorker:
         """
         from .sink import write_part_atomic
 
-        emitted, status = self.process_epoch(status_ts, schema, *parts)
+        emitted, status = self.process_epoch(status_ts, *parts)
         out = {}
         if "ordered" in sink_paths:
             towrite = emitted
@@ -578,24 +581,21 @@ class OrderedProcessor:
             for w in self.workers
         ])
 
-    def exchange(self, ds_or_table) -> tuple[list, pa.Schema | None]:
+    def exchange(self, ds_or_table) -> list:
         """Submit the exchange: a list of shard-ref groups (each group = P
         refs, one per partition, in arrival order; each shard one compact
-        RecordBatch) plus the input schema. Accepts a Parquet file list
+        RecordBatch carrying the input schema). Accepts a Parquet file list
         (fused read+split tasks — the scale path: whole blocks never enter
-        the object store), a pa.Table, a Dataset, or a list of block refs.
-        The tasks have no side effects, so a driver may submit an epoch's
-        exchange before it leases its actors (``workers``)."""
+        the object store; the tasks check the columns), a pa.Table, a
+        Dataset, or a list of block refs. The tasks have no side effects,
+        so a driver may submit an epoch's exchange before it leases its
+        actors (``workers``)."""
         key = self.cfg.key
         if (
             isinstance(ds_or_table, list)
             and ds_or_table
             and isinstance(ds_or_table[0], str)
         ):
-            import pyarrow.parquet as pq
-
-            schema = pq.read_schema(ds_or_table[0])
-            _check_names(schema.names, self.cfg)
             files = ds_or_table
             n_map = max(1, min(len(files), max(self.P, self._cpus)))
             groups = [
@@ -605,18 +605,17 @@ class OrderedProcessor:
             ]
             refs = [
                 _read_and_split_parts.options(num_returns=self.P).remote(
-                    key, self.P, self.overrides, self.range_bounds, g
+                    key, self.cfg.seq, self.P, self.overrides, self.range_bounds, g
                 )
                 for g in groups
             ]
             # with one return Ray hands back the ref itself, not a list
-            per_group = [[r] for r in refs] if self.P == 1 else refs
-            return per_group, schema
+            return [[r] for r in refs] if self.P == 1 else refs
 
         _check_columns(ds_or_table, self.cfg)
         block_refs = _to_block_refs(ds_or_table)
         if not block_refs:
-            return [], None
+            return []
         # group input blocks into ~max(P, cpus) map tasks so every exchange
         # object is large enough for plasma (see _split_blocks docstring)
         n_map = max(1, min(len(block_refs), max(self.P, self._cpus)))
@@ -634,7 +633,7 @@ class OrderedProcessor:
                 )
                 for g in groups
             ]
-        return per_group, _schema_of(ds_or_table)
+        return per_group
 
     def feed_epoch(self, ds_or_table, status_ts) -> tuple[list, list]:
         """Run one epoch through the state store. Returns (emitted_refs,
@@ -642,7 +641,7 @@ class OrderedProcessor:
         A processor with no actors yet starts its own instead of leasing the
         pool's: these return tables through Ray's pa.Table reducer, which
         loads ray.data, so they could never go back to the pool."""
-        per_group, schema = self.exchange(ds_or_table)
+        per_group = self.exchange(ds_or_table)
         if self._workers is None:
             self._workers = [OrderedWorker.remote(self.cfg, p) for p in range(self.P)]
         if not per_group:
@@ -654,9 +653,7 @@ class OrderedProcessor:
             # in-process); a _concat_shards fan-in task would add a full
             # extra copy + plasma put of every byte
             shards = [pg[p] for pg in per_group]
-            e, s = w.process_epoch.options(num_returns=2).remote(
-                status_ts, schema, *shards
-            )
+            e, s = w.process_epoch.options(num_returns=2).remote(status_ts, *shards)
             emitted_refs.append(e)
             status_refs.append(s)
         if self.cfg.max_emit_per_round:
@@ -666,15 +663,15 @@ class OrderedProcessor:
         return emitted_refs, status_refs
 
     def feed_epoch_to_sinks(
-        self, exchange: tuple[list, pa.Schema | None], status_ts,
+        self, per_group: list, status_ts,
         sink_paths_per_partition: list[dict],
         final: bool = False, ckpt: tuple | None = None,
     ) -> list:
-        """Like feed_epoch, but takes an already submitted ``exchange()`` and
-        every partition writes its sink parts directly from the state actor
-        (no emitted tables through the object store). Returns one ObjectRef
-        per partition resolving to {sink_name: rows_written}."""
-        per_group, schema = exchange
+        """Like feed_epoch, but takes the shard-ref groups of an already
+        submitted ``exchange()`` and every partition writes its sink parts
+        directly from the state actor (no emitted tables through the object
+        store). Returns one ObjectRef per partition resolving to
+        {sink_name: rows_written}."""
         if not per_group:
             return []
         status_ts = _wire_ts(status_ts)
@@ -683,8 +680,7 @@ class OrderedProcessor:
             shards = [pg[p] for pg in per_group]
             out.append(
                 w.process_epoch_to_sink.remote(
-                    status_ts, schema, sink_paths_per_partition[p], final,
-                    ckpt, *shards,
+                    status_ts, sink_paths_per_partition[p], final, ckpt, *shards,
                 )
             )
         return out
@@ -824,8 +820,8 @@ def _cpu_count() -> int:
     return int(ray.cluster_resources().get("CPU", 2))
 
 
-def _check_names(names, cfg: OrderedConfig) -> None:
-    missing = {cfg.key, cfg.seq} - set(names)
+def _check_names(names, key: str, seq: str) -> None:
+    missing = {key, seq} - set(names)
     if missing:
         raise ValueError(
             f"input is missing ordered-processing columns {sorted(missing)} "
@@ -842,16 +838,7 @@ def _check_columns(ds_or_table, cfg: OrderedConfig) -> None:
         names = ds_or_table.schema().names
     else:
         return
-    _check_names(names, cfg)
-
-
-def _schema_of(ds_or_table) -> pa.Schema:
-    if isinstance(ds_or_table, pa.Table):
-        return ds_or_table.schema
-    if hasattr(ds_or_table, "schema"):
-        s = ds_or_table.schema()
-        return pa.schema(list(zip(s.names, s.types)))
-    return pa.schema([])
+    _check_names(names, cfg.key, cfg.seq)
 
 
 def _wire_ts(status_ts) -> datetime:

@@ -1,12 +1,14 @@
-"""Push-source shim: lease/ack delivery semantics over the landing-dir
-consumer (≙ PubsubIO's acked delivery, reference
+"""The unbounded source of every continuous stream, and a push-source shim
+in front of it (≙ PubsubIO.readProtos and its acked delivery, reference
 OrderBookProcessingPipeline.java:103-105 + PubSubConsumer.java flow control).
 
-The continuous consumer (`epochs.run_stream_continuous`) is pull-based over
-a landing directory. A real message bus delivers with LEASES: a consumer
-claims messages, must ack before the lease deadline, and unacked messages
-are redelivered (at-least-once). This module provides that contract as a
-durable file-backed queue plus a pump that bridges it to the landing dir:
+``LandingSource`` is the one source of every continuous stream (ordered,
+dedup, near-dedup, pack): it cuts a landing directory's files into recorded
+epoch groups. It is pull-based. A real message bus delivers with LEASES: a
+consumer claims messages, must ack before the lease deadline, and unacked
+messages are redelivered (at-least-once). This module provides that
+contract as a durable file-backed queue plus a pump that bridges it to the
+landing dir:
 
     producer ──publish──▶ FileLeaseQueue ──lease──▶ pump ──hardlink──▶
         landing dir ──▶ run_stream_continuous ──commit──▶ manifests
@@ -36,10 +38,13 @@ import ctypes
 import json
 import os
 import select
+import shutil
 import sys
 import time
 import uuid
 from pathlib import Path
+
+from .checkpoint import write_json_atomic
 
 # <sys/inotify.h>: a file was renamed into, or closed after writing in, the
 # watched directory. IN_CREATE is left out: a created file may be mid-write.
@@ -234,27 +239,120 @@ def _inotify_fd(path: str) -> int | None:
     return fd
 
 
-class LandingWatch:
-    """The wait between two listings of a landing directory: it ends as
-    soon as a file is renamed into the directory or closed after writing
-    there (Linux inotify), else after the timeout.
+def _load_epoch_records(records: Path) -> list[list[str]]:
+    """The recorded file groups, epoch 0 first. A gap would renumber every
+    later group, and a resume would overwrite committed epochs with other
+    files' output, so a missing record raises."""
+    groups = []
+    for f in sorted(records.glob("epoch-*.json")):
+        rec = json.loads(f.read_text())
+        if rec["epoch"] != len(groups):
+            raise ValueError(
+                f"epoch records under {records} are not contiguous: the record "
+                f"of epoch {len(groups)} is missing (next is {f.name})"
+            )
+        groups.append(rec["files"])
+    return groups
 
-    The listing stays the only source of truth. An event only ends a wait
-    early, so a missed or extra event cannot change which files an epoch
-    gets. Arm the watch before the first listing: a file that lands between
-    a listing and the next ``wait`` still ends that wait, because its event
-    waits in the fd. Where inotify is unavailable, and for landings it does
-    not report (a network filesystem), ``wait`` sleeps out the timeout;
-    ``kind`` says which (``"inotify"`` or ``"poll"``). Creates the
-    directory, so a watch armed before the producer's first file holds."""
 
-    def __init__(self, landing_dir: str):
-        Path(landing_dir).mkdir(parents=True, exist_ok=True)
+class LandingSource:
+    """A landing directory that producers fill by write-then-rename, in name
+    order, cut into epochs of ``files_per_epoch`` files.
+
+    Each group is handed out once, and recorded before that
+    (``<out_root>/epochs/epoch-NNNNN.json``: ``{"epoch", "files"}``), so a
+    resumed run re-forms identical epochs whatever has landed since.
+    ``recorded`` holds every group recorded so far: at construction, those
+    of earlier runs, which a consumer replays first (``resume=False``
+    deletes them). Only full groups are cut while the stream runs; the
+    trailing partial group when it exits: once ``<landing_dir>/<stop_file>``
+    exists, or ``idle_timeout_s`` after the last new file.
+
+    ``wait`` ends when a file is renamed into the directory or closed after
+    writing there (Linux inotify), else after its timeout; an event only
+    ends a wait early, the listing decides. The watch is armed before the
+    first listing. Without inotify (or for landings it misses: a network
+    filesystem) ``wait`` sleeps out the timeout; ``wake`` says which
+    (``"inotify"`` or ``"poll"``). Leaving the context closes the fd."""
+
+    def __init__(
+        self, landing_dir: str, out_root: str, files_per_epoch: int,
+        poll_interval_s: float, idle_timeout_s: float, stop_file: str,
+        resume: bool = True,
+    ):
+        self.dir = Path(landing_dir)
+        self._records = Path(out_root) / "epochs"
+        self.files_per_epoch = files_per_epoch
+        self.poll_interval_s = poll_interval_s
+        self.idle_timeout_s = idle_timeout_s
+        self.stop_file = stop_file
+        if not resume:
+            shutil.rmtree(self._records, ignore_errors=True)
+        self.recorded = _load_epoch_records(self._records)
+        self._assigned = {f for g in self.recorded for f in g}
+        self._known = set(self._assigned)  # every file ever listed (idle clock)
+        self._last_new: float | None = None
+        self.backlog = 0  # landed files in no group, as of the last cut
+        self.exiting = False
+        self.dir.mkdir(parents=True, exist_ok=True)
         self._fd = _inotify_fd(landing_dir)
-        self.kind = "poll" if self._fd is None else "inotify"
+        self.wake = "poll" if self._fd is None else "inotify"
         self._poll = select.poll()  # select.select breaks on fds >= FD_SETSIZE
         if self._fd is not None:
             self._poll.register(self._fd, select.POLLIN)
+
+    @property
+    def next_epoch(self) -> int:
+        return len(self.recorded)
+
+    def listing(self) -> list[str]:
+        return [str(f) for f in sorted(self.dir.glob("*.parquet"))]
+
+    def stopped(self) -> bool:
+        return (self.dir / self.stop_file).exists()
+
+    def record(self, group: list[str]) -> int:
+        """Record ``group`` as the next epoch (an empty group is a flush
+        epoch) and return that epoch."""
+        epoch = self.next_epoch
+        write_json_atomic(self._records / f"epoch-{epoch:05d}.json",
+                          {"epoch": epoch, "files": group})
+        self.recorded.append(group)
+        self._assigned.update(group)
+        return epoch
+
+    def poll(self):
+        """List the directory once and hand out, each recorded as it goes,
+        the groups the listing completes: (epoch, group) pairs. Sets
+        ``exiting`` and keeps ``backlog`` current."""
+        stop = self.stopped()
+        files = self.listing()
+        # the idle clock restarts only on files NEWLY LANDED, not on files
+        # that merely remain unassigned (a partial trailing group would
+        # otherwise restart it every listing and the timeout never fire)
+        fresh = [f for f in files if f not in self._known]
+        if fresh or self._last_new is None:
+            self._known.update(fresh)
+            self._last_new = time.monotonic()
+        new = [f for f in files if f not in self._assigned]
+        self.exiting = stop or time.monotonic() - self._last_new > self.idle_timeout_s
+        fpe = self.files_per_epoch
+        while len(new) >= fpe or (self.exiting and new):
+            group, new = new[:fpe], new[fpe:]
+            self.backlog = len(new)
+            yield self.record(group), group
+        self.backlog = len(new)
+
+    def groups(self):
+        """Every epoch's file group once, epoch order: the recorded groups
+        first, then each new one as it lands, until the stream exits."""
+        yield from list(self.recorded)
+        while True:
+            for _, group in self.poll():
+                yield group
+            if self.exiting:
+                return
+            self.wait(self.poll_interval_s)
 
     def wait(self, timeout_s: float) -> None:
         """Return once a file lands, or after ``timeout_s``."""
@@ -274,60 +372,11 @@ class LandingWatch:
             os.close(self._fd)
             self._fd = None
 
-    def __enter__(self) -> "LandingWatch":
+    def __enter__(self) -> "LandingSource":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def run_landing_batches(
-    landing_dir: str,
-    out_root: str,
-    runner,
-    poll_interval_s: float,
-    idle_timeout_s: float,
-    stop_file: str,
-    **kwargs,
-):
-    """Continuous mode for a resumable bounded stream runner: watch an
-    arrival-ordered landing directory and call ``runner(files, out_root,
-    resume=..., **kwargs)`` on the landed prefix whenever it grows. The
-    first call takes the caller's ``resume`` (default True; False starts
-    fresh), every later one resumes: the runner's durable epoch markers make
-    each call process only new files, exactly-once across listings AND
-    crashes.
-
-    The directory is listed again as soon as a file lands in it
-    (``LandingWatch``), or after ``poll_interval_s`` where that cannot be
-    watched. Only complete ``files_per_epoch`` groups run mid-stream, so
-    epoch boundaries never shift as files arrive; the trailing partial group
-    runs once ``<landing_dir>/<stop_file>`` exists. The loop also ends after
-    ``idle_timeout_s`` without new files. Returns the last runner result."""
-    resume = kwargs.pop("resume", True)
-    fpe = kwargs.get("files_per_epoch", 2)
-    land = Path(landing_dir)
-    last_new = time.monotonic()
-    processed = 0
-    res = None
-    with LandingWatch(landing_dir) as watch:
-        while True:
-            stop = (land / stop_file).exists()
-            files = sorted(str(f) for f in land.glob("*.parquet"))
-            usable = files if stop else files[: (len(files) // fpe) * fpe]
-            if len(usable) > processed:
-                res = runner(usable, out_root, resume=resume, **kwargs)
-                resume = True
-                processed = len(usable)
-                last_new = time.monotonic()
-            if stop and processed == len(files):
-                break
-            if time.monotonic() - last_new > idle_timeout_s:
-                break
-            watch.wait(poll_interval_s)
-    if res is None:
-        res = runner(files, out_root, resume=resume, **kwargs)
-    return res
 
 
 class Pump:

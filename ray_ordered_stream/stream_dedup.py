@@ -25,7 +25,9 @@ actor hot path.
 
 ``_run_marker_stream`` is the one epoch loop and checkpoint layout of the
 marker streams: this one, the near-dedup streams below and stream_pack.py's
-packer. Layout under ``<out_root>/ckpt``::
+packer, over a file list or ``source.LandingSource`` (continuous: one
+session, actors started once, groups recorded under ``<out_root>/epochs/``).
+Layout under ``<out_root>/ckpt``::
 
     meta.json                    # partitions + the stream's parameters
     epoch-<e>.json               # the commit marker of epoch e
@@ -42,7 +44,6 @@ import json
 import shutil
 import time
 from collections import Counter
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ import ray
 
 from .checkpoint import write_json_atomic
 from .sink import ManifestSink, write_part_atomic
-from .source import run_landing_batches
+from .source import LandingSource
 
 
 _MD5_CON = None
@@ -244,7 +245,7 @@ def _process_step(actors, epoch: int, shards, part, delta) -> list[dict]:
 
 
 def _run_marker_stream(
-    files: list[str],
+    feed,
     out_root: str,
     sink_name: str,
     params: dict,
@@ -259,7 +260,9 @@ def _run_marker_stream(
 ) -> tuple[ManifestSink, int, int, Counter]:
     """Drive an arrival-ordered feed epoch by epoch through a marker stream.
 
-    Per stream it is given the sink's name; ``params``, the meta entries a
+    ``feed`` is a file list, cut into epochs of ``files_per_epoch``, or a
+    ``source.LandingSource``, whose groups are fed as they land. Per stream
+    it is given the sink's name; ``params``, the meta entries a
     resume must match; ``make_actors()``, the P state partitions (with
     ``restore(files)`` and ``write_full(path)``) followed by any helper
     actors the step uses; ``read(path, base)``, which submits one file's
@@ -270,6 +273,8 @@ def _run_marker_stream(
     ``delta(p)``, and returns one stats dict per partition whose first
     entry is the partition's sink rows.
 
+    A file's ``base`` counts the rows of every earlier file of the feed
+    (skipped epochs' too), read as each file arrives.
     ``resume=True`` skips the committed epochs and restores the state
     partitions from ``_restore_plan``; ``resume=False`` first deletes the
     sink and the checkpoint. Per epoch the sink manifest commits first, then
@@ -315,7 +320,11 @@ def _run_marker_stream(
         )
     write_json_atomic(meta_path, {"partitions": P, **params})
 
-    bases = [0, *accumulate(pq.read_metadata(f).num_rows for f in files)]
+    groups = (
+        feed.groups() if isinstance(feed, LandingSource)
+        else [feed[i : i + files_per_epoch] for i in range(0, len(feed), files_per_epoch)]
+    )
+    base = 0  # the arrival index of the next file's first row
     done = _committed_epochs(ck)
     actors = make_actors()
     epochs_run = epochs_skipped = 0
@@ -327,17 +336,18 @@ def _run_marker_stream(
                 w.restore.remote([_part(d, p) for d in plan])
                 for p, w in enumerate(actors[:P])
             ])
-        for e, i in enumerate(range(0, len(files), files_per_epoch)):
+        for e, group in enumerate(groups):
+            bases = []
+            for f in group:
+                bases.append(base)
+                base += pq.read_metadata(f).num_rows
             if e in done:
                 epochs_skipped += 1
                 continue
             # one read+split task PER FILE: the hash or signature kernel is
             # the epoch's dominant cost and must run file-parallel (measured
             # 3x the whole wall when serialized)
-            shards = [
-                _refs(read(files[j], bases[j]))
-                for j in range(i, min(i + files_per_epoch, len(files)))
-            ]
+            shards = [_refs(read(f, b)) for f, b in zip(group, bases)]
             delta = ck / f"delta-{e:05d}"
             stats = step(
                 actors, e, shards,
@@ -547,7 +557,7 @@ class DedupStreamResult:
 
 
 def run_dedup_stream(
-    files: list[str],
+    files: list[str] | LandingSource,
     out_root: str,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -561,9 +571,10 @@ def run_dedup_stream(
 ) -> DedupStreamResult:
     """Drive the document feed through the dedup partitions epoch by epoch.
 
-    ``files`` is the arrival-ordered feed; re-running with ``resume=True``
-    skips committed epochs and restores each partition's seen-state from
-    its checkpoint deltas (exactly-once output across crashes). Every
+    ``files`` is the arrival-ordered feed (or a ``LandingSource`` whose
+    groups run as they land); re-running with ``resume=True`` skips
+    committed epochs and restores each partition's seen-state from its
+    checkpoint deltas (exactly-once output across crashes). Every
     ``compact_every`` epochs each partition also writes its FULL seen-set
     (``full-<e>``) and the snapshots and deltas it folds are deleted, so
     restore cost and checkpoint size are bounded by one full file plus the
@@ -858,7 +869,7 @@ def _neardup_step(actors, epoch: int, shards, part, delta) -> list[dict]:
 
 
 def run_neardup_stream(
-    files: list[str],
+    files: list[str] | LandingSource,
     out_root: str,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -909,7 +920,7 @@ def run_neardup_stream(
 
 
 def run_embdedup_stream(
-    files: list[str],
+    files: list[str] | LandingSource,
     out_root: str,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
@@ -962,26 +973,28 @@ def run_dedup_stream_continuous(
     near: bool = False,
     **kwargs,
 ) -> DedupStreamResult:
-    """Continuous (unbounded) mode for the dedup streams: poll an
-    arrival-ordered landing directory and feed each batch of newly complete
-    epochs through ``run_dedup_stream`` / ``run_neardup_stream`` with
-    ``resume=True`` — committed epochs are durable (markers + deltas), so
-    every poll restores the seen-state and processes only new files,
-    exactly-once across polls AND crashes.
+    """Continuous mode for the dedup streams: one ``run_dedup_stream`` /
+    ``run_neardup_stream`` session (``kwargs``) over the
+    ``source.LandingSource`` of ``landing_dir``, whose partitions take each
+    group as it lands. A resume (the default) replays the recorded groups;
+    a root without records (an older version's) is cut by name from epoch
+    0. ``<landing_dir>/<stop_file>``, or ``idle_timeout_s`` without a new
+    file, runs the trailing partial group and ends the run."""
+    runner = run_neardup_stream if near else run_dedup_stream
+    return _run_continuous(runner, landing_dir, out_root, poll_interval_s,
+                           idle_timeout_s, stop_file, kwargs)
 
-    Producers must write-then-rename files whose names sort after all
-    earlier files (the landing-dir convention shared with
-    epochs.run_stream_continuous); the loop is ``source.run_landing_batches``,
-    which lists the directory again as soon as a file lands.
 
-    Trade-off (documented, not hidden): state actors are re-created and
-    restored once per poll that has work — bounded by snapshot compaction,
-    and the right shape for a sandbox driver; a long-lived deployment would
-    keep the actors resident between polls."""
-    return run_landing_batches(
-        landing_dir, out_root, run_neardup_stream if near else run_dedup_stream,
-        poll_interval_s, idle_timeout_s, stop_file, **kwargs,
-    )
+def _run_continuous(runner, landing_dir, out_root, poll_interval_s,
+                    idle_timeout_s, stop_file, kwargs):
+    """``runner`` over a ``LandingSource``: resume is the default, and both
+    take the runner's ``files_per_epoch`` (default 2)."""
+    kwargs.setdefault("resume", True)
+    with LandingSource(
+        landing_dir, out_root, kwargs.get("files_per_epoch", 2),
+        poll_interval_s, idle_timeout_s, stop_file, kwargs["resume"],
+    ) as src:
+        return runner(src, out_root, **kwargs)
 
 
 def rescale_dedup_checkpoint(out_root: str, new_partitions: int, near: bool = False):

@@ -17,6 +17,8 @@ the partition's whole carry + pack_seq after it, committed after the sink
 manifest, so a crashed epoch re-runs against the pre-epoch carry and
 overwrites its parts byte-identically. Every ``COMPACT_EVERY`` epochs the
 carry is also written as the full snapshot and the older deltas go.
+Continuous mode is one such session over ``source.LandingSource``: the
+partitions keep their carry in memory from one landing to the next.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import ray
 
 from .checkpoint import write_json_atomic
 from .sink import write_part_atomic
-from .source import run_landing_batches
+from .source import LandingSource
 from .stream_dedup import (
     COMPACT_EVERY,
     _committed_epochs,
@@ -40,6 +42,7 @@ from .stream_dedup import (
     _read_with_arrival,
     _restore_plan,
     _returns,
+    _run_continuous,
     _run_marker_stream,
 )
 
@@ -150,7 +153,7 @@ def _read_tokenize_split(
 
 
 def run_pack_stream(
-    files: list[str],
+    files: list[str] | LandingSource,
     out_root: str,
     budget: int = 512,
     vocab_size: int = 65536,
@@ -162,7 +165,8 @@ def run_pack_stream(
     resume: bool = False,
     fail_after_epoch: int | None = None,
 ):
-    """Drive the feed through the pack partitions epoch by epoch; returns
+    """Drive the feed (``files``, or a ``LandingSource`` whose groups run
+    as they land) through the pack partitions epoch by epoch; returns
     (sink, epochs_run, epochs_skipped, total_packs). A resume must use the
     same ``budget``: committed epochs' packs were cut at it."""
     P = num_partitions
@@ -189,16 +193,13 @@ def run_pack_stream_continuous(
     stop_file: str = "_STOP",
     **kwargs,
 ):
-    """Continuous (unbounded) packing: poll an arrival-ordered landing
-    directory and feed each batch of newly complete epochs through
-    ``run_pack_stream`` with ``resume=True`` — the carry checkpoint makes
-    every poll pick up exactly where the last one stopped (same protocol
-    as the dedup streams' continuous mode; a ``_STOP`` sentinel flushes
-    the trailing partial epoch and exits)."""
-    return run_landing_batches(
-        landing_dir, out_root, run_pack_stream, poll_interval_s,
-        idle_timeout_s, stop_file, **kwargs,
-    )
+    """Continuous (unbounded) packing: one ``run_pack_stream`` session over
+    the ``source.LandingSource`` of ``landing_dir``, as the dedup streams'
+    continuous mode: the partitions keep their carry in memory across
+    landings, and ``_STOP`` (or ``idle_timeout_s`` without a new file) runs
+    the trailing partial group and ends the run."""
+    return _run_continuous(run_pack_stream, landing_dir, out_root,
+                           poll_interval_s, idle_timeout_s, stop_file, kwargs)
 
 
 def rescale_pack_checkpoint(out_root: str, new_partitions: int) -> None:

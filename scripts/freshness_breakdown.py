@@ -1,14 +1,17 @@
 """Split the freshness of a continuous stream into its two parts.
 
-Usage: python scripts/freshness_breakdown.py OUT_ROOT [--landed LOG]
+Usage: python scripts/freshness_breakdown.py OUT_ROOT [--landed LOG] [--sink NAME]
 
-Reads only the durable outputs of a ``run_stream_continuous`` output root.
-For every file of every committed epoch it measures:
+Reads only the durable outputs of a continuous stream's output root: the
+epoch records the landing source writes and the manifests of one sink,
+``ordered`` (``run_stream_continuous``, the default) or a marker stream's
+(``deduped``, ``neardeduped``, ``packed``). For every file of every
+committed epoch it measures:
 
 - poll wait: the file landed -> its epoch was recorded (mtime of
   ``OUT_ROOT/epochs/epoch-N.json``);
-- work + commit: the epoch was recorded -> its ordered manifest committed
-  (mtime of ``OUT_ROOT/ordered/_manifests/epoch-N.json``).
+- work + commit: the epoch was recorded -> its manifest committed (mtime of
+  ``OUT_ROOT/<sink>/_manifests/epoch-N.json``).
 
 A file's landing time is its ``landed`` entry in LOG (the JSON that
 ``perfbench/publisher.py --log`` writes: ``{"files": [{"file", "landed",
@@ -28,11 +31,12 @@ from pathlib import Path
 import numpy as np
 
 
-def breakdown(out_root: Path, landed: dict[str, float]) -> dict[str, list[float]]:
+def breakdown(out_root: Path, landed: dict[str, float],
+              sink: str = "ordered") -> dict[str, list[float]]:
     """Per landed file of every committed epoch: (poll wait, work + commit)
     in seconds, as two lists in the same order."""
     parts: dict[str, list[float]] = {"poll_wait": [], "work_commit": []}
-    manifests = out_root / "ordered" / "_manifests"
+    manifests = out_root / sink / "_manifests"
     for rec in sorted((out_root / "epochs").glob("epoch-*.json")):
         manifest = manifests / rec.name
         if not manifest.exists():
@@ -54,11 +58,12 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     ap.add_argument("out_root", type=Path)
     ap.add_argument("--landed", type=Path, help="publisher log with landing times")
+    ap.add_argument("--sink", default="ordered", help="the sink whose manifests commit an epoch")
     a = ap.parse_args(argv)
     landed = {}
     if a.landed is not None:
         landed = {r["file"]: r["landed"] for r in json.loads(a.landed.read_text())["files"]}
-    parts = breakdown(a.out_root, landed)
+    parts = breakdown(a.out_root, landed, a.sink)
     if not parts["poll_wait"]:
         print(f"no committed epoch with a known landing time under {a.out_root}",
               file=sys.stderr)

@@ -263,9 +263,9 @@ def test_exchange_shards_ship_o_rows_bytes(tmp_path):
         files.append(f)
     assert len(files) == 3
     shards = ray.get(
-        _read_and_split_parts.options(num_returns=4).remote(KEY, 4, None, None, files)
+        _read_and_split_parts.options(num_returns=4).remote(KEY, SEQ, 4, None, None, files)
     )
-    shards.append(ray.get(_read_and_split_parts.remote(KEY, 1, None, None, files)))
+    shards.append(ray.get(_read_and_split_parts.remote(KEY, SEQ, 1, None, None, files)))
     assert sum(s.num_rows for s in shards[:4]) == shards[4].num_rows == t.num_rows
 
     def bound(b):

@@ -2,6 +2,7 @@
 bridging a message bus to the landing-dir consumer — at-least-once delivery
 with redelivery on lease expiry, exactly-once engine output."""
 
+import json
 import os
 import threading
 import time
@@ -12,7 +13,7 @@ import pyarrow.parquet as pq
 from ray_ordered_stream.epochs import run_stream_continuous
 from ray_ordered_stream.fixtures import gen_transcripts, oracle_ordered
 from ray_ordered_stream.schema import KEY, SEQ
-from ray_ordered_stream.source import FileLeaseQueue, LandingWatch, Pump
+from ray_ordered_stream.source import FileLeaseQueue, LandingSource, Pump
 from ray_ordered_stream.state import OrderedConfig
 
 
@@ -341,12 +342,18 @@ def _fd_count() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def _source(land, out) -> LandingSource:
+    return LandingSource(str(land), str(out), files_per_epoch=1,
+                         poll_interval_s=0.05, idle_timeout_s=60.0,
+                         stop_file="_STOP")
+
+
 def test_landing_watch_keeps_a_landing_from_before_the_wait(tmp_path):
     """A file renamed in after the watch is armed but before ``wait`` is
     called still ends that wait at once: its event waits in the fd."""
     land = tmp_path / "landing"
-    with LandingWatch(str(land)) as w:
-        assert land.is_dir() and w.kind == "inotify"
+    with _source(land, tmp_path / "out") as w:
+        assert land.is_dir() and w.wake == "inotify"
         (tmp_path / "f.tmp").write_bytes(b"x")
         os.replace(tmp_path / "f.tmp", land / "f.parquet")
         t0 = time.monotonic()
@@ -360,7 +367,7 @@ def test_landing_watch_keeps_a_landing_from_before_the_wait(tmp_path):
 
 def test_landing_watch_ignores_a_file_still_being_written(tmp_path):
     """Creating and writing a file does not end a wait; closing it does."""
-    with LandingWatch(str(tmp_path)) as w:
+    with _source(tmp_path, tmp_path / "out") as w:
         with open(tmp_path / "f.parquet", "wb") as f:
             f.write(b"x" * 1024)
             f.flush()
@@ -374,11 +381,38 @@ def test_landing_watch_ignores_a_file_still_being_written(tmp_path):
 
 def test_landing_watch_close_releases_its_fd(tmp_path):
     before = _fd_count()
-    w = LandingWatch(str(tmp_path))
-    assert w.kind == "inotify" and _fd_count() == before + 1
+    w = _source(tmp_path, tmp_path / "out")
+    assert w.wake == "inotify" and _fd_count() == before + 1
     w.close()
     assert _fd_count() == before
     w.close()  # idempotent; a closed watch sleeps out its timeout
     t0 = time.monotonic()
     w.wait(0.1)
     assert time.monotonic() - t0 >= 0.05
+
+
+def test_landing_source_records_full_groups_then_the_partial_one_on_exit(tmp_path):
+    """Full groups are cut while the stream runs, the trailing partial one
+    only once ``_STOP`` lands; each is recorded before it is handed out, a
+    resumed source replays the records, and ``resume=False`` drops them."""
+    land, out = tmp_path / "land", tmp_path / "out"
+    land.mkdir()
+    for i in range(5):
+        (land / f"f{i}.parquet").write_bytes(b"x")
+    names = [str(land / f"f{i}.parquet") for i in range(5)]
+    with LandingSource(str(land), str(out), 2, 0.05, 60.0, "_STOP") as src:
+        first = []
+        for epoch, group in src.poll():
+            rec = json.loads((out / "epochs" / f"epoch-{epoch:05d}.json").read_text())
+            assert rec == {"epoch": epoch, "files": group}
+            first.append(group)
+        assert first == [names[:2], names[2:4]]
+        assert src.backlog == 1 and not src.exiting
+        assert list(src.poll()) == []
+        (land / "_STOP").write_text("")
+        assert list(src.poll()) == [(2, names[4:])] and src.exiting
+    with LandingSource(str(land), str(out), 2, 0.05, 60.0, "_STOP") as again:
+        assert list(again.groups()) == [names[:2], names[2:4], names[4:]]
+    with LandingSource(str(land), str(out), 2, 0.05, 60.0, "_STOP", resume=False) as fresh:
+        assert fresh.recorded == []
+        assert list(fresh.groups()) == [names[:2], names[2:4], names[4:]]

@@ -51,6 +51,33 @@ def part_digests(sink):
     ]
 
 
+def test_run_stream_names_the_missing_columns_of_a_file(ray_session, tmp_path, monkeypatch):
+    """A file without the sequence column fails with the column named,
+    from the read task that has the file's table in hand; the failed epoch
+    ends the run as an injected failure does, with no partition actor
+    left, leased or idle."""
+    from ray_ordered_stream.ordered import OrderedProcessor, _POOL
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from procs import wait_until_gone
+
+    t = gen_transcripts(n_convs=4, min_turns=3, max_turns=6, seed=2)
+    f = tmp_path / "no-seq.parquet"
+    pq.write_table(t.drop_columns([SEQ]), f)
+    spare = OrderedProcessor(OrderedConfig(), 3)  # idle actors in the pool
+    spare.wait_ready(str(tmp_path), None)
+    spare.shutdown()
+    assert len(_POOL.idle) >= 3
+    with pytest.raises(ValueError, match=(
+        rf"missing ordered-processing columns \['{SEQ}'\].*"
+        r"OrderedConfig\(key=\.\.\., seq=\.\.\.\)"
+    )):
+        run_stream([str(f)], str(tmp_path / "out"), num_partitions=2,
+                   files_per_epoch=1)
+    assert not _POOL.idle
+    assert wait_until_gone(b"ray::OrderedWorker", 30.0)
+
+
 def test_stream_end_to_end_and_exactly_once(stream_files, tmp_path):
     t, files = stream_files
     out = str(tmp_path / "run1")

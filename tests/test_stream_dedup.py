@@ -254,9 +254,10 @@ def test_dedup_stream_continuous_midrun_files(ray_session, tmp_path):
 
 
 def test_dedup_stream_continuous_wakes_on_landing(ray_session, tmp_path):
-    """Between runner calls the loop waits on the landing directory, not on
-    ``poll_interval_s``: a file renamed in after the first call committed
-    starts the next call well within one 5 s interval of landing."""
+    """Between landings the session waits on the landing directory, not on
+    ``poll_interval_s``, and its partitions stay up: a file renamed in
+    after the first epoch committed is committed itself well within one
+    5 s interval of landing."""
     import threading
     import time as _t
 
@@ -292,10 +293,7 @@ def test_dedup_stream_continuous_wakes_on_landing(ray_session, tmp_path):
     )
     th.join(timeout=60)
     assert not th.is_alive()
-    # every runner call first rewrites ckpt/meta.json: its mtime is when the
-    # loop woke (the call itself starts new actors, ~1 s)
-    assert (ck / "epoch-00001.json").exists()
-    assert (ck / "meta.json").stat().st_mtime - landed["t"] < 1.0
+    assert (ck / "epoch-00001.json").stat().st_mtime - landed["t"] < 0.3
     assert res.sink.total_committed_rows() == len(_oracle_keep(df))
 
 
@@ -492,6 +490,145 @@ def test_dedup_stream_fresh_rerun_wipes_phantom_epochs(ray_session, tmp_path):
 
 
 
+def _streams():
+    """(bounded runner, continuous runner, sink name, partition actor
+    class) of the exact dedup and the pack stream."""
+    from ray_ordered_stream.stream_dedup import run_dedup_stream_continuous
+    from ray_ordered_stream.stream_pack import (
+        run_pack_stream,
+        run_pack_stream_continuous,
+    )
+
+    return {
+        "dedup": (run_dedup_stream, run_dedup_stream_continuous, "deduped",
+                  "DedupPartition"),
+        "pack": (run_pack_stream, run_pack_stream_continuous, "packed",
+                 "PackPartition"),
+    }
+
+
+def _actor_pids(cls: str) -> set[int]:
+    """This session's processes whose title Ray set to ``ray::<cls>`` (the
+    actor's worker, idle or in a call)."""
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from procs import descendants
+    finally:
+        sys.path.pop(0)
+    title = f"ray::{cls}".encode()
+    pids = set()
+    for pid in descendants(os.getpid()):
+        try:
+            cmd = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if cmd.startswith(title):
+            pids.add(pid)
+    return pids
+
+
+def _wait_for(path, timeout_s=60.0):
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert path.exists(), path
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process titles from /proc")
+@pytest.mark.parametrize("stream", ["dedup", "pack"])
+def test_continuous_marker_stream_keeps_its_actors(ray_session, tmp_path, stream):
+    """One continuous session over four one-file landings starts its
+    partition actors once: the P actor processes that ran the first
+    landing's epoch run every later one, and the sink equals a bounded
+    run's over the same files."""
+    import threading
+
+    bounded, continuous, sink, cls = _streams()[stream]
+    files = _write_feed(_corpus(n=160, seed=23), tmp_path / "src", 4)
+    land, out = tmp_path / "landing", tmp_path / "out"
+    land.mkdir()
+    seen = []
+
+    def lander():
+        for i, f in enumerate(files):
+            os.replace(f, land / Path(f).name)
+            _wait_for(out / "ckpt" / f"epoch-{i:05d}.json")
+            seen.append(_actor_pids(cls))
+        (land / "_STOP.tmp").write_text("")
+        os.replace(land / "_STOP.tmp", land / "_STOP")
+
+    th = threading.Thread(target=lander, daemon=True)
+    th.start()
+    kw = dict(num_partitions=2, files_per_epoch=1)
+    continuous(str(land), str(out), poll_interval_s=0.05, **kw)
+    th.join(timeout=60)
+    assert not th.is_alive() and len(seen) == 4
+    assert len(set.intersection(*seen)) >= 2
+    landed = sorted(str(f) for f in land.glob("*.parquet"))
+    bounded(landed, str(tmp_path / "bounded"), **kw)
+    from ray_ordered_stream.sink import ManifestSink
+
+    assert _part_bytes(ManifestSink(str(out), sink)) == _part_bytes(
+        ManifestSink(str(tmp_path / "bounded"), sink))
+
+
+@pytest.mark.parametrize("stream", ["dedup", "pack"])
+def test_continuous_marker_idle_timeout_runs_partial_group(ray_session, tmp_path, stream):
+    """With no ``_STOP``, the idle timeout ends the run and runs the
+    trailing partial group first, as the ordered stream does."""
+    import shutil
+
+    from ray_ordered_stream.sink import ManifestSink
+
+    bounded, continuous, sink, _ = _streams()[stream]
+    files = _write_feed(_corpus(n=120, seed=25), tmp_path / "feed", 3)
+    land = tmp_path / "landing"
+    land.mkdir()
+    for f in files:
+        shutil.copy(f, land)
+    kw = dict(num_partitions=2, files_per_epoch=2)
+    continuous(str(land), str(tmp_path / "out"), poll_interval_s=0.05,
+               idle_timeout_s=1.0, **kw)
+    bounded(files, str(tmp_path / "bounded"), **kw)
+    got = ManifestSink(str(tmp_path / "out"), sink)
+    assert got.committed_epochs() == [0, 1]
+    assert _part_bytes(got) == _part_bytes(
+        ManifestSink(str(tmp_path / "bounded"), sink))
+
+
+def test_dedup_stream_continuous_crash_resume_replays_records(ray_session, tmp_path):
+    """A continuous dedup run that crashes after epoch 1 has recorded only
+    the groups it handed out; the resume replays them and commits parts
+    byte-identical to an uninterrupted run's."""
+    import json
+    import shutil
+
+    from ray_ordered_stream.stream_dedup import run_dedup_stream_continuous
+
+    files = _write_feed(_corpus(n=240, seed=27), tmp_path / "feed", 6)
+    land, out = tmp_path / "landing", tmp_path / "out"
+    land.mkdir()
+    for f in files:
+        shutil.copy(f, land)
+    (land / "_STOP").write_text("")
+    landed = sorted(str(f) for f in land.glob("*.parquet"))
+    kw = dict(num_partitions=2, files_per_epoch=1, compact_every=2)
+    with pytest.raises(RuntimeError, match="injected failure after epoch 1"):
+        run_dedup_stream_continuous(str(land), str(out), poll_interval_s=0.05,
+                                    fail_after_epoch=1, **kw)
+    recs = sorted((out / "epochs").glob("epoch-*.json"))
+    assert [json.loads(r.read_text())["files"] for r in recs] == [
+        landed[:1], landed[1:2]]
+    res = run_dedup_stream_continuous(str(land), str(out), poll_interval_s=0.05, **kw)
+    assert res.epochs_skipped == 2 and res.epochs_run == 4
+    full = run_dedup_stream(landed, str(tmp_path / "full"), **kw)
+    assert _part_bytes(res.sink) == _part_bytes(full.sink)
+
+
 @pytest.mark.parametrize("stream", ["dedup", "pack"])
 def test_continuous_fresh_start_over_a_longer_run(ray_session, tmp_path, stream):
     """resume=False reaches the continuous runner's first call: over a root
@@ -500,16 +637,8 @@ def test_continuous_fresh_start_over_a_longer_run(ray_session, tmp_path, stream)
     import shutil
 
     from ray_ordered_stream.sink import ManifestSink
-    from ray_ordered_stream.stream_dedup import run_dedup_stream_continuous
-    from ray_ordered_stream.stream_pack import (
-        run_pack_stream,
-        run_pack_stream_continuous,
-    )
 
-    bounded, continuous, sink = {
-        "dedup": (run_dedup_stream, run_dedup_stream_continuous, "deduped"),
-        "pack": (run_pack_stream, run_pack_stream_continuous, "packed"),
-    }[stream]
+    bounded, continuous, sink, _ = _streams()[stream]
     files = _write_feed(_corpus(n=160, seed=21), tmp_path / "feed", 8)
     kw = dict(num_partitions=2, files_per_epoch=2)
     out, fresh, land = tmp_path / "out", tmp_path / "fresh", tmp_path / "land"
