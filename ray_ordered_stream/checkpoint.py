@@ -90,8 +90,13 @@ def write_partition_checkpoint(
     the epoch directory. ``full=True`` marks the counters as a complete
     snapshot (not a delta): restore then merges deltas only from the newest
     full epoch, which bounds resume cost on long streams (compaction)."""
-    d = _dir(root, partition, epoch)
-    d.mkdir(parents=True, exist_ok=True)
+    return write_checkpoint_batch(root, partition, epoch, encode_checkpoint(snap, full))
+
+
+def encode_checkpoint(snap: dict, full: bool = False) -> pa.RecordBatch:
+    """``snap`` as the one-row record batch ``state.arrow`` holds. The
+    non-table parts are JSON from here on, so a caller that writes the
+    batch later only needs ``snap``'s tables to stay unchanged."""
     # a COUNTERS_SCHEMA table in key order (OrderedPartitionState.snapshot)
     tables = {"counters": snap["counters"]}
     if snap["buffer"] is not None and snap["buffer"].num_rows:
@@ -108,9 +113,18 @@ def write_partition_checkpoint(
                 values[part] = v
     fields, cols = zip(*(_pack(n, t) for n, t in tables.items()))
     schema = pa.schema(fields, metadata={"checkpoint": json.dumps(meta)})
+    return pa.record_batch(list(cols), schema=schema)
+
+
+def write_checkpoint_batch(root: str, partition: int, epoch: int,
+                           batch: pa.RecordBatch) -> str:
+    """Commit an ``encode_checkpoint`` batch as the partition-epoch's
+    ``state.arrow`` (temp file + rename); returns the epoch directory."""
+    d = _dir(root, partition, epoch)
+    d.mkdir(parents=True, exist_ok=True)
     tmp = d / (STATE_FILE + ".tmp")
-    with ipc.new_file(tmp, schema, options=_WRITE) as w:
-        w.write_batch(pa.record_batch(list(cols), schema=schema))
+    with ipc.new_file(tmp, batch.schema, options=_WRITE) as w:
+        w.write_batch(batch)
     os.replace(tmp, d / STATE_FILE)
     return str(d)
 

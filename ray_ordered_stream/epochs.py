@@ -10,7 +10,8 @@ and ends with a flush epoch (an empty group). Per epoch:
       -> feed through the P state actors (ordered drain,
          in-actor windows/join gated by the event-time watermark)
       -> each partition writes its sink parts, then its checkpoint of the
-         epoch, and returns
+         epoch, and returns; these writes run behind the drain, beside the
+         next epoch's drain on the same actor (ordered.OrderedWorker)
       -> once all P have returned, the driver commits the epoch's sink
          manifests (strictly in epoch order), which makes its parts visible
 
@@ -166,10 +167,14 @@ class _EpochDriver:
     actors, then writes the lineage meta: the readiness marker, before any
     checkpoint write or epoch call.
 
-    Pipelined execution, NO per-epoch barrier: each partition's actor call
-    queue serializes drain(k) -> checkpoint(k) -> drain(k+1); the driver
-    trails behind committing sink manifests strictly in epoch order, with at
-    most ``max_inflight`` epochs submitted and not yet committed. ``feed``
+    Pipelined execution, NO per-epoch barrier: each partition actor drains
+    the epochs one at a time in epoch order and writes their checkpoints in
+    epoch order, but writes epoch k's parts and checkpoint while it drains
+    epoch k+1 (ordered._EpochGate), so drain(k) -> checkpoint(k) ->
+    drain(k+1) no longer holds per actor; a call still returns only once
+    its epoch's parts and checkpoint are durable. The driver trails behind
+    committing sink manifests strictly in epoch order, with at most
+    ``max_inflight`` epochs submitted and not yet committed. ``feed``
     commits (blocking) only to stay under that bound; the bounded feed
     commits the rest in ``finish``, the continuous feed commits the ready
     prefix (``commit_ready``) after every poll and waits on the oldest
@@ -233,7 +238,7 @@ class _EpochDriver:
             for p in range(proc.P)
         ]
         if not group:
-            refs = [w.flush_final_to_sink.remote(paths[p])
+            refs = [w.flush_final_to_sink.remote(epoch, paths[p])
                     for p, w in enumerate(proc.workers)]
         else:
             # compaction cadence: every k-th epoch writes a FULL counter
@@ -248,8 +253,8 @@ class _EpochDriver:
             )
             self._first = None
             refs = proc.feed_epoch_to_sinks(
-                exchange, _epoch_ts(epoch), paths, final=final,
-                ckpt=(self.out_root, epoch, full_ckpt),
+                epoch, exchange, _epoch_ts(epoch), paths, final=final,
+                ckpt=(self.out_root, full_ckpt),
             )
         self.pending.append((epoch, refs, time.monotonic()))
 
@@ -534,10 +539,13 @@ def run_stream_continuous(
 
         def probe_state(epoch: int) -> None:
             """Append per-operator keyed-state sizes + driver RSS to
-            out_root/state_probe.jsonl (soak observability; cheap O(P) poll)."""
+            out_root/state_probe.jsonl (soak observability; cheap O(P) poll).
+            Epochs are in flight meanwhile: each actor reads its sizes
+            between two drains (OrderedWorker.state_sizes), once ``epoch``
+            has drained."""
             import resource
 
-            sizes = ray.get([w.state_sizes.remote() for w in drv.proc.workers])
+            sizes = ray.get([w.state_sizes.remote(epoch) for w in drv.proc.workers])
             rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             rec = {
                 "t": time.time(),

@@ -43,6 +43,8 @@ from __future__ import annotations
 import ctypes
 import mmap
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -122,17 +124,99 @@ def _read_and_split_parts(key: str, seq: str, P: int, overrides, range_bounds, p
     return sel[0] if P == 1 else tuple(sel)
 
 
-# num_cpus=0: the actors are long-lived RPC-style stores whose calls
-# serialize per actor; reserving CPUs for them would starve the stateless
-# read+split tasks. SPREAD: with num_cpus=0 Ray would otherwise pack every
-# actor onto one node of a cluster; on one node it places them the same way.
-@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")
+class _EpochGate:
+    """The order of one partition actor's epoch calls. Ray runs them on the
+    two threads of the actor's epoch group and does not keep their order
+    there, so each call waits for its turn twice: ``drain(k)`` admits epoch
+    k once epoch k-1 has drained, and holds the gate's lock for the whole
+    drain, so only one call at a time reads or mutates partition state;
+    ``wait_written(k)`` admits epoch k's checkpoint once epoch k-1's is
+    written, so the delta chain stays ordered. A failed call fails every later one,
+    so none waits for an epoch that will not come; an earlier one still
+    finishes its writes."""
+
+    def __init__(self, epoch: int):
+        self.drained = threading.Condition()
+        self.written = threading.Condition()
+        self.next_drain = self.next_write = epoch
+        # the first failed epoch, and why
+        self.failed: tuple[int, str] | None = None
+
+    def failed_before(self, epoch: int) -> bool:
+        return self.failed is not None and self.failed[0] < epoch
+
+    def _turn(self, cond: threading.Condition, attr: str, epoch: int) -> None:
+        """Wait, holding ``cond``, until ``attr`` reaches ``epoch``."""
+        cond.wait_for(lambda: self.failed_before(epoch) or getattr(self, attr) >= epoch)
+        if getattr(self, attr) < epoch:
+            raise RuntimeError(f"epoch {epoch} not run: {self.failed[1]}")
+        if getattr(self, attr) != epoch:
+            raise ValueError(f"epoch {epoch} arrived after epoch {getattr(self, attr)}")
+
+    def fail(self, epoch: int, why: str) -> None:
+        for cond in (self.drained, self.written):
+            with cond:
+                if self.failed is None or epoch < self.failed[0]:
+                    self.failed = (epoch, f"epoch {epoch} failed {why}")
+                cond.notify_all()
+
+    @contextmanager
+    def drain(self, epoch: int):
+        with self.drained:
+            self._turn(self.drained, "next_drain", epoch)
+            try:
+                yield
+            except BaseException as e:
+                self.fail(epoch, f"in its drain: {e!r}")
+                raise
+            self.next_drain = epoch + 1
+            self.drained.notify_all()
+
+    @contextmanager
+    def write(self, epoch: int):
+        """Everything a call does after its drain: a failure in it (a part
+        write, say) fails the later calls. Its checkpoint goes after
+        ``wait_written(epoch)``."""
+        try:
+            yield
+        except BaseException as e:
+            self.fail(epoch, f"in its writes: {e!r}")
+            raise
+        with self.written:
+            self.next_write = epoch + 1
+            self.written.notify_all()
+
+    def wait_written(self, epoch: int) -> None:
+        with self.written:
+            self._turn(self.written, "next_write", epoch)
+
+
+# the epoch calls' concurrency group: while one call writes epoch k's parts
+# and checkpoint, the other drains epoch k+1. Two threads, no more: the
+# actor keeps Ray's in-order dispatch (allow_out_of_order_execution stays
+# False, as max_concurrency is 1), so the lowest waiting epoch always holds
+# one of them, and calls past k+1 wait for a thread instead of the gate.
+_EPOCH_GROUP = "epoch"
+
+
+# num_cpus=0: the actors are long-lived RPC-style stores; reserving CPUs for
+# them would starve the stateless read+split tasks. SPREAD: with num_cpus=0
+# Ray would otherwise pack every actor onto one node of a cluster; on one
+# node it places them the same way.
+@ray.remote(num_cpus=0, scheduling_strategy="SPREAD",
+            concurrency_groups={_EPOCH_GROUP: 2})
 class OrderedWorker:
     """One partition of the sharded state store (≙ Beam keyed state owned by
-    one worker, docs/pipeline-design.md:13-17). Serial execution per actor
-    gives per-key serial state access for free within our routing. The
-    process outlives a lease: ``reset`` makes it a partition, ``release``
-    hands it back to the driver's pool (_ActorPool)."""
+    one worker, docs/pipeline-design.md:13-17). Every read or mutation of
+    partition state is serial: the default group runs one call at a time,
+    and the epoch calls (``process_epoch_to_sink``, ``flush_final_to_sink``)
+    drain one at a time, in epoch order, under the actor's ``_EpochGate``.
+    Their writes run behind: call k writes its parts and its checkpoint
+    while call k+1 drains, so per actor it is no longer drain(k) ->
+    checkpoint(k) -> drain(k+1); call k still returns only once its files
+    are durable. The process outlives a lease: ``reset`` makes it a
+    partition, ``release`` hands it back to the driver's pool
+    (_ActorPool)."""
 
     def __init__(self, cfg: OrderedConfig, partition_id: int):
         self._warm = False
@@ -150,6 +234,7 @@ class OrderedWorker:
         self.cfg = cfg
         self._partition_id = partition_id
         self.state = OrderedPartitionState(cfg)
+        self._gate = _EpochGate(0)
         # one operator per kind the config enables (stream_ops.OPERATOR_KINDS);
         # a user state is built here, once per lease
         self.operators = [Operator(k, cfg) for k in operator_kinds(cfg)]
@@ -239,53 +324,68 @@ class OrderedWorker:
                 op.update(emitted, codes_kv, self._late)
         return emitted, status
 
+    @ray.method(concurrency_group=_EPOCH_GROUP)
     def process_epoch_to_sink(
-        self, status_ts: datetime, sink_paths: dict,
+        self, epoch: int, status_ts: datetime, sink_paths: dict,
         final: bool, ckpt: tuple | None,
         *parts: pa.RecordBatch,
     ) -> dict:
-        """Drain one epoch AND write this partition's sink parts directly
-        (staged + atomic rename, sink.py protocol) — the scale path: emitted
-        rows go straight from the state actor to its partition's file and
-        never re-cross the object store. Returns {sink_name: rows_written}.
+        """Drain epoch ``epoch`` AND write this partition's sink parts
+        directly (staged + atomic rename, sink.py protocol) — the scale
+        path: emitted rows go straight from the state actor to its
+        partition's file and never re-cross the object store. Returns
+        {sink_name: rows_written}.
 
         ``sink_paths`` maps sink name -> this partition's part path for the
         epoch (the sinks epochs._open_sinks opens for the config).
-        ``ckpt=(root, epoch)`` additionally checkpoints this partition right
-        here, so drain(k) -> checkpoint(k) -> drain(k+1) sequence per
-        partition follows from the actor call queue with NO driver barrier
-        (the driver trails behind, committing sink manifests in epoch order;
-        see epochs._EpochDriver for the resume rule this relies on).
+        ``ckpt=(root, full)`` additionally checkpoints this partition's
+        state as of the epoch (see epochs._EpochDriver for the resume rule
+        this relies on). The drain, the outputs' takes, the TTL eviction and
+        the snapshot run under the gate; the part and checkpoint writes run
+        after it, beside the next epoch's drain, and the call returns once
+        they are durable.
         """
-        from .sink import write_part_atomic
-
-        emitted, status = self.process_epoch(status_ts, *parts)
-        out = {}
-        if "ordered" in sink_paths:
-            towrite = emitted
+        with self._gate.drain(epoch):
+            emitted, status = self.process_epoch(status_ts, *parts)
+            tables = {"ordered": emitted, "status": status}
             if self.cfg.stamp_ingest_ts:
-                tick_us = _ts_us(status_ts)
-                towrite = emitted.append_column(
+                tables["ordered"] = emitted.append_column(
                     "ingest_ts",
                     pa.array(
-                        np.full(emitted.num_rows, tick_us, dtype=np.int64),
+                        np.full(emitted.num_rows, _ts_us(status_ts), dtype=np.int64),
                         pa.timestamp("us"),
                     ),
                 )
-            out["ordered"] = write_part_atomic(towrite, sink_paths["ordered"])
-        if "status" in sink_paths:
-            out["status"] = write_part_atomic(status, sink_paths["status"])
-        out.update(self._write_outputs(sink_paths, final, self.operators))
-        for name, buf in (("dlq", self._dlq), (LATE_SINK, self._late)):
-            if name in sink_paths:
-                t = take_buffered(buf)
-                out[name] = write_part_atomic(t, sink_paths[name]) if t is not None else 0
-        if self.cfg.state_ttl_s > 0:
-            # deterministic point: after this epoch's outputs are taken and
-            # before the checkpoint, so a crash-resume replays the eviction
-            self.gc_state()
-        if ckpt is not None:
-            self.checkpoint_to(*ckpt)
+            # each operator's output: a table, or None for no part
+            tables.update((op.kind.sink, op.take(final)) for op in self.operators)
+            for name, buf in (("dlq", self._dlq), (LATE_SINK, self._late)):
+                if name in sink_paths:
+                    tables[name] = take_buffered(buf)
+            if self.cfg.state_ttl_s > 0:
+                # deterministic point: after this epoch's outputs are taken and
+                # before the checkpoint, so a crash-resume replays the eviction
+                self.gc_state()
+            if ckpt is not None:
+                ckpt = (ckpt[0], self._checkpoint_batch(full=ckpt[1]))
+        return self._write(epoch, sink_paths, tables, ckpt)
+
+    def _write(self, epoch: int, sink_paths: dict, tables: dict,
+               ckpt: tuple | None) -> dict:
+        """The writes of epoch ``epoch``, after its drain: each table of a
+        sink in ``sink_paths`` to its part (None: no part, 0 rows), then
+        ``ckpt=(root, batch)``'s checkpoint once the epoch before has
+        written its own. Returns {sink_name: rows_written}."""
+        from .checkpoint import write_checkpoint_batch
+        from .sink import write_part_atomic
+
+        with self._gate.write(epoch):
+            out = {
+                name: 0 if t is None else write_part_atomic(t, sink_paths[name])
+                for name, t in tables.items() if name in sink_paths
+            }
+            self._gate.wait_written(epoch)
+            if ckpt is not None:
+                write_checkpoint_batch(ckpt[0], self._partition_id, epoch, ckpt[1])
         return out
 
     def gc_state(self) -> dict:
@@ -296,35 +396,34 @@ class OrderedWorker:
         return {op.kind.sink: op.impl.gc(ttl_us)
                 for op in self.operators if hasattr(op.impl, "gc")}
 
-    def state_sizes(self) -> dict:
+    def state_sizes(self, after_epoch: int | None = None) -> dict:
         """Current keyed-state footprint by sink (for soak tests and
-        backlog monitoring)."""
-        return {op.kind.sink: op.impl.state_size()
-                for op in self.operators if hasattr(op.impl, "state_size")}
+        backlog monitoring), read between two epochs' drains: once epoch
+        ``after_epoch`` has drained, if given."""
+        gate = self._gate
+        with gate.drained:
+            if after_epoch is not None:
+                # a failed epoch does not stop the read: the epoch's own
+                # call reports the failure
+                gate.drained.wait_for(
+                    lambda: gate.failed_before(after_epoch + 1)
+                    or gate.next_drain > after_epoch)
+            return {op.kind.sink: op.impl.state_size()
+                    for op in self.operators if hasattr(op.impl, "state_size")}
 
-    @staticmethod
-    def _write_outputs(sink_paths: dict, final: bool, ops: list) -> dict:
-        """Write the epoch's output part of each of ``ops``; returns
-        {sink_name: rows_written}."""
-        from .sink import write_part_atomic
-
-        out = {}
-        for op in ops:
-            t = op.take(final)
-            sink = op.kind.sink
-            out[sink] = write_part_atomic(t, sink_paths[sink]) if t is not None else 0
-        return out
-
-    def flush_final_to_sink(self, sink_paths: dict) -> dict:
+    @ray.method(concurrency_group=_EPOCH_GROUP)
+    def flush_final_to_sink(self, epoch: int, sink_paths: dict) -> dict:
         """Terminal flush epoch: the operators that can hold output open
         release all of it (final=True) to their sink parts. Every other
         sink gets NO part file for this epoch — its manifest commits with
         zero rows, which keeps every sink's manifest prefix contiguous
         because readers consult manifests and skip rows==0 entries
         (sink.committed_files). Idempotent like any epoch (deterministic
-        given the restored state)."""
-        holding = [op for op in self.operators if op.kind.holds_open]
-        return self._write_outputs(sink_paths, True, holding)
+        given the restored state); it writes no checkpoint."""
+        with self._gate.drain(epoch):
+            tables = {op.kind.sink: op.take(True)
+                      for op in self.operators if op.kind.holds_open}
+        return self._write(epoch, sink_paths, tables, None)
 
     def drain(self, status_ts):
         """Drain buffered overflow after a capped round (≙ re-firing of the
@@ -400,18 +499,30 @@ class OrderedWorker:
         last-wins), full buffer + operator state tables — see checkpoint.py.
         ``full=True`` writes all counters and marks the epoch as a compaction
         base, bounding restore cost on long streams."""
-        from .checkpoint import write_partition_checkpoint
+        from .checkpoint import write_checkpoint_batch
 
-        snap = self.snapshot(dirty_only=not full)
-        path = write_partition_checkpoint(
-            root, self._partition_id, epoch, snap, full=full
+        return write_checkpoint_batch(
+            root, self._partition_id, epoch, self._checkpoint_batch(full)
         )
+
+    def _checkpoint_batch(self, full: bool) -> pa.RecordBatch:
+        """The checkpoint of the state as it is now, encoded, and the
+        counters marked clean. No later drain changes the batch: the
+        snapshot's tables own or share only buffers nothing mutates in
+        place."""
+        from .checkpoint import encode_checkpoint
+
+        batch = encode_checkpoint(self.snapshot(dirty_only=not full), full=full)
         self.state.mark_clean()
-        return path
+        return batch
 
     def restore_from(self, root: str, epoch: int) -> bool:
+        """Restore the checkpoint cut of ``epoch``; the next epoch call is
+        then ``epoch + 1``'s, whether or not this partition had a
+        checkpoint to read."""
         from .checkpoint import read_merged_checkpoint
 
+        self._gate = _EpochGate(epoch + 1)
         snap = read_merged_checkpoint(root, self._partition_id, epoch)
         if snap is None:
             return False
@@ -663,15 +774,15 @@ class OrderedProcessor:
         return emitted_refs, status_refs
 
     def feed_epoch_to_sinks(
-        self, per_group: list, status_ts,
+        self, epoch: int, per_group: list, status_ts,
         sink_paths_per_partition: list[dict],
         final: bool = False, ckpt: tuple | None = None,
     ) -> list:
         """Like feed_epoch, but takes the shard-ref groups of an already
         submitted ``exchange()`` and every partition writes its sink parts
         directly from the state actor (no emitted tables through the object
-        store). Returns one ObjectRef per partition resolving to
-        {sink_name: rows_written}."""
+        store); ``ckpt=(root, full)`` checkpoints it too. Returns one
+        ObjectRef per partition resolving to {sink_name: rows_written}."""
         if not per_group:
             return []
         status_ts = _wire_ts(status_ts)
@@ -680,7 +791,8 @@ class OrderedProcessor:
             shards = [pg[p] for pg in per_group]
             out.append(
                 w.process_epoch_to_sink.remote(
-                    status_ts, sink_paths_per_partition[p], final, ckpt, *shards,
+                    epoch, status_ts, sink_paths_per_partition[p], final, ckpt,
+                    *shards,
                 )
             )
         return out

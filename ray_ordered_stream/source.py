@@ -462,6 +462,16 @@ class Pump:
             **self.queue.counts(),
         }
 
+    def all_landed(self, st: dict) -> bool:
+        """Whether every unacked message has landed, after a ``step()``
+        that returned ``st``: none is available, and each leased one (by
+        this pump, or by an earlier consumer whose lease has not expired
+        yet) has its file in the landing dir."""
+        if st["available"]:
+            return False
+        leased = (self.queue.root / "leased").glob("msg-*.json")
+        return all((self.land / f"{m.stem}.parquet").exists() for m in leased)
+
     def stats(self) -> dict:
         out = dict(self.totals)
         out["inflight"] = len(self._delivered_at)
@@ -505,8 +515,17 @@ def run_pump_loop(
 ) -> dict:
     """Blocking delivery loop (run in a thread beside the consumer, or as
     its own process on a real deployment): pump until the queue is closed
-    AND fully acked — then write the landing ``_STOP`` marker so a finite
-    replay terminates — or until ``stop`` (threading.Event) is set.
+    AND fully acked, or until ``stop`` (threading.Event) is set.
+
+    The landing ``_STOP`` marker, which lets a finite replay terminate, is
+    written as soon as the queue is closed and nothing is left available:
+    every message has landed then, so the consumer can cut its trailing
+    partial group at once instead of waiting out its idle timeout (the
+    group's messages are acked only after it commits, so waiting for the
+    acks first would wait for that timeout). The loop keeps stepping until
+    the queue is drained, so the acks still follow the manifest frontier. A
+    redelivery after the marker lands a file name the consumer has already
+    grouped, so it is not read twice.
 
     ``finish`` (threading.Event, optional) is the drain-aware shutdown
     signal: once set, the consumer has exited and the committed manifest
@@ -517,20 +536,23 @@ def run_pump_loop(
     under the final frontier is acked. Returns cumulative delivery stats."""
     q = FileLeaseQueue(queue_root)
     p = Pump(q, landing_dir, out_root, max_n=max_n, lease_s=lease_s)
+    stop_marker = Path(landing_dir) / "_STOP"
     # a leftover _STOP from an earlier drained run (same reused landing
     # dir) would make the consumer exit as soon as currently-landed files
     # are processed, leaving freshly published messages unconsumed — the
     # pump owns the marker in queue mode, so clear any stale one before
     # the first delivery (ADVICE r4); it is re-written below once the
-    # queue is actually closed + drained
+    # queue is closed and every message has landed
     try:
-        (Path(landing_dir) / "_STOP").unlink()
+        stop_marker.unlink()
     except OSError:
         pass
     while stop is None or not stop.is_set():
+        closed = q.is_closed()  # before the step: no publish comes after it
         st = p.step()
+        if closed and not stop_marker.exists() and p.all_landed(st):
+            stop_marker.write_text("")
         if q.is_drained():
-            (Path(landing_dir) / "_STOP").write_text("")
             break
         if finish is not None and finish.is_set():
             if not any(

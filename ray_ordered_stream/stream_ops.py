@@ -203,7 +203,12 @@ class _OpenIntervals:
         kc, *items = self._open()
         offsets = pa.array(np.searchsorted(kc, np.arange(len(self.keys) + 1)), pa.int32())
         cols = {self.key: self.keys.names()}
-        cols.update((f, pa.array(getattr(self.keys, f), pa.int64())) for f in self.PER_KEY)
+        # copies: the per-key fields are views that the next update mutates
+        # in place (np.maximum.at on ``last``, the session ids), and a
+        # snapshot may be written while the next epoch drains. The open
+        # intervals are only ever replaced, never mutated, so they are shared.
+        cols.update((f, pa.array(getattr(self.keys, f).copy(), pa.int64()))
+                    for f in self.PER_KEY)
         cols.update(
             (f, pa.ListArray.from_arrays(offsets, pa.array(v, pa.int64())))
             for f, v in zip(self.ITEMS, items)
@@ -377,28 +382,8 @@ class SessionAccumulator(_OpenIntervals):
         if self.late_data == "drop" and self.watermark is not None:
             lp = tsi + self.gap < self.watermark - self.lateness
             if lp.any() and len(self._kc):
-                # a candidate merges iff an open session of its key overlaps
-                # [ts-gap, ts+gap]; open sessions are gap-separated within a
-                # key, so only the last session with start <= ts+gap can
-                # (per-unique-key loop: late keys are the exceptional few)
                 cand = np.flatnonzero(lp)
-                cg, ct = gc[cand], tsi[cand]
-                merge_ok = np.zeros(len(cand), dtype=bool)
-                for g in np.unique(cg):
-                    lo = np.searchsorted(self._kc, g, side="left")
-                    hi = np.searchsorted(self._kc, g, side="right")
-                    if lo == hi:
-                        continue
-                    m = cg == g
-                    t = ct[m]
-                    j = lo + np.searchsorted(
-                        self._start[lo:hi], t + self.gap, side="right"
-                    ) - 1
-                    ok = j >= lo
-                    jj = np.where(ok, j, lo)
-                    ok &= self._end[jj] + self.gap >= t
-                    merge_ok[m] = ok
-                lp[cand[merge_ok]] = False
+                lp[cand[self._merges_open(gc[cand], tsi[cand])]] = False
             if lp.any():
                 late = self._late(emitted, lp.astype(np.int64))
                 keep = ~lp
@@ -449,6 +434,21 @@ class SessionAccumulator(_OpenIntervals):
             na = np.add.reduceat(na, s2)
         self._set_open([kc, sv, ev, cnt, nu, na])
         return late
+
+    def _merges_open(self, codes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Whether an event (key code, ts) merges with an open session of
+        its key: one overlaps [ts - gap, ts + gap]. Open sessions are
+        gap-separated within a key, so only the key's last session with
+        start <= ts + gap can. One searchsorted finds it for every event at
+        once, over (code, start) as one int64: the code times the number of
+        distinct starts, plus the start's rank among them."""
+        q = ts + self.gap
+        vals = np.unique(np.concatenate([self._start, q]))
+        n = len(vals)
+        j = np.searchsorted(self._kc * n + np.searchsorted(vals, self._start),
+                            codes * n + np.searchsorted(vals, q), side="right") - 1
+        jj = np.maximum(j, 0)
+        return (j >= 0) & (self._kc[jj] == codes) & (self._end[jj] + self.gap >= ts)
 
     def _closed(self, horizon: int) -> np.ndarray:
         return self._end + self.gap < horizon

@@ -186,7 +186,11 @@ def test_job_cli_publish_then_queue_consumer(tmp_path):
     """Producer CLI publishes shards onto the lease queue (+ close), the
     consumer CLI runs --source queue --continuous: in-job pump delivers,
     engine emits exactly-once, every message acked, run terminates via the
-    closed+drained marker."""
+    stop marker the pump writes once every message has landed. 5 messages
+    at --files-per-epoch 2 leave a trailing partial group, which runs on
+    that marker: the job ends well inside its 60 s idle timeout."""
+    import time
+
     from ray_ordered_stream.fixtures import oracle_ordered
 
     t = gen_transcripts(n_convs=6, min_turns=6, max_turns=18, lateness=10,
@@ -205,11 +209,14 @@ def test_job_cli_publish_then_queue_consumer(tmp_path):
                    "available": nf, "leased": 0, "acked": 0}
 
     out_root = tmp_path / "out"
+    t0 = time.monotonic()
     res = _run(["--input", queue, "--out", str(out_root),
                 "--source", "queue", "--continuous",
                 "--partitions", "2", "--files-per-epoch", "2",
                 "--address", "local", "--warmup-rows", "0",
                 "--idle-timeout", "60", "--lease-s", "30"])
+    # Ray's start is most of it; waiting out the idle timeout would add 60 s
+    assert time.monotonic() - t0 < 40
     assert res["source"]["kind"] == "queue"
     # at-least-once: every message delivered; a slow first commit may let a
     # lease expire and redeliver (same landing name -> engine dedups)
