@@ -125,15 +125,16 @@ def _read_and_split_parts(key: str, seq: str, P: int, overrides, range_bounds, p
 
 
 class _EpochGate:
-    """The order of one partition actor's epoch calls. Ray runs them on the
-    two threads of the actor's epoch group and does not keep their order
-    there, so each call waits for its turn twice: ``drain(k)`` admits epoch
-    k once epoch k-1 has drained, and holds the gate's lock for the whole
-    drain, so only one call at a time reads or mutates partition state;
-    ``wait_written(k)`` admits epoch k's checkpoint once epoch k-1's is
-    written, so the delta chain stays ordered. A failed call fails every later one,
-    so none waits for an epoch that will not come; an earlier one still
-    finishes its writes."""
+    """The order of one partition actor's epoch calls. Ray starts them in
+    submission order (``_EPOCH_GROUP``), but on the two threads of the
+    actor's epoch group, which reach the gate in either order; so each call
+    waits for its turn twice: ``drain(k)`` admits epoch k once epoch k-1
+    has drained, and holds the gate's lock for the whole drain, so only one
+    call at a time reads or mutates partition state; ``wait_written(k)``
+    admits epoch k's checkpoint once epoch k-1's is written, so the delta
+    chain stays ordered. A failed call fails every later one, so none waits
+    for an epoch that will not come; an earlier one still finishes its
+    writes."""
 
     def __init__(self, epoch: int):
         self.drained = threading.Condition()
@@ -196,6 +197,9 @@ class _EpochGate:
 # actor keeps Ray's in-order dispatch (allow_out_of_order_execution stays
 # False, as max_concurrency is 1), so the lowest waiting epoch always holds
 # one of them, and calls past k+1 wait for a thread instead of the gate.
+# Were the calls started out of order, k+1 and k+2 could hold both threads
+# at the gate while k waits for one: tests/test_write_behind.py pins the
+# order with calls whose arguments resolve in reverse.
 _EPOCH_GROUP = "epoch"
 
 
@@ -396,18 +400,17 @@ class OrderedWorker:
         return {op.kind.sink: op.impl.gc(ttl_us)
                 for op in self.operators if hasattr(op.impl, "gc")}
 
-    def state_sizes(self, after_epoch: int | None = None) -> dict:
-        """Current keyed-state footprint by sink (for soak tests and
-        backlog monitoring), read between two epochs' drains: once epoch
-        ``after_epoch`` has drained, if given."""
+    def state_sizes(self, after_epoch: int) -> dict:
+        """Keyed-state footprint by sink (for soak tests and backlog
+        monitoring), read between two drains once epoch ``after_epoch`` has
+        drained."""
         gate = self._gate
         with gate.drained:
-            if after_epoch is not None:
-                # a failed epoch does not stop the read: the epoch's own
-                # call reports the failure
-                gate.drained.wait_for(
-                    lambda: gate.failed_before(after_epoch + 1)
-                    or gate.next_drain > after_epoch)
+            # a failed epoch does not stop the read: the epoch's own call
+            # reports the failure
+            gate.drained.wait_for(
+                lambda: gate.failed_before(after_epoch + 1)
+                or gate.next_drain > after_epoch)
             return {op.kind.sink: op.impl.state_size()
                     for op in self.operators if hasattr(op.impl, "state_size")}
 
@@ -618,8 +621,11 @@ class _ActorPool:
         return workers
 
     def give_back(self, workers: list) -> None:
-        """Return a clean processor's actors once their queued calls have
-        run; a dead or no longer lean actor is not kept."""
+        """Return a clean processor's actors; a dead or no longer lean actor
+        is not kept. Every epoch call's ref must be resolved first: the
+        epoch calls run in their own concurrency group, so ``release`` does
+        not wait behind them and would drop the state a call still drains
+        or writes."""
         idle = self._idle()
         for w, ref in [(w, w.release.remote()) for w in workers]:
             try:
@@ -903,7 +909,9 @@ class OrderedProcessor:
     def shutdown(self):
         """Give the actors up: back to the driver's pool, or, if the
         processor is ``broken``, killed together with every idle pooled
-        actor, so that no partition process outlives the failure."""
+        actor, so that no partition process outlives the failure. A
+        processor that is not broken is shut down only once every epoch
+        call's ref has resolved (``_ActorPool.give_back``)."""
         workers, self._workers = self._workers or [], []
         if self.broken:
             for w in workers:

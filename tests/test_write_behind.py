@@ -4,6 +4,9 @@ are written while epoch k+1 drains (ordered.OrderedWorker, _EpochGate).
 - every operator's snapshot stays as it was taken while the next batch is
   fed, since the snapshot is written after the next drain has started;
 - a failed epoch fails the calls behind it instead of leaving them waiting;
+- one actor's epoch calls start in submission order, even when their
+  arguments resolve in reverse, so the epoch group's two threads cannot
+  both wait at the gate for an epoch that has no thread;
 - a crash with later epochs in flight resumes byte for byte;
 - the continuous feed's flush epoch and state probes keep their place;
 - the session accumulator's vectorized late-drop check equals the per-key
@@ -240,6 +243,43 @@ def test_failed_part_write_fails_the_epochs_behind_it(files, tmp_path):
         proc.shutdown()
 
 
+def test_epoch_calls_with_arguments_ready_in_reverse_complete(files, tmp_path):
+    """Four epoch calls to one actor whose shards resolve last epoch
+    first. Ray must start them in submission order: were epochs 2 and 3
+    started first, they would hold both of the epoch group's threads at
+    the gate, and epoch 0 would never get one. The timeout turns such a
+    hang into a failure."""
+    import time
+
+    import ray
+
+    from ray_ordered_stream.epochs import _epoch_ts, _open_sinks
+    from ray_ordered_stream.ordered import OrderedProcessor, _as_batch
+
+    @ray.remote(num_cpus=0)
+    def shard_after(delay_s: float, path: str) -> pa.RecordBatch:
+        time.sleep(delay_s)
+        return _as_batch(pq.read_table(path))
+
+    out = tmp_path / "out"
+    n = 4
+    sinks = _open_sinks(str(out), OrderedConfig())
+    proc = OrderedProcessor(OrderedConfig(), 1)
+    proc.broken = True  # a hung actor is killed, not pooled
+    try:
+        proc.wait_ready(str(out), None)
+        refs = []
+        for e in range(n):
+            shard = shard_after.remote(0.5 * (n - 1 - e), files[e])
+            paths = [{name: s.part_path(e, 0) for name, s in sinks.items()}]
+            refs += proc.feed_epoch_to_sinks(e, [[shard]], _epoch_ts(e), paths,
+                                             ckpt=(str(out), False))
+        rows = ray.get(refs, timeout=60)
+        assert all(r["ordered"] > 0 for r in rows)
+        ckpt = out / "ckpt" / "p=00000"
+        assert all((ckpt / f"epoch-{e:05d}" / "state.arrow").exists() for e in range(n))
+    finally:
+        proc.shutdown()
 
 
 def test_failed_part_write_ends_the_run_without_actors(files, tmp_path, monkeypatch):
